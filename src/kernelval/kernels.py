@@ -68,6 +68,7 @@ __all__ = [
     "tail_factor",
     "cond_expect",
     "conditional_gram",
+    "conditional_gram_dot",
     "feature_vector",
     "feature_matrix",
     "step_mean",
@@ -553,14 +554,8 @@ def cond_expect(spec, prefix, y, t):
     return float(conditional_gram(spec, pre[None], y[None], t)[0, 0])
 
 
-def conditional_gram(spec, prefixes, Y, t):
-    """Matrix of conditional expectations ``E[k(X, Y_j) | first t steps = prefix_i]``.
-
-    ``prefixes``: (N, d, t) revealed steps (only the first ``t`` steps of a
-    full (N, d, T) array are read).  ``Y``: (M, d, T) full paths.  Returns
-    (N, M).  This is the workhorse behind value-process evaluation: column
-    ``j`` at ``t = T`` is the plain kernel, at ``t = 0`` the full expectation.
-    """
+def _cond_inputs(spec, prefixes, Y, t):
+    """Validated ``(prefixes, Y)`` arrays for the conditional-Gram functions."""
     Y = as_paths(Y, spec.d, spec.T)
     pre = np.asarray(prefixes, dtype=float)
     if pre.ndim == 2:
@@ -571,12 +566,40 @@ def conditional_gram(spec, prefixes, Y, t):
         )
     if not 0 <= t <= spec.T:
         raise InputError(f"t must lie in [0, {spec.T}], got {t}")
+    return pre, Y
+
+
+def _gauss_exp_exponent(spec, pre, Y, t):
+    """Kernel exponent ``(2a+b)<x, y> - a|x|^2 - a|y|^2`` over the first ``t`` steps.
+
+    The two norm terms ride in the matrix product as two extra columns, so
+    the (N, M) exponent comes out of one BLAS call with no broadcast passes
+    over it.  Nothing is factored out of the exponent, so the overflow guard
+    sees the true kernel exponent.
+    """
+    a, c = spec.alpha, 2.0 * spec.alpha + spec.beta
+    Xs = pre[:, :, :t].reshape(pre.shape[0], -1)
+    Ys = Y[:, :, :t].reshape(Y.shape[0], -1)
+    nx = np.einsum("ij,ij->i", Xs, Xs)
+    ny = np.einsum("ij,ij->i", Ys, Ys)
+    Xa = np.column_stack([c * Xs, -a * nx, np.ones_like(nx)])
+    Ya = np.column_stack([Ys, np.ones_like(ny), -a * ny])
+    return Xa @ Ya.T
+
+
+def conditional_gram(spec, prefixes, Y, t):
+    """Matrix of conditional expectations ``E[k(X, Y_j) | first t steps = prefix_i]``.
+
+    ``prefixes``: (N, d, t) revealed steps (only the first ``t`` steps of a
+    full (N, d, T) array are read).  ``Y``: (M, d, T) full paths.  Returns
+    (N, M).  Column ``j`` at ``t = T`` is the plain kernel, at ``t = 0`` the
+    full expectation.  Value-process evaluation needs only this matrix times
+    a coefficient vector, which :func:`conditional_gram_dot` computes.
+    """
+    pre, Y = _cond_inputs(spec, prefixes, Y, t)
 
     if isinstance(spec, GaussExpKernel):
-        P, nx, ny = _slice_products(pre, Y, t)
-        e = (2.0 * spec.alpha + spec.beta) * P
-        e -= spec.alpha * nx[:, None]
-        e -= spec.alpha * ny[None, :]
+        e = _gauss_exp_exponent(spec, pre, Y, t)
         out = _guarded_exp(e, out=e)
         out *= tail_factor(spec, Y, t)[None, :]
         return out
@@ -609,6 +632,22 @@ def conditional_gram(spec, prefixes, Y, t):
         return base * (A @ B.T)
 
     raise InputError(f"unknown kernel spec {type(spec).__name__}")
+
+
+def conditional_gram_dot(spec, prefixes, Y, t, coef):
+    """``conditional_gram(spec, prefixes, Y, t) @ coef`` as an (N,) vector.
+
+    For the Gaussian-exponentiated kernel the tail factor of each column
+    moves into the coefficient vector, so an (N, M) block costs one matrix
+    product, the guard's max, one ``exp`` and one matrix-vector product.  The
+    overflow guards are the same as :func:`conditional_gram`'s.  Other kernel
+    families go through :func:`conditional_gram`.
+    """
+    pre, Y = _cond_inputs(spec, prefixes, Y, t)
+    if isinstance(spec, GaussExpKernel):
+        e = _gauss_exp_exponent(spec, pre, Y, t)
+        return _guarded_exp(e, out=e) @ (tail_factor(spec, Y, t) * coef)
+    return conditional_gram(spec, pre, Y, t) @ coef
 
 
 # ---------------------------------------------------------------------------

@@ -292,16 +292,19 @@ class GroundTruth:
                 out[i] = self._v1_cache[float(v)]
         else:
             for i, v in enumerate(arr):
-                key = float(v)
+                key = float(v) + 0.0  # -0.0 and 0.0 share one cache entry and stream
                 if key not in self._v1_cache:
                     if self.method == "quadrature":
                         val = value_quadrature(
                             self.cfg, self.payoff_id, [key], 1, n_nodes=self.n_nodes
                         )
                     else:
+                        # the inner stream is keyed by the value's bits, not its
+                        # batch position, so a value does not depend on call order
+                        bits = int(np.float64(key).view(np.uint64))
                         val = ground_truth_value(
                             self.cfg, self.payoff_id, [key], 1, self.n_inner,
-                            seed=self.seed, stream=("gt", self.payoff_id, 1, i),
+                            seed=self.seed, stream=("gt", self.payoff_id, 1, bits),
                         )
                     self._v1_cache[key] = float(val)
                 out[i] = self._v1_cache[key]
@@ -326,25 +329,41 @@ class GroundTruth:
 
     # -- CSV cache -----------------------------------------------------
 
+    def _cache_tag(self):
+        """The ``n_inner, seed`` columns of a cache row; n_inner 0 marks quadrature."""
+        return (self.n_inner if self.method == "mc" else 0, self.seed)
+
     def to_csv(self):
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["t", "x1", "value", "n_inner", "seed"])
-        budget = self.n_inner if self.method == "mc" else 0
+        tag = [str(v) for v in self._cache_tag()]
         if self._v0 is not None:
-            w.writerow(["0", "", repr(float(self._v0)), str(budget), str(self.seed)])
+            w.writerow(["0", "", repr(float(self._v0))] + tag)
         for x1 in sorted(self._v1_cache):
-            w.writerow(["1", repr(x1), repr(self._v1_cache[x1]), str(budget), str(self.seed)])
+            w.writerow(["1", repr(x1), repr(self._v1_cache[x1])] + tag)
         return buf.getvalue()
 
     def load_csv(self, text):
+        """Fill the caches from :meth:`to_csv` output written by a matching object.
+
+        A row whose ``n_inner`` or ``seed`` differs from this object's method,
+        inner budget and seed is refused: its values answer another question.
+        """
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         if header != ["t", "x1", "value", "n_inner", "seed"]:
             raise InputError(f"unrecognized ground-truth cache header {header}")
+        n_inner, seed = self._cache_tag()
         for row in reader:
             if not row:
                 continue
+            if (int(row[3]), int(row[4])) != (n_inner, seed):
+                raise InputError(
+                    f"ground-truth cache row was written with n_inner={row[3]}, "
+                    f"seed={row[4]}; this {self.method} ground truth expects "
+                    f"n_inner={n_inner}, seed={seed}"
+                )
             t = int(row[0])
             if t == 0:
                 self._v0 = float(row[2])

@@ -3,8 +3,10 @@
 A fitted estimator represents a payoff function ``f_X``; its value process is
 ``Vhat_t = E[f_X(X) | X_1..X_t]``.  Because the kernel factorizes over time
 steps, the conditional expectation of every kernel section is available in
-closed form, so ``Vhat_t`` along a path costs one conditional-Gram row per
-time step and no inner simulation at all.
+closed form, so ``Vhat_t`` needs no inner simulation at all.  ``Vhat_0`` is
+the same for every path and is computed once per call; each later time
+step costs one conditional-Gram-times-coefficients product per block of
+paths (see :func:`kernels.conditional_gram_dot`).
 
 Error metrics mirror the experiment layout: relative L2 payoff error on a
 fresh validation sample, per-time relative L1 value-process error against a
@@ -37,7 +39,6 @@ __all__ = [
     "repeat_experiment",
     "martingale_gap",
     "doob_check",
-    "error_report_to_csv",
     "error_reports_to_csv",
     "trajectory_csv",
 ]
@@ -84,12 +85,14 @@ class ErrorReport:
 def _dual_series(est, X, block):
     spec = est.kernel
     n, out = X.shape[0], np.empty((X.shape[0], spec.T + 1))
+    G0 = kernels.conditional_gram(spec, np.zeros((1, spec.d, 0)), est.paths, 0)
+    out[:, 0] = G0[0] @ est.eval_coef / est.n_train
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         chunk = X[lo:hi]
-        for t in range(spec.T + 1):
-            G = kernels.conditional_gram(spec, chunk[:, :, :t], est.paths, t)
-            out[lo:hi, t] = G @ est.eval_coef / est.n_train
+        for t in range(1, spec.T + 1):
+            out[lo:hi, t] = kernels.conditional_gram_dot(
+                spec, chunk[:, :, :t], est.paths, t, est.eval_coef) / est.n_train
     return out
 
 
@@ -192,7 +195,7 @@ def value_process_error(est, gt, test_paths, block=2048):
     return np.mean(np.abs(truth - approx), axis=0) / v0
 
 
-def martingale_gap(est, n=100_000, seed=0, stream=("martingale",), block=20_000):
+def martingale_gap(est, n=100_000, seed=0, stream=("martingale",), block=2048):
     """Tower check at the root: MC mean of Vhat_1 against the exact Vhat_0.
 
     Returns (v0, mc_mean, se); a correct conditional-expectation stack keeps
@@ -209,8 +212,8 @@ def martingale_gap(est, n=100_000, seed=0, stream=("martingale",), block=20_000)
             F = kernels.conditional_feature_matrix(spec, x1[lo:hi], 1)
             vals[lo:hi] = F @ est.primal_coef
         else:
-            G = kernels.conditional_gram(spec, x1[lo:hi], est.paths, 1)
-            vals[lo:hi] = G @ est.eval_coef / est.n_train
+            vals[lo:hi] = kernels.conditional_gram_dot(
+                spec, x1[lo:hi], est.paths, 1, est.eval_coef) / est.n_train
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
     return v0, float(np.mean(vals)), se
 
@@ -300,10 +303,6 @@ def error_reports_to_csv(reports):
             w.writerow([rep.payoff_id, rep.estimator, t,
                         repr(float(rep.mean_pct[i])), repr(float(rep.std_pct[i]))])
     return buf.getvalue()
-
-
-def error_report_to_csv(report):
-    return error_reports_to_csv([report])
 
 
 def trajectory_csv(est, gt, test_paths, block=2048):

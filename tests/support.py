@@ -10,7 +10,8 @@ import math
 import numpy as np
 from scipy.linalg import hadamard
 
-from kernelval.kernels import FeatureMapKernel, MonomialFeature
+from kernelval import kernels
+from kernelval.kernels import EXP_GUARD, FeatureMapKernel, GaussExpKernel, MonomialFeature
 from kernelval.sampling import TrainingSet
 
 
@@ -110,3 +111,39 @@ def ridge_gradient_descent(phi, values, lam, steps=40_000, lr=None):
     for _ in range(steps):
         h -= lr * (G @ h + lam * h - b)
     return h
+
+
+def unfused_conditional_gram(spec, prefixes, Y, t):
+    """Conditional Gram with the Gaussian-exponentiated exponent built term by term.
+
+    ``(2a+b) P - a|x|^2 - a|y|^2`` with the norms subtracted by broadcasting,
+    the guard on the block's largest exponent, then the tail factor per
+    column: the arithmetic of the unfused evaluator.  Other kernel families
+    go to :func:`kernels.conditional_gram`.
+    """
+    if not isinstance(spec, GaussExpKernel):
+        return kernels.conditional_gram(spec, prefixes, Y, t)
+    a, b = spec.alpha, spec.beta
+    Xs = prefixes[:, :, :t].reshape(prefixes.shape[0], -1)
+    Ys = Y[:, :, :t].reshape(Y.shape[0], -1)
+    e = (2.0 * a + b) * (Xs @ Ys.T)
+    e -= a * np.einsum("ij,ij->i", Xs, Xs)[:, None]
+    e -= a * np.einsum("ij,ij->i", Ys, Ys)[None, :]
+    if e.size and e.max() > EXP_GUARD:
+        raise OverflowError(f"kernel exponent {e.max():.3g} exceeds {EXP_GUARD:g}")
+    return np.exp(e) * kernels.tail_factor(spec, Y, t)[None, :]
+
+
+def unfused_value_series(est, X):
+    """Dual-mode ``Vhat_t`` on paths (N, d, T): one full conditional Gram per t.
+
+    Each row of ``G * coef`` is summed exactly (``math.fsum``), so the
+    reference adds no summation-order error of its own.  Ridge coefficients
+    at small lambda make those rows cancel by up to 1e4, where two BLAS
+    summation orders of the same terms already differ by about 1e-12.
+    """
+    cols = []
+    for t in range(est.kernel.T + 1):
+        terms = unfused_conditional_gram(est.kernel, X, est.paths, t) * est.eval_coef
+        cols.append([math.fsum(row) / est.n_train for row in terms])
+    return np.array(cols).T

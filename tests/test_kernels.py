@@ -10,11 +10,13 @@ from kernelval.errors import InputError
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, MonomialFeature, cond_expect,
                                conditional_feature_matrix, conditional_gram,
+                               conditional_gram_dot,
                                diag, feature_matrix, feature_vector,
                                gauss_moment, gauss_poly_features, gram,
                                monomial_features, tilted, tilted_diag,
                                tilted_diag_many, tilted_gram, u_factor,
                                tail_factor, log_weight)
+from support import unfused_conditional_gram
 
 RNG = np.random.default_rng(20240817)
 
@@ -190,6 +192,35 @@ def test_conditional_gram_matches_scalar_loop():
         for j in range(3):
             assert M[i, j] == pytest.approx(
                 cond_expect(spec, pre[i], Y[j], 1), rel=1e-12)
+
+
+def test_conditional_gram_dot_matches_unfused_product():
+    spec = GaussExpKernel(alpha=2.0, beta=0.3, d=2, T=3)
+    X = RNG.standard_normal((7, 2, 3))
+    Y = 2.0 * RNG.standard_normal((11, 2, 3))
+    coef = RNG.standard_normal(11)
+    for t in range(4):
+        ref = unfused_conditional_gram(spec, X, Y, t) @ coef
+        got = conditional_gram_dot(spec, X[:, :, :t], Y, t, coef)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), t
+        assert np.allclose(conditional_gram(spec, X, Y, t) @ coef, ref,
+                           rtol=1e-12, atol=0.0)
+
+
+def test_conditional_gram_dot_when_the_folded_exponent_passes_the_guard():
+    # with |x|^2 factored out, the exponent would be (a+b)|x|^2 = 726.7 at
+    # x = y = 13; the kernel exponent itself is b|x|^2 = 50.7
+    spec = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2)
+    pre = np.array([[[13.0]], [[0.5]]])
+    Y = np.array([[[13.0, 0.2]], [[12.0, -1.0]], [[-1.0, 0.3]]])
+    coef = np.array([0.5, -1.0, 2.0])
+    folded = (2 * spec.alpha + spec.beta) * pre[:, 0, 0, None] * Y[None, :, 0, 0] \
+        - spec.alpha * Y[None, :, 0, 0] ** 2
+    assert folded.max() > EXP_GUARD
+    ref = unfused_conditional_gram(spec, pre, Y, 1) @ coef
+    got = conditional_gram_dot(spec, pre, Y, 1, coef)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_gauss_poly_expansion_reproduces_kernel():

@@ -173,6 +173,26 @@ def test_ground_truth_cache_roundtrip(tmp_path):
     assert np.array_equal(fresh.v1(np.array([0.2, -0.7])), v1)
 
 
+def test_mc_ground_truth_does_not_depend_on_batch_position():
+    a = GroundTruth(CFG, "european_call", method="mc", n_inner=500, seed=9)
+    b = GroundTruth(CFG, "european_call", method="mc", n_inner=500, seed=9)
+    assert a.v1([0.1])[0] == b.v1([0.5, 0.1])[1]
+
+
+def test_ground_truth_cache_refuses_other_budget_or_seed():
+    small = GroundTruth(CFG, "european_call", method="mc", n_inner=10, seed=7)
+    small.v1([0.3])
+    text = small.to_csv()
+    with pytest.raises(InputError):
+        GroundTruth(CFG, "european_call", method="mc", n_inner=100_000,
+                    seed=7).load_csv(text)
+    with pytest.raises(InputError):
+        GroundTruth(CFG, "european_call", method="mc", n_inner=10,
+                    seed=8).load_csv(text)
+    with pytest.raises(InputError):
+        GroundTruth(CFG, "european_call", seed=7).load_csv(text)
+
+
 def test_ground_truth_validation():
     with pytest.raises(InputError):
         GroundTruth(CFG, "unknown_payoff")

@@ -3,25 +3,30 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kernelval.cli import load_config
 from kernelval.errors import DataError, InputError
-from kernelval.kernels import FeatureMapKernel, GaussExpKernel, monomial_features
-from kernelval.krr import fit, predict
+from kernelval.kernels import (FeatureMapKernel, GaussExpKernel, GaussPolyKernel,
+                               conditional_gram, monomial_features)
+from kernelval.krr import Estimator, fit, predict
 from kernelval.market import BSConfig, GroundTruth, payoff_function
-from kernelval.sampling import MeasureSpec, build_training_set, draw_paths
-from kernelval.valuation import (ErrorReport, doob_check, error_report_to_csv,
-                                 error_reports_to_csv, martingale_gap,
-                                 payoff_errors, payoff_l2_error,
+from kernelval.sampling import (MeasureSpec, TrainingSet, build_training_set,
+                                draw_paths)
+from kernelval.valuation import (ErrorReport, doob_check, error_reports_to_csv,
+                                 martingale_gap, payoff_errors, payoff_l2_error,
                                  repeat_experiment, trajectory_csv,
                                  value_at_zero, value_process_error,
                                  value_series, value_series_many)
+from support import unfused_value_series
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
 MEASURE = MeasureSpec(gamma=0.45, d=1, T=2, seed=100)
+CONFIG_PATH = str(Path(__file__).resolve().parent.parent / "configs" / "bs2.cfg")
 
 
 def _fit(n=400, payoff_id="european_put", lam=1e-5, mode="dual-unsorted",
@@ -60,6 +65,76 @@ def test_series_many_matches_single():
     # block size changes BLAS accumulation order, so exact equality is out
     small_block = value_series_many(est, X, block=2)
     assert np.allclose(batch, small_block, rtol=1e-12, atol=1e-15)
+
+
+def _max_rel_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _training_set_with_duplicates(d, T, gamma, n=40, n_dup=15):
+    """Tilted sample of n paths plus exact copies of its first n_dup."""
+    f = lambda X: np.maximum(1.0 - np.exp(0.2 * X.sum(axis=(1, 2)) - 0.02 * d * T), 0.0)
+    ts = build_training_set(MeasureSpec(gamma=gamma, d=d, T=T, seed=12), f, n,
+                            "synthetic", stream=("fused",))
+    keep = np.r_[np.arange(n), np.arange(n_dup)]
+    return TrainingSet(paths=ts.paths[keep], payoff_values=ts.payoff_values[keep],
+                       weights=ts.weights[keep], payoff_id="synthetic",
+                       gamma=gamma, n_payoff_evals=n + n_dup)
+
+
+@pytest.mark.parametrize("mode", ["dual-unsorted", "dual-sorted"])
+@pytest.mark.parametrize("gamma", [0.0, 0.45])
+@pytest.mark.parametrize("d,T", [(1, 2), (2, 3)])
+def test_series_matches_unfused_evaluator_on_the_grid(d, T, gamma, mode):
+    config = load_config(path=CONFIG_PATH)
+    ts = _training_set_with_duplicates(d, T, gamma)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=d, T=T, seed=13), 30)
+    pairs = [(a, b) for a in config.alphas for b in config.betas if a or b]
+    assert len(pairs) == 15
+    for a, b in pairs:
+        est = fit(ts, GaussExpKernel(alpha=a, beta=b, d=d, T=T, gamma=gamma),
+                  1e-5, mode=mode)
+        new, ref = value_series_many(est, X), unfused_value_series(est, X)
+        for t in range(T + 1):
+            assert _max_rel_gap(new[:, t], ref[:, t]) <= 1e-12, (a, b, t)
+
+
+@pytest.mark.parametrize("spec", [
+    GaussPolyKernel(alpha=0.5, beta=2, d=1, T=2, gamma=0.45),
+    FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2, gamma=0.45),
+], ids=["gauss-poly", "feature-map"])
+def test_series_of_other_kernel_families_unchanged(spec):
+    est = fit(_training_set_with_duplicates(1, 2, 0.45), spec, 1e-4)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=14), 30)
+    new = value_series_many(est, X)
+    for t in (1, 2):
+        direct = conditional_gram(spec, X[:, :, :t], est.paths, t) @ est.eval_coef
+        assert np.array_equal(new[:, t], direct / est.n_train)
+    assert _max_rel_gap(new, unfused_value_series(est, X)) <= 1e-12
+
+
+def _raises_overflow(fn, *args):
+    try:
+        fn(*args)
+    except OverflowError:
+        return True
+    return False
+
+
+def test_series_overflows_exactly_where_the_unfused_evaluator_does():
+    spec = GaussExpKernel(alpha=0.5, beta=0.45, d=1, T=2)
+    base = np.array([[1.0, 2.0], [-3.0, 0.5], [40.0, -2.0]])[:, None, :]
+    # a second step near 200 overflows the tail factor (exponent 0.0256 * 200^2)
+    for Y in (base, base + np.array([0.0, 200.0])):
+        est = Estimator(mode="dual-unsorted", kernel=spec, lam=0.0, n_train=3,
+                        paths=Y, eval_coef=np.array([1.0, -2.0, 0.5]))
+        seen = set()
+        for scale in (0.1, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0):
+            X = scale * base
+            raised = _raises_overflow(value_series_many, est, X)
+            assert raised == _raises_overflow(unfused_value_series, est, X), scale
+            seen.add(raised)
+        assert seen == ({True, False} if Y is base else {True})
 
 
 def test_primal_series_agrees_with_dual():
@@ -125,7 +200,7 @@ def test_error_report_validation_and_csv():
         mean_pct=np.array([0.1, 0.2, 0.3]),
         std_pct=np.array([0.01, 0.02, 0.03]),
     )
-    text = error_report_to_csv(rep)
+    text = error_reports_to_csv([rep])
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["payoff", "estimator", "t", "mean_pct", "std_pct"]
     assert len(rows) == 4
