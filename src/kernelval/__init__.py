@@ -18,7 +18,7 @@ from .krr import (Estimator, fit, fit_dual_sorted, fit_dual_unsorted,
                   fit_primal, load_estimator, normal_equation_residual,
                   predict, regularization_path, save_estimator)
 from .market import (BSConfig, GroundTruth, PAYOFF_IDS, nested_mc_estimate,
-                     payoff, payoff_function, stock_path, var_es)
+                     payoff, payoff_function, stock_path)
 from .sampling import (MeasureSpec, MixtureSampler, TrainingSet,
                        build_training_set, draw_paths, mixture_sampler)
 from .valuation import (ErrorReport, ValueSeries, martingale_gap,
@@ -36,7 +36,7 @@ __all__ = [
     "predict", "normal_equation_residual", "regularization_path",
     "save_estimator", "load_estimator",
     "BSConfig", "PAYOFF_IDS", "GroundTruth", "nested_mc_estimate", "payoff",
-    "payoff_function", "stock_path", "var_es",
+    "payoff_function", "stock_path",
     "MeasureSpec", "MixtureSampler", "TrainingSet", "build_training_set",
     "draw_paths", "mixture_sampler",
     "ValueSeries", "ErrorReport", "value_series", "value_series_many",

@@ -305,6 +305,19 @@ def _pool_map(fn, items, threads):
     return [fn(it) for it in items]
 
 
+def _training_set(config, payoff_id, stage):
+    """The ``n_train`` sample of one payoff on the ``(stage, payoff, "train")`` stream.
+
+    ``grid_search`` and the table2/figures refit share the ``"grid"`` sample;
+    ``simulate``, ``fit`` and ``value`` share the ``"fit"`` sample.
+    """
+    return build_training_set(config.measure(),
+                              payoff_function(config.market, payoff_id),
+                              config.n_train, payoff_id,
+                              stream=(stage, payoff_id, "train"),
+                              seed=config.master_seed)
+
+
 def grid_search(config, payoff_id):
     """Fixed-design search: one training and one validation sample per payoff.
 
@@ -313,11 +326,8 @@ def grid_search(config, payoff_id):
     measure), and returns the argmin with first-occurrence tie-breaking in
     grid iteration order.
     """
-    cfg = config.market
-    f = payoff_function(cfg, payoff_id)
-    ts = build_training_set(config.measure(), f, config.n_train, payoff_id,
-                            stream=("grid", payoff_id, "train"),
-                            seed=config.master_seed)
+    f = payoff_function(config.market, payoff_id)
+    ts = _training_set(config, payoff_id, "grid")
     val_paths = draw_paths(config.nominal(), config.n_val,
                            stream=("grid", payoff_id, "val"),
                            seed=config.master_seed)
@@ -399,10 +409,7 @@ def run_nested(config, payoff_id, gt):
 
 def _star_estimator(config, payoff_id, grid):
     """Refit the searched hyperparameters on the grid training sample."""
-    f = payoff_function(config.market, payoff_id)
-    ts = build_training_set(config.measure(), f, config.n_train, payoff_id,
-                            stream=("grid", payoff_id, "train"),
-                            seed=config.master_seed)
+    ts = _training_set(config, payoff_id, "grid")
     spec = config.kernel_at(grid.alpha, grid.beta)
     return ts, krr.fit(ts, spec, grid.lam, mode=config.mode,
                        payoff_id=payoff_id)
@@ -594,10 +601,7 @@ def _manifest_config(config):
 def _cmd_simulate(config, config_path):
     outputs, evals = [], {}
     for payoff_id in config.payoffs:
-        f = payoff_function(config.market, payoff_id)
-        ts = build_training_set(config.measure(), f, config.n_train, payoff_id,
-                                stream=("fit", payoff_id, "train"),
-                                seed=config.master_seed)
+        ts = _training_set(config, payoff_id, "fit")
         outputs.append(_write(config.out_dir, f"train_{payoff_id}.csv",
                               training_set_to_csv(ts)))
         evals[payoff_id] = ts.n_payoff_evals
@@ -605,18 +609,11 @@ def _cmd_simulate(config, config_path):
     return 0
 
 
-def _fit_training_set(config, payoff_id):
-    f = payoff_function(config.market, payoff_id)
-    return build_training_set(config.measure(), f, config.n_train, payoff_id,
-                              stream=("fit", payoff_id, "train"),
-                              seed=config.master_seed)
-
-
 def _cmd_fit(config, config_path):
     outputs, evals = [], {}
     spec = config.kernel_at(config.fit_alpha, config.fit_beta)
     for payoff_id in config.payoffs:
-        ts = _fit_training_set(config, payoff_id)
+        ts = _training_set(config, payoff_id, "fit")
         est = krr.fit(ts, spec, config.fit_lambda, mode=config.mode,
                       payoff_id=payoff_id)
         outputs.append(_write(config.out_dir, f"train_{payoff_id}.csv",
@@ -640,7 +637,7 @@ def _cmd_value(config, config_path):
             raise InputError(
                 f"no saved estimator at {est_path}; run the fit command first"
             )
-        ts = _fit_training_set(config, payoff_id)
+        ts = _training_set(config, payoff_id, "fit")
         est = krr.load_estimator(est_path, ts)
         series = valuation.value_series_many(est, test_paths)
         lines = ["path_id,t,value"]

@@ -31,7 +31,7 @@ from . import kernels
 from .errors import InputError
 from .kernels import FeatureMapKernel, GaussExpKernel
 from .krr import fit, predict
-from .market import payoff_function
+from .market import _normal_rule, payoff_function
 from .sampling import build_training_set, draw_paths
 
 __all__ = [
@@ -129,29 +129,12 @@ def _tilde_coef(est):
     raise InputError("tilde coefficients require a dual-mode estimator")
 
 
-def _tilted_cross_gram(spec, Pa, wa, Pb, wb, block=4000):
-    """k~ cross-Gram in blocks; returns the full (na, nb) array."""
-    na = Pa.shape[0]
-    out = np.empty((na, Pb.shape[0]))
-    inv_b = 1.0 / np.sqrt(wb)
-    for lo in range(0, na, block):
-        hi = min(lo + block, na)
-        G = kernels.gram(spec, Pa[lo:hi], Pb)
-        G *= (1.0 / np.sqrt(wa[lo:hi]))[:, None]
-        G *= inv_b[None, :]
-        out[lo:hi] = G
-    return out
-
-
 def _quad_form(spec, P, w, c, block=4000):
     """c^T K~ c without materializing K~ for large supports."""
     acc = 0.0
-    inv = 1.0 / np.sqrt(w)
     for lo in range(0, P.shape[0], block):
         hi = min(lo + block, P.shape[0])
-        G = kernels.gram(spec, P[lo:hi], P)
-        G *= inv[lo:hi, None]
-        G *= inv[None, :]
+        G = kernels.tilted_gram(spec, P[lo:hi], w[lo:hi], P, w)
         acc += float(c[lo:hi] @ (G @ c))
     return acc
 
@@ -164,7 +147,7 @@ def h_norm_distance(e1, e2):
     c1, c2 = _tilde_coef(e1), _tilde_coef(e2)
     q11 = _quad_form(spec, e1.paths, e1.weights, c1) / e1.n_train**2
     q22 = _quad_form(spec, e2.paths, e2.weights, c2) / e2.n_train**2
-    G12 = _tilted_cross_gram(spec, e1.paths, e1.weights, e2.paths, e2.weights)
+    G12 = kernels.tilted_gram(spec, e1.paths, e1.weights, e2.paths, e2.weights)
     q12 = float(c1 @ (G12 @ c2)) / (e1.n_train * e2.n_train)
     return math.sqrt(max(q11 - 2.0 * q12 + q22, 0.0))
 
@@ -191,18 +174,6 @@ def _tilde_payoff(payoff_fn, sampler, Z):
     return payoff_fn(Z) / np.sqrt(sampler.weight(Z))
 
 
-def _kappa_sq(spec, sampler, Z):
-    """``kappa~(z)^2 = k(z, z) / w(z)`` with the sampler's own weight."""
-    if isinstance(spec, GaussExpKernel):
-        n2 = np.einsum("ncs,ncs->n", Z, Z)
-        return np.exp(spec.beta * n2) / sampler.weight(Z)
-    if isinstance(spec, FeatureMapKernel):
-        phi = kernels.feature_matrix(spec, Z)
-        return np.einsum("nm,nm->n", phi, phi) / sampler.weight(Z)
-    dg = np.array([kernels.diag(spec, z) for z in Z])
-    return dg / sampler.weight(Z)
-
-
 def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
                     n_ref=None, reference=None, n_probe=100_000, n_jstar=3000,
                     n_l2=5000):
@@ -222,7 +193,7 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
                                         payoff_id=payoff_id, seed=seed)
     probe = draw_paths(sampler, n_probe, stream=("msebound", "probe"), seed=seed)
     resid = _tilde_payoff(f, sampler, probe) - _tilde_predict(reference, sampler, probe)
-    kap_sq = _kappa_sq(spec, sampler, probe)
+    kap_sq = kernels.tilted_diag(spec, probe, sampler.weight(probe))
     vals = resid**2 * kap_sq
     num_l2 = float(np.mean(vals))
     num_se = float(np.std(vals, ddof=1)) / math.sqrt(n_probe)
@@ -231,7 +202,8 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
     # ||J~* r||^2 = E[r(Z) r(Z') k~(Z, Z')] over independent Z, Z'
     sub = probe[:n_jstar]
     rs = resid[:n_jstar]
-    Ksub = _tilted_cross_gram(spec, sub, sampler.weight(sub), sub, sampler.weight(sub))
+    w_sub = sampler.weight(sub)
+    Ksub = kernels.tilted_gram(spec, sub, w_sub, sub, w_sub)
     total = float(rs @ Ksub @ rs) - float(rs**2 @ np.diag(Ksub))
     jstar_sq = max(total / (n_jstar * (n_jstar - 1)), 0.0)
 
@@ -251,8 +223,8 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
         est = fit(ts, spec, lam)
         c1 = _tilde_coef(est)
         q11 = _quad_form(spec, est.paths, est.weights, c1) / est.n_train**2
-        G12 = _tilted_cross_gram(spec, est.paths, est.weights,
-                                 reference.paths, reference.weights)
+        G12 = kernels.tilted_gram(spec, est.paths, est.weights,
+                                  reference.paths, reference.weights)
         q12 = float(c1 @ (G12 @ c_ref)) / (est.n_train * reference.n_train)
         h_sq.append(max(q11 - 2.0 * q12 + q_ref, 0.0))
         l2_sq.append(float(np.mean(
@@ -312,7 +284,7 @@ def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0
                                         payoff_id=payoff_id, seed=seed)
     probe = draw_paths(sampler, n_probe, stream=("conc", "probe"), seed=seed)
     resid = _tilde_payoff(f, sampler, probe) - _tilde_predict(reference, sampler, probe)
-    kap_sq = _kappa_sq(spec, sampler, probe)
+    kap_sq = kernels.tilted_diag(spec, probe, sampler.weight(probe))
     sup_rk = float(np.max(np.abs(resid) * np.sqrt(kap_sq)))
     if (isinstance(spec, GaussExpKernel)
             and getattr(sampler, "gamma", None) == spec.gamma):
@@ -369,22 +341,13 @@ def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0
 # ---------------------------------------------------------------------------
 
 
-def _normal_grid(n_nodes, half_width):
-    x = np.linspace(-half_width, half_width, n_nodes)
-    wq = np.full(n_nodes, x[1] - x[0])
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
-    dens = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return x, wq * dens
-
-
 def normal_expectation_2step(fn, n_nodes=1025, half_width=8.0):
     """E[fn(X)] for X with two independent standard-normal steps (d = 1).
 
     ``fn`` maps paths (N, 1, 2) to (N,) or (N, k); the grid is a tensor
     trapezoid rule, accurate to ~1e-7 for payoff-style integrands.
     """
-    x, w = _normal_grid(n_nodes, half_width)
+    x, w = _normal_rule(n_nodes, half_width)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     paths = np.stack([X1.ravel(), X2.ravel()], axis=1)[:, None, :]
     vals = np.asarray(fn(paths))
@@ -442,7 +405,7 @@ class NormalityReport:
     var_hat: float = float("nan")
     var_theory: float = float("nan")
     ad_statistic: float = float("nan")
-    ad_critical_1pct: float = float("nan")
+    ad_pvalue: float = float("nan")
     c2: float = float("nan")
     var_c2_bound: float = float("nan")
     degenerate: bool = False
@@ -457,7 +420,7 @@ class NormalityReport:
 
     @property
     def normality_accepted_1pct(self):
-        return self.ad_statistic < self.ad_critical_1pct
+        return self.ad_pvalue > 0.01
 
     def to_json(self):
         doc = asdict(self)
@@ -515,8 +478,7 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
     probe = draw_paths(sampler, n_probe_sup, stream=("clt", "probe"), seed=seed)
     wpr = sampler.weight(probe)
     resid_t = (f(probe) - kernels.feature_matrix(spec, probe) @ h_pop) / np.sqrt(wpr)
-    kap_sq = np.einsum("nm,nm->n", kernels.feature_matrix(spec, probe),
-                       kernels.feature_matrix(spec, probe)) / wpr
+    kap_sq = kernels.tilted_diag(spec, probe, wpr)
     c2 = (2.0 / lam) ** 2 * float(np.max(resid_t**2 * kap_sq))
     kzz = float(phi_z @ phi_z) / wz
     var_c2_bound = 0.25 * c2 * kzz
@@ -528,7 +490,7 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
             c2=c2, var_c2_bound=var_c2_bound, degenerate=True,
             notes=("too few repeats for distributional statistics",),
         )
-    ad = scipy.stats.anderson(stats, dist="norm")
+    ad = scipy.stats.anderson(stats, dist="norm", method="interpolate")
     return NormalityReport(
         n=n, lam=lam, n_repeats=n_repeats, probe=tuple(np.ravel(probe_z)),
         statistics=stats,
@@ -536,7 +498,7 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
         var_hat=float(np.var(stats, ddof=1)),
         var_theory=var_theory,
         ad_statistic=float(ad.statistic),
-        ad_critical_1pct=float(ad.critical_values[-1]),
+        ad_pvalue=float(ad.pvalue),
         c2=c2,
         var_c2_bound=var_c2_bound,
         notes=("population solution exact: Gaussian moment Gram plus payoff "

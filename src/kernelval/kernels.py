@@ -33,9 +33,11 @@ exponent above ``EXP_GUARD`` raises :class:`OverflowError` instead of
 returning ``inf``.  Negative exponents may underflow to ``0.0``, which is the
 correct limit.
 
-Tilted variants ``k~(x, y) = k(x, y) / sqrt(w(x) w(y))`` use the Gaussian
-change-of-measure weight ``w`` with parameter ``gamma`` carried by the kernel
-spec (see :mod:`kernelval.sampling` for the sampling side of the same weight).
+The tilted kernel ``k~(x, y) = k(x, y) / sqrt(w(x) w(y))`` and its squared
+diagonal ``kappa~(x)^2 = k(x, x) / w(x)`` (:func:`tilted_gram`,
+:func:`tilted_diag`) take the sampling weights ``w`` as arguments.  The
+weights come from the sampler that drew the paths (a Gaussian tilt or a
+mixture, see :mod:`kernelval.sampling`), not from the spec's ``gamma``.
 """
 
 from __future__ import annotations
@@ -60,10 +62,8 @@ __all__ = [
     "evaluate",
     "gram",
     "diag",
-    "tilted",
     "tilted_gram",
     "tilted_diag",
-    "log_weight",
     "u_factor",
     "tail_factor",
     "cond_expect",
@@ -117,13 +117,17 @@ def as_paths(x, d, T):
     return a
 
 
-def _guarded_exp(e, out=None):
-    """exp with the positive-overflow guard; underflow silently reaches 0.0."""
-    m = np.max(e) if np.size(e) else 0.0
+def _check_exponent(m):
+    """Raise instead of letting ``exp(m)`` pass the overflow guard."""
     if m > EXP_GUARD:
         raise OverflowError(
             f"kernel exponent {m:.3g} exceeds the overflow guard {EXP_GUARD:g}"
         )
+
+
+def _guarded_exp(e, out=None):
+    """exp with the positive-overflow guard; underflow silently reaches 0.0."""
+    _check_exponent(np.max(e) if np.size(e) else 0.0)
     return np.exp(e, out=out)
 
 
@@ -377,8 +381,7 @@ def diag(spec, x):
     n2 = float(np.sum(x * x))
     if isinstance(spec, GaussExpKernel):
         e = spec.beta * n2
-        if e > EXP_GUARD:
-            raise OverflowError(f"kernel exponent {e:.3g} exceeds {EXP_GUARD:g}")
+        _check_exponent(e)
         return math.exp(e)
     if isinstance(spec, GaussPolyKernel):
         return (1.0 + n2) ** spec.beta
@@ -389,72 +392,35 @@ def diag(spec, x):
 
 
 # ---------------------------------------------------------------------------
-# tilted evaluation (change of measure with weight w)
+# tilted evaluation (change of measure with sampling weight w)
 # ---------------------------------------------------------------------------
 
 
-def log_weight(gamma, d, T, x):
-    """log w(x) for the Gaussian tilt: w = (1-2*gamma)^(dT/2) exp(gamma ||x||^2)."""
-    if gamma >= 0.5:
-        raise InputError(f"gamma must be < 1/2, got {gamma}")
-    X = as_paths(x, d, T)
-    n2 = np.einsum("ncs,ncs->n", X, X)
-    out = 0.5 * d * T * math.log1p(-2.0 * gamma) + gamma * n2
-    return out if np.asarray(x).ndim == 3 else float(out[0]) if X.shape[0] == 1 else out
+def tilted_gram(spec, X, wx, Y=None, wy=None):
+    """Tilted kernel matrix ``k(X_i, Y_j) / sqrt(wx_i wy_j)``.
+
+    ``wx`` and ``wy`` are the sampling weights of the paths.  ``Y=None``
+    means ``Y=X`` and ``wy=wx``.
+    """
+    K = gram(spec, X, Y)
+    inv_x = 1.0 / np.sqrt(wx)
+    K *= inv_x[:, None]
+    K *= (inv_x if Y is None else 1.0 / np.sqrt(wy))[None, :]
+    return K
 
 
-def tilted(spec, x, y):
-    """``k(x, y) / sqrt(w(x) w(y))`` under the kernel's Gaussian tilt."""
-    return float(tilted_gram(spec, as_path(x, spec.d, spec.T)[None],
-                             as_path(y, spec.d, spec.T)[None])[0, 0])
-
-
-def tilted_gram(spec, X, Y=None):
-    """Tilted kernel matrix, evaluated in log space where possible."""
+def tilted_diag(spec, X, w):
+    """Squared tilted diagonal ``kappa~(x)^2 = k(x, x) / w(x)``, shape (N,)."""
     X = as_paths(X, spec.d, spec.T)
-    Y = X if Y is None else as_paths(Y, spec.d, spec.T)
-    g = spec.gamma
-    const = -0.5 * spec.d * spec.T * math.log1p(-2.0 * g)
     if isinstance(spec, GaussExpKernel):
-        # closed form: (1-2g)^(-dT/2) exp(-(alpha+g/2)||x-y||^2 + (beta-g) x.y)
-        P, nx, ny = _slice_products(X, Y, spec.T)
-        a = spec.alpha + 0.5 * g
-        e = (2.0 * a + spec.beta - g) * P
-        e -= a * nx[:, None]
-        e -= a * ny[None, :]
-        e += const
-        return _guarded_exp(e, out=e)
-    lwx = log_weight(g, spec.d, spec.T, X)
-    lwy = lwx if Y is X else log_weight(g, spec.d, spec.T, Y)
-    scale = _guarded_exp(-0.5 * (lwx[:, None] + lwy[None, :]))
-    return gram(spec, X, Y) * scale
-
-
-def tilted_diag(spec, x):
-    """``k(x, x) / w(x)``: squared tilted diagonal ``kappa~(x)^2``."""
-    x = as_path(x, spec.d, spec.T)
-    lw = log_weight(spec.gamma, spec.d, spec.T, x[None])[0]
-    if isinstance(spec, GaussExpKernel):
-        e = spec.beta * float(np.sum(x * x)) - lw
-        if e > EXP_GUARD:
-            raise OverflowError(f"kernel exponent {e:.3g} exceeds {EXP_GUARD:g}")
-        return math.exp(e)
-    return diag(spec, x) * math.exp(-lw)
-
-
-def tilted_diag_many(spec, X):
-    """Batch ``kappa~(x)^2`` of shape (N,) for paths (N, d, T)."""
-    X = as_paths(X, spec.d, spec.T)
-    lw = log_weight(spec.gamma, spec.d, spec.T, X)
-    lw = np.atleast_1d(lw)
-    if isinstance(spec, GaussExpKernel):
-        e = spec.beta * np.einsum("ncs,ncs->n", X, X) - lw
-        return _guarded_exp(e, out=e)
-    if isinstance(spec, FeatureMapKernel):
+        e = spec.beta * np.einsum("ncs,ncs->n", X, X)
+        dg = _guarded_exp(e, out=e)
+    elif isinstance(spec, FeatureMapKernel):
         phi = feature_matrix(spec, X)
-        return np.einsum("nm,nm->n", phi, phi) * np.exp(-lw)
-    dg = np.array([diag(spec, X[i]) for i in range(X.shape[0])])
-    return dg * np.exp(-lw)
+        dg = np.einsum("nm,nm->n", phi, phi)
+    else:
+        dg = np.array([diag(spec, x) for x in X])
+    return dg / w
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +462,7 @@ def u_factor(spec, i, t, y):
     n2 = float(y @ y)
     if isinstance(spec, GaussExpKernel):
         e = spec.u_coefficient() * n2
-        if e > EXP_GUARD:
-            raise OverflowError(f"kernel exponent {e:.3g} exceeds {EXP_GUARD:g}")
+        _check_exponent(e)
         return (1.0 + 2.0 * spec.alpha) ** (-0.5 * spec.d) * math.exp(e)
     if isinstance(spec, GaussPolyKernel):
         feats = gauss_poly_features(spec)
@@ -531,14 +496,16 @@ def tail_factor(spec, Y, t):
     """
     if not isinstance(spec, GaussExpKernel):
         raise InputError("tail_factor applies to GaussExpKernel only")
-    Y = as_paths(Y, spec.d, spec.T)
-    k = spec.T - t
-    if k == 0:
-        return np.ones(Y.shape[0])
+    e = _log_tail(spec, as_paths(Y, spec.d, spec.T), t)
+    return _guarded_exp(e, out=e)
+
+
+def _log_tail(spec, Y, t):
+    """``log tail_factor``: zero at ``t = T``, where no step is left."""
     n2 = np.einsum("mcs,mcs->m", Y[:, :, t:], Y[:, :, t:])
     e = spec.u_coefficient() * n2
-    e += -0.5 * spec.d * k * math.log1p(2.0 * spec.alpha)
-    return _guarded_exp(e, out=e)
+    e += -0.5 * spec.d * (spec.T - t) * math.log1p(2.0 * spec.alpha)
+    return e
 
 
 def cond_expect(spec, prefix, y, t):
@@ -569,13 +536,16 @@ def _cond_inputs(spec, prefixes, Y, t):
     return pre, Y
 
 
-def _gauss_exp_exponent(spec, pre, Y, t):
-    """Kernel exponent ``(2a+b)<x, y> - a|x|^2 - a|y|^2`` over the first ``t`` steps.
+def _gauss_exp_factors(spec, pre, Y, t):
+    """``exp`` of the kernel exponent (N, M) and the tail factor (M,).
 
-    The two norm terms ride in the matrix product as two extra columns, so
-    the (N, M) exponent comes out of one BLAS call with no broadcast passes
-    over it.  Nothing is factored out of the exponent, so the overflow guard
-    sees the true kernel exponent.
+    The exponent ``(2a+b)<x, y> - a|x|^2 - a|y|^2`` over the first ``t``
+    steps comes out of one matrix product, the two norm terms riding along
+    as two extra columns.  Entry ``(i, j)`` of the conditional Gram is
+    ``exp(e_ij + log tail_j)``, so the guard covers that sum as well as each
+    part.  The block's largest exponent plus the largest log tail bounds
+    every column's sum; the exact per-column maximum is taken only when that
+    bound passes the guard.
     """
     a, c = spec.alpha, 2.0 * spec.alpha + spec.beta
     Xs = pre[:, :, :t].reshape(pre.shape[0], -1)
@@ -584,7 +554,13 @@ def _gauss_exp_exponent(spec, pre, Y, t):
     ny = np.einsum("ij,ij->i", Ys, Ys)
     Xa = np.column_stack([c * Xs, -a * nx, np.ones_like(nx)])
     Ya = np.column_stack([Ys, np.ones_like(ny), -a * ny])
-    return Xa @ Ya.T
+    e = Xa @ Ya.T
+    log_tail = _log_tail(spec, Y, t)
+    m = np.max(e) if e.size else 0.0
+    _check_exponent(m)
+    if e.size and m + np.max(log_tail) > EXP_GUARD:
+        _check_exponent(np.max(np.max(e, axis=0) + log_tail))
+    return np.exp(e, out=e), _guarded_exp(log_tail, out=log_tail)
 
 
 def conditional_gram(spec, prefixes, Y, t):
@@ -599,10 +575,9 @@ def conditional_gram(spec, prefixes, Y, t):
     pre, Y = _cond_inputs(spec, prefixes, Y, t)
 
     if isinstance(spec, GaussExpKernel):
-        e = _gauss_exp_exponent(spec, pre, Y, t)
-        out = _guarded_exp(e, out=e)
-        out *= tail_factor(spec, Y, t)[None, :]
-        return out
+        K, tail = _gauss_exp_factors(spec, pre, Y, t)
+        K *= tail[None, :]
+        return K
 
     if isinstance(spec, FeatureMapKernel):
         cf = conditional_feature_matrix(spec, pre, t)
@@ -645,8 +620,8 @@ def conditional_gram_dot(spec, prefixes, Y, t, coef):
     """
     pre, Y = _cond_inputs(spec, prefixes, Y, t)
     if isinstance(spec, GaussExpKernel):
-        e = _gauss_exp_exponent(spec, pre, Y, t)
-        return _guarded_exp(e, out=e) @ (tail_factor(spec, Y, t) * coef)
+        K, tail = _gauss_exp_factors(spec, pre, Y, t)
+        return K @ (tail * coef)
     return conditional_gram(spec, pre, Y, t) @ coef
 
 

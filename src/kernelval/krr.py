@@ -102,7 +102,7 @@ def _solve_spd(M, rhs, lam, what):
 
     ``M`` already contains the ridge shift.  For ``lam == 0`` the reciprocal
     condition number is estimated first and the solve refused below
-    ``RCOND_FLOOR``.
+    ``RCOND_FLOOR``.  Returns the solution and its relative residual.
     """
     try:
         c, low = sla.cho_factor(M, lower=True, check_finite=False)
@@ -124,40 +124,60 @@ def _solve_spd(M, rhs, lam, what):
                 f"{rcond:.3e} <= {RCOND_FLOOR:g}",
                 condition_number=1.0 / rcond if rcond > 0 else math.inf,
             )
-    return sla.cho_solve((c, low), rhs, check_finite=False)
+    sol = sla.cho_solve((c, low), rhs, check_finite=False)
+    return sol, _relative_residual(M, sol, rhs)
 
 
-def _tilted_gram_from_weights(spec, paths, weights):
-    """K~ from stored sampling weights (valid for any tilt, incl. mixtures)."""
-    K = kernels.gram(spec, paths)
-    inv = 1.0 / np.sqrt(weights)
-    K *= inv[:, None]
-    K *= inv[None, :]
-    return K
+def _check_dual_size(n, what):
+    if n > MAX_DUAL_SIZE:
+        raise CapabilityError(
+            f"dual fit refuses n = {n} {what} > {MAX_DUAL_SIZE} (Gram matrix too "
+            "large); use the primal route or subsample"
+        )
+
+
+def _unsorted_system(ts, spec, lam):
+    """``(M, rhs)`` of the dual fit: ``K~ / n + lambda I`` and ``f / sqrt(w)``."""
+    _check_dual_size(ts.n, "paths")
+    M = kernels.tilted_gram(spec, ts.paths, ts.weights)
+    M /= ts.n
+    M[np.diag_indices_from(M)] += lam
+    return M, ts.payoff_values * (1.0 / np.sqrt(ts.weights))
+
+
+def _sorted_system(ts, spec, lam, first, counts):
+    """``(M, rhs)`` of the sorted dual fit on the distinct paths ``first``."""
+    _check_dual_size(first.shape[0], "distinct paths")
+    root_m = np.sqrt(counts.astype(float))
+    sub_w = ts.weights[first]
+    M = kernels.tilted_gram(spec, ts.paths[first], sub_w)
+    M *= root_m[:, None]
+    M *= root_m[None, :]
+    M /= ts.n
+    M[np.diag_indices_from(M)] += lam
+    return M, root_m * ts.payoff_values[first] / np.sqrt(sub_w)
+
+
+def _primal_system(ts, spec, lam):
+    """``(M, rhs)`` of the primal fit: the ``m x m`` tilted normal equations."""
+    inv_sqrt_w = 1.0 / np.sqrt(ts.weights)
+    V = kernels.feature_matrix(spec, ts.paths) * inv_sqrt_w[:, None]
+    M = V.T @ V / ts.n
+    M[np.diag_indices_from(M)] += lam
+    return M, V.T @ (ts.payoff_values * inv_sqrt_w) / ts.n
 
 
 def fit_dual_unsorted(ts, spec, lam, payoff_id=None):
     """Ridge fit in the dual: one coefficient per training path."""
     _check_fit_inputs(ts, spec, lam)
-    if ts.n > MAX_DUAL_SIZE:
-        raise CapabilityError(
-            f"dual fit refuses n = {ts.n} > {MAX_DUAL_SIZE} (Gram matrix too large); "
-            "use the primal route or subsample"
-        )
-    inv_sqrt_w = 1.0 / np.sqrt(ts.weights)
-    M = _tilted_gram_from_weights(spec, ts.paths, ts.weights)
-    M /= ts.n
-    M[np.diag_indices_from(M)] += lam
-    rhs = ts.payoff_values * inv_sqrt_w
-    g = _solve_spd(M, rhs, lam, "dual fit")
-    res = _relative_residual(M, g, rhs)
+    g, res = _solve_spd(*_unsorted_system(ts, spec, lam), lam, "dual fit")
     return Estimator(
         mode="dual-unsorted",
         kernel=spec,
         lam=lam,
         n_train=ts.n,
         paths=np.array(ts.paths),
-        eval_coef=g * inv_sqrt_w,
+        eval_coef=g * (1.0 / np.sqrt(ts.weights)),
         dual_coef=g,
         weights=np.array(ts.weights),
         payoff_id=ts.payoff_id if payoff_id is None else payoff_id,
@@ -183,34 +203,21 @@ def fit_dual_sorted(ts, spec, lam, payoff_id=None):
     Duplicate paths (bitwise-identical) are merged; the reduced system is
     ``((1/n) K + lambda) g = f`` with ``K_ij = sqrt(|I_i| |I_j|) k~`` and
     ``f_j = sqrt(|I_j|) f~_j``.  Equivalent to the unsorted fit but with one
-    row per distinct path.
+    row per distinct path.  Payoffs and weights are functions of the path,
+    so each group takes its first occurrence.
     """
     _check_fit_inputs(ts, spec, lam)
-    first, inverse, counts = _group_paths(ts.paths)
-    if first.shape[0] > MAX_DUAL_SIZE:
-        raise CapabilityError(
-            f"dual fit refuses n = {first.shape[0]} distinct paths > {MAX_DUAL_SIZE}"
-        )
-    # payoffs and weights are functions of the path, so take first occurrence
-    sub_paths = ts.paths[first]
+    first, _, counts = _group_paths(ts.paths)
+    M, rhs = _sorted_system(ts, spec, lam, first, counts)
+    g, res = _solve_spd(M, rhs, lam, "dual fit (sorted)")
     sub_w = ts.weights[first]
-    sub_f = ts.payoff_values[first]
-    root_m = np.sqrt(counts.astype(float))
-    M = _tilted_gram_from_weights(spec, sub_paths, sub_w)
-    M *= root_m[:, None]
-    M *= root_m[None, :]
-    M /= ts.n
-    M[np.diag_indices_from(M)] += lam
-    rhs = root_m * sub_f / np.sqrt(sub_w)
-    g = _solve_spd(M, rhs, lam, "dual fit (sorted)")
-    res = _relative_residual(M, g, rhs)
     return Estimator(
         mode="dual-sorted",
         kernel=spec,
         lam=lam,
         n_train=ts.n,
-        paths=np.array(sub_paths),
-        eval_coef=root_m * g / np.sqrt(sub_w),
+        paths=np.array(ts.paths[first]),
+        eval_coef=np.sqrt(counts.astype(float)) * g / np.sqrt(sub_w),
         dual_coef=g,
         weights=np.array(sub_w),
         multiplicity=counts.astype(np.int64),
@@ -226,13 +233,7 @@ def fit_primal(ts, spec, lam, payoff_id=None):
     if not isinstance(spec, FeatureMapKernel):
         raise InputError("primal fitting requires a FeatureMapKernel")
     _check_fit_inputs(ts, spec, lam)
-    inv_sqrt_w = 1.0 / np.sqrt(ts.weights)
-    V = kernels.feature_matrix(spec, ts.paths) * inv_sqrt_w[:, None]
-    M = V.T @ V / ts.n
-    M[np.diag_indices_from(M)] += lam
-    rhs = V.T @ (ts.payoff_values * inv_sqrt_w) / ts.n
-    h = _solve_spd(M, rhs, lam, "primal fit")
-    res = _relative_residual(M, h, rhs)
+    h, res = _solve_spd(*_primal_system(ts, spec, lam), lam, "primal fit")
     return Estimator(
         mode="primal",
         kernel=spec,
@@ -280,28 +281,16 @@ def _relative_residual(M, sol, rhs):
 def normal_equation_residual(est, ts):
     """Relative residual of the fitted system, rebuilt from the training set."""
     if est.mode == "dual-unsorted":
-        M = _tilted_gram_from_weights(est.kernel, ts.paths, ts.weights)
-        M /= ts.n
-        M[np.diag_indices_from(M)] += est.lam
-        rhs = ts.payoff_values / np.sqrt(ts.weights)
-        return _relative_residual(M, est.dual_coef, rhs)
-    if est.mode == "dual-sorted":
+        M, rhs = _unsorted_system(ts, est.kernel, est.lam)
+    elif est.mode == "dual-sorted":
         first, _, counts = _group_paths(ts.paths)
-        root_m = np.sqrt(counts.astype(float))
-        M = _tilted_gram_from_weights(est.kernel, ts.paths[first], ts.weights[first])
-        M *= root_m[:, None]
-        M *= root_m[None, :]
-        M /= ts.n
-        M[np.diag_indices_from(M)] += est.lam
-        rhs = root_m * ts.payoff_values[first] / np.sqrt(ts.weights[first])
-        return _relative_residual(M, est.dual_coef, rhs)
-    if est.mode == "primal":
-        V = kernels.feature_matrix(est.kernel, ts.paths) / np.sqrt(ts.weights)[:, None]
-        M = V.T @ V / ts.n
-        M[np.diag_indices_from(M)] += est.lam
-        rhs = V.T @ (ts.payoff_values / np.sqrt(ts.weights)) / ts.n
-        return _relative_residual(M, est.primal_coef, rhs)
-    raise InputError(f"unknown estimator mode {est.mode!r}")
+        M, rhs = _sorted_system(ts, est.kernel, est.lam, first, counts)
+    elif est.mode == "primal":
+        M, rhs = _primal_system(ts, est.kernel, est.lam)
+    else:
+        raise InputError(f"unknown estimator mode {est.mode!r}")
+    coef = est.primal_coef if est.mode == "primal" else est.dual_coef
+    return _relative_residual(M, coef, rhs)
 
 
 def regularization_path(ts, spec, lambdas, mode="primal", eval_paths=None):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, InputError, SolverError
+from .errors import CapabilityError, InputError
 from .sampling import derive_rng
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "GroundTruth",
     "NestedMC",
     "nested_mc_estimate",
-    "var_es",
-    "hedge_ratio",
 ]
 
 PAYOFF_IDS = (
@@ -421,50 +419,3 @@ def nested_mc_estimate(cfg, payoff_id, n_outer, n_inner, seed=0, stream=("nested
         v1_hat=v1,
         n_payoff_evals=n_outer * n_inner,
     )
-
-
-# ---------------------------------------------------------------------------
-# risk measures and hedging
-# ---------------------------------------------------------------------------
-
-
-def var_es(losses, level):
-    """Value-at-risk and expected shortfall of a loss sample.
-
-    VaR is the order statistic at index ``ceil(level * N)`` (higher
-    convention); ES is the mean of the tail from that order statistic on.
-    """
-    a = np.sort(np.asarray(losses, dtype=float).reshape(-1))
-    if a.size == 0:
-        raise InputError("loss sample is empty")
-    if not 0.0 < level < 1.0:
-        raise InputError(f"level must lie in (0, 1), got {level}")
-    k = max(1, math.ceil(level * a.size))
-    var = float(a[k - 1])
-    es = float(a[k - 1 :].mean())
-    return var, es
-
-
-def hedge_ratio(delta_g, delta_v):
-    """Least-squares hedge of value moves ``delta_v`` with factor moves ``delta_g``.
-
-    ``delta_g`` has shape (N,) or (N, k); returns a scalar or (k,) vector
-    minimizing ``E[(delta_v - psi . delta_g)^2]``.
-    """
-    G = np.asarray(delta_g, dtype=float)
-    v = np.asarray(delta_v, dtype=float).reshape(-1)
-    single = G.ndim == 1
-    if single:
-        G = G[:, None]
-    if G.shape[0] != v.shape[0]:
-        raise InputError("delta_g and delta_v must have the same number of rows")
-    A = G.T @ G
-    b = G.T @ v
-    try:
-        psi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"hedge normal equations are singular: {exc}",
-            condition_number=float(np.linalg.cond(A)),
-        ) from exc
-    return float(psi[0]) if single else psi

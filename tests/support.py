@@ -113,13 +113,28 @@ def ridge_gradient_descent(phi, values, lam, steps=40_000, lr=None):
     return h
 
 
+def closed_form_tilted_gram(spec, gamma, X, Y):
+    """Gaussian-exponentiated kernel tilted by the Gaussian weight, in closed form.
+
+    ``(1-2g)^(-dT/2) exp(-(a+g/2)|x-y|^2 + (b-g) x.y)`` equals
+    ``k(x, y) / sqrt(w(x) w(y))`` for ``w(x) = (1-2g)^(dT/2) exp(g |x|^2)``.
+    """
+    a, b = spec.alpha, spec.beta
+    Xf = X.reshape(X.shape[0], -1)
+    Yf = Y.reshape(Y.shape[0], -1)
+    dist2 = ((Xf[:, None, :] - Yf[None, :, :]) ** 2).sum(axis=2)
+    e = -(a + 0.5 * gamma) * dist2 + (b - gamma) * (Xf @ Yf.T)
+    return (1.0 - 2.0 * gamma) ** (-0.5 * Xf.shape[1]) * np.exp(e)
+
+
 def unfused_conditional_gram(spec, prefixes, Y, t):
     """Conditional Gram with the Gaussian-exponentiated exponent built term by term.
 
     ``(2a+b) P - a|x|^2 - a|y|^2`` with the norms subtracted by broadcasting,
-    the guard on the block's largest exponent, then the tail factor per
-    column: the arithmetic of the unfused evaluator.  Other kernel families
-    go to :func:`kernels.conditional_gram`.
+    the guard on the block's largest exponent and on each entry's exponent
+    plus log tail, then the tail factor per column: the arithmetic of the
+    unfused evaluator.  Other kernel families go to
+    :func:`kernels.conditional_gram`.
     """
     if not isinstance(spec, GaussExpKernel):
         return kernels.conditional_gram(spec, prefixes, Y, t)
@@ -131,7 +146,10 @@ def unfused_conditional_gram(spec, prefixes, Y, t):
     e -= a * np.einsum("ij,ij->i", Ys, Ys)[None, :]
     if e.size and e.max() > EXP_GUARD:
         raise OverflowError(f"kernel exponent {e.max():.3g} exceeds {EXP_GUARD:g}")
-    return np.exp(e) * kernels.tail_factor(spec, Y, t)[None, :]
+    tail = kernels.tail_factor(spec, Y, t)
+    if e.size and (e + np.log(tail)[None, :]).max() > EXP_GUARD:
+        raise OverflowError("kernel exponent plus log tail exceeds the guard")
+    return np.exp(e) * tail[None, :]
 
 
 def unfused_value_series(est, X):

@@ -260,8 +260,8 @@ def test_criterion_7_bound_suite():
     if not clt.mean_within_3se:
         issues.append(f"limit-experiment mean {clt.mean:.3f} not within 3 SE")
     if not clt.normality_accepted_1pct:
-        issues.append(f"normality rejected at 1% (AD {clt.ad_statistic:.2f} "
-                      f"> {clt.ad_critical_1pct:.2f})")
+        issues.append(f"normality rejected at 1% (AD {clt.ad_statistic:.2f}, "
+                      f"p = {clt.ad_pvalue:.3f})")
     robust = reports["robustness"]
     if robust.violated:
         issues.append("perturbation bound violated")

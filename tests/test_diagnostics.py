@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ class TestCltExperiment:
         assert rep.mean_within_3se
         doc = json.loads(rep.to_json())
         assert doc["n_repeats"] == 24
+
+    def test_anderson_darling_without_future_warning(self):
+        spec, sampler = self._setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FutureWarning)
+            rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=200,
+                                 n_repeats=12, sampler=sampler,
+                                 probe_z=(0.3, -0.5), seed=6, n_probe_sup=5_000)
+        assert 0.0 < rep.ad_pvalue <= 1.0
+        assert rep.normality_accepted_1pct == (rep.ad_pvalue > 0.01)
+        assert json.loads(rep.to_json())["ad_pvalue"] == rep.ad_pvalue
 
     def test_too_few_repeats_degenerate(self):
         spec, sampler = self._setup()

@@ -13,10 +13,10 @@ from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                conditional_gram_dot,
                                diag, feature_matrix, feature_vector,
                                gauss_moment, gauss_poly_features, gram,
-                               monomial_features, tilted, tilted_diag,
-                               tilted_diag_many, tilted_gram, u_factor,
-                               tail_factor, log_weight)
-from support import unfused_conditional_gram
+                               monomial_features, tilted_diag, tilted_gram,
+                               u_factor, tail_factor)
+from kernelval.sampling import MeasureSpec, MixtureSampler, draw_paths, rn_weight
+from support import closed_form_tilted_gram, unfused_conditional_gram
 
 RNG = np.random.default_rng(20240817)
 
@@ -66,39 +66,49 @@ def test_gram_symmetric_psd():
     assert w.min() > -1e-10 * w.max()
 
 
+@pytest.mark.parametrize("d, T", [(1, 2), (2, 3)])
+def test_tilted_gram_matches_the_gaussian_tilt_closed_form(d, T):
+    m = MeasureSpec(gamma=0.45, d=d, T=T)
+    spec = GaussExpKernel(alpha=4.0, beta=0.3, d=d, T=T)
+    X = RNG.standard_normal((15, d, T)) * 2.0
+    Y = RNG.standard_normal((7, d, T)) * 2.0
+    expect = closed_form_tilted_gram(spec, m.gamma, X, Y)
+    got = tilted_gram(spec, X, rn_weight(m, X), Y, rn_weight(m, Y))
+    assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
+    # Y=None means Y=X with the same weights
+    wx = rn_weight(m, X)
+    assert np.allclose(tilted_gram(spec, X, wx), tilted_gram(spec, X, wx, X, wx),
+                       rtol=1e-14, atol=0.0)
+
+
 def test_tilted_gram_matches_explicit_weight_division():
-    gamma = 0.45
-    spec = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=gamma)
-    X = RNG.standard_normal((15, 1, 2)) * 2.0
-    Y = RNG.standard_normal((7, 1, 2)) * 2.0
-    wx = np.exp(log_weight(gamma, 1, 2, X))
-    wy = np.exp(log_weight(gamma, 1, 2, Y))
+    # mixture-sampler weights: no closed form, only the division itself
+    spec = FeatureMapKernel(features=monomial_features(1, 2, 2), d=1, T=2)
+    sampler = MixtureSampler(spec, seed=3)
+    X = draw_paths(sampler, 12, stream=("x",))
+    Y = draw_paths(sampler, 5, stream=("y",))
+    wx, wy = sampler.weight(X), sampler.weight(Y)
     expect = gram(spec, X, Y) / np.sqrt(np.outer(wx, wy))
-    assert np.allclose(tilted_gram(spec, X, Y), expect, rtol=1e-12)
+    assert np.allclose(tilted_gram(spec, X, wx, Y, wy), expect, rtol=1e-12, atol=0.0)
 
 
 def test_tilted_diag_at_origin_is_inverse_weight():
     # w(0) = (1-2*gamma)^(dT/2) = 0.1, so kappa~(0)^2 = k(0,0)/w(0) = 10
-    spec = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
-    assert tilted_diag(spec, np.zeros((1, 2))) == pytest.approx(10.0, rel=1e-12)
-    batch = tilted_diag_many(spec, np.zeros((3, 1, 2)))
-    assert np.allclose(batch, 10.0, rtol=1e-12)
-
-
-def test_tilted_diag_many_matches_scalar():
-    spec = GaussExpKernel(alpha=1.0, beta=0.2, d=1, T=2, gamma=0.3)
-    X = RNG.standard_normal((9, 1, 2)) * 1.5
-    batch = tilted_diag_many(spec, X)
-    for i in range(9):
-        assert batch[i] == pytest.approx(tilted_diag(spec, X[i]), rel=1e-12)
+    spec = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2)
+    X = np.zeros((3, 1, 2))
+    got = tilted_diag(spec, X, rn_weight(MeasureSpec(gamma=0.45), X))
+    assert got.shape == (3,)
+    assert np.allclose(got, 10.0, rtol=1e-12)
 
 
 def test_bounded_tilted_diagonal_iff_beta_below_gamma():
-    far = np.full((1, 2), 20.0)
-    flat = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
-    assert tilted_diag(flat, far) < 10.0  # decays away from the origin
-    heavy = GaussExpKernel(alpha=4.0, beta=0.45, d=1, T=2, gamma=0.3)
-    assert tilted_diag(heavy, far) > 1e3  # grows without bound
+    far = np.full((1, 1, 2), 20.0)
+    flat = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2)
+    # decays away from the origin
+    assert tilted_diag(flat, far, rn_weight(MeasureSpec(gamma=0.45), far))[0] < 10.0
+    heavy = GaussExpKernel(alpha=4.0, beta=0.45, d=1, T=2)
+    # grows without bound
+    assert tilted_diag(heavy, far, rn_weight(MeasureSpec(gamma=0.3), far))[0] > 1e3
 
 
 def test_guarded_exponent_raises_instead_of_inf():
@@ -223,6 +233,31 @@ def test_conditional_gram_dot_when_the_folded_exponent_passes_the_guard():
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_conditional_gram_guards_exponent_plus_log_tail():
+    # third path: kernel exponent 1.45 * 80 * 40 - 3200 - 800 = 640 and log
+    # tail 0.025625 * 88^2 - log(2) / 2 = 198.1, so the entry is e^838
+    spec = GaussExpKernel(alpha=0.5, beta=0.45, d=1, T=2)
+    pre = np.array([[[80.0]]])
+    Y = np.array([[[1.0, 92.0]], [[-3.0, 90.5]], [[40.0, 88.0]]])
+    with pytest.raises(OverflowError):
+        conditional_gram(spec, pre, Y, 1)
+    with pytest.raises(OverflowError):
+        conditional_gram_dot(spec, pre, Y, 1, np.ones(3))
+
+
+def test_conditional_gram_maxima_in_different_columns_still_evaluate():
+    # the largest exponent (640) and the largest log tail (216.5) sit in
+    # different columns: their sum passes the guard, no entry does
+    spec = GaussExpKernel(alpha=0.5, beta=0.45, d=1, T=2)
+    pre = np.array([[[80.0]]])
+    Y = np.array([[[40.0, 0.0]], [[1.0, 92.0]]])
+    assert 640.0 + np.log(tail_factor(spec, Y, 1)).max() > EXP_GUARD
+    K = conditional_gram(spec, pre, Y, 1)
+    assert np.all(np.isfinite(K)) and K[0, 0] > 1e270
+    got = conditional_gram_dot(spec, pre, Y, 1, np.array([1.0, -1.0]))
+    assert np.allclose(got, K @ np.array([1.0, -1.0]), rtol=1e-12, atol=0.0)
+
+
 def test_gauss_poly_expansion_reproduces_kernel():
     spec = GaussPolyKernel(alpha=0.7, beta=3, d=1, T=2)
     feats = gauss_poly_features(spec)
@@ -279,13 +314,3 @@ def test_diag_shortcut_matches_gram():
     x = np.array([[0.7, 1.1]])
     assert diag(spec, x) == pytest.approx(
         float(gram(spec, x[None], x[None])[0, 0]), rel=1e-13)
-
-
-def test_tilted_scalar_helper():
-    spec = GaussExpKernel(alpha=1.0, beta=0.1, d=1, T=2, gamma=0.2)
-    x = np.array([[0.5, -0.3]])
-    y = np.array([[1.0, 0.2]])
-    wx = math.exp(log_weight(0.2, 1, 2, x))
-    wy = math.exp(log_weight(0.2, 1, 2, y))
-    manual = float(gram(spec, x[None], y[None])[0, 0]) / math.sqrt(wx * wy)
-    assert tilted(spec, x, y) == pytest.approx(manual, rel=1e-12)

@@ -7,10 +7,9 @@ import pytest
 
 from kernelval.errors import CapabilityError, InputError
 from kernelval.market import (BSConfig, GroundTruth, NestedMC, PAYOFF_IDS,
-                              ground_truth_value, hedge_ratio,
-                              nested_mc_estimate, payoff, payoff_from_stocks,
-                              payoff_function, stock_path, value_quadrature,
-                              var_es)
+                              ground_truth_value, nested_mc_estimate, payoff,
+                              payoff_from_stocks, payoff_function, stock_path,
+                              value_quadrature)
 from support import ATM_CALL_2STEP, bs_call, bs_put
 
 CFG = BSConfig()  # s0=1, sigma=0.2, r=0, T=2, strike=1, barrier=2.24
@@ -223,32 +222,6 @@ def test_nested_mc_is_unbiased():
     reps = np.asarray(reps)
     se = reps.std() / math.sqrt(reps.size)
     assert abs(reps.mean() - v0) < 3 * se
-
-
-def test_var_es_order_statistics():
-    losses = np.arange(1.0, 101.0)
-    var, es = var_es(losses, 0.95)
-    assert var == 95.0
-    assert es == pytest.approx(97.5)
-    var1, es1 = var_es([5.0], 0.5)
-    assert var1 == es1 == 5.0
-    with pytest.raises(InputError):
-        var_es([], 0.5)
-    with pytest.raises(InputError):
-        var_es(losses, 1.0)
-
-
-def test_hedge_ratio_least_squares():
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal(5000)
-    v = 2.5 * g + 0.01 * rng.standard_normal(5000)
-    psi = hedge_ratio(g, v)
-    assert psi == pytest.approx(2.5, abs=0.01)
-    G = np.column_stack([g, rng.standard_normal(5000)])
-    psi2 = hedge_ratio(G, v)
-    assert psi2.shape == (2,)
-    assert psi2[0] == pytest.approx(2.5, abs=0.01)
-    assert psi2[1] == pytest.approx(0.0, abs=0.01)
 
 
 def test_payoff_ids_cover_experiment_menu():
