@@ -15,7 +15,7 @@ from .kernels import (FeatureMapKernel, GaussExpKernel, GaussPolyKernel,
                       MonomialFeature, cond_expect, gauss_poly_features, gram,
                       monomial_features, tilted_gram)
 from .krr import (Estimator, fit, fit_dual_sorted, fit_dual_unsorted,
-                  fit_primal, load_estimator, normal_equation_residual,
+                  fit_path, fit_primal, load_estimator, normal_equation_residual,
                   predict, regularization_path, save_estimator)
 from .market import (BSConfig, GroundTruth, PAYOFF_IDS, nested_mc_estimate,
                      payoff, payoff_function, stock_path)
@@ -33,7 +33,7 @@ __all__ = [
     "monomial_features", "gauss_poly_features", "gram", "tilted_gram",
     "cond_expect",
     "Estimator", "fit", "fit_dual_unsorted", "fit_dual_sorted", "fit_primal",
-    "predict", "normal_equation_residual", "regularization_path",
+    "fit_path", "predict", "normal_equation_residual", "regularization_path",
     "save_estimator", "load_estimator",
     "BSConfig", "PAYOFF_IDS", "GroundTruth", "nested_mc_estimate", "payoff",
     "payoff_function", "stock_path",

@@ -269,7 +269,12 @@ def load_config(path=None, text=None, overrides=None):
 
 @dataclass(frozen=True)
 class GridResult:
-    """Validation-error surface over the hyperparameter grid for one payoff."""
+    """Validation-error surface over the hyperparameter grid for one payoff.
+
+    ``failures`` holds ``((alpha, beta, lambda), message)`` for each grid
+    point whose fit failed, in grid order.  ``training_set`` is the grid's
+    training sample and ``estimator`` the fit at the selected point.
+    """
 
     payoff_id: str
     alpha: float
@@ -278,6 +283,9 @@ class GridResult:
     surface: tuple  # rows (alpha, beta, lambda, rel_l2_error)
     n_payoff_evals: int
     max_residual: float = float("nan")  # worst normal-equation residual seen
+    failures: tuple = ()
+    training_set: object = field(default=None, compare=False, repr=False)
+    estimator: object = field(default=None, compare=False, repr=False)
 
     @property
     def best(self):
@@ -321,10 +329,10 @@ def _training_set(config, payoff_id, stage):
 def grid_search(config, payoff_id):
     """Fixed-design search: one training and one validation sample per payoff.
 
-    Fits every grid point on the shared training sample, scores relative
-    payoff L2 error on the shared validation sample (drawn from the nominal
-    measure), and returns the argmin with first-occurrence tie-breaking in
-    grid iteration order.
+    Fits every grid point on the shared training sample, one ridge path per
+    (alpha, beta) pair, scores relative payoff L2 error on the shared
+    validation sample (drawn from the nominal measure), and returns the
+    argmin with first-occurrence tie-breaking in grid iteration order.
     """
     f = payoff_function(config.market, payoff_id)
     ts = _training_set(config, payoff_id, "grid")
@@ -336,34 +344,53 @@ def grid_search(config, payoff_id):
     if val_norm == 0.0:
         raise DataError(f"payoff {payoff_id!r} vanishes on the validation sample")
 
-    points = config.grid_points()
+    pairs = {}
+    for a, b, l in config.grid_points():
+        pairs.setdefault((a, b), []).append(l)
 
-    def score(point):
-        a, b, l = point
-        try:
-            est = krr.fit(ts, config.kernel_at(a, b), l, mode=config.mode)
-        except (SolverError, OverflowError) as exc:
-            return math.inf, str(exc), float("nan")
-        pred = krr.predict(est, val_paths)
-        err = float(np.linalg.norm(pred - val_values)) / val_norm
-        return err, None, est.residual
+    def score(pair):
+        (a, b), lams = pair
+        fits = krr.fit_path(ts, config.kernel_at(a, b), lams, mode=config.mode,
+                            payoff_id=payoff_id)
+        rows = []
+        for l, est in zip(lams, fits):
+            if isinstance(est, Exception):
+                rows.append(((a, b, l), math.inf, str(est), None))
+                continue
+            pred = krr.predict(est, val_paths)
+            err = float(np.linalg.norm(pred - val_values)) / val_norm
+            rows.append(((a, b, l), err, None, est))
+        return rows
 
-    scored = _pool_map(score, points, config.threads)
-    surface = tuple((a, b, l, err) for (a, b, l), (err, _, _) in zip(points, scored))
-    failures = [msg for _, msg, _ in scored if msg is not None]
-    if len(failures) == len(points):
+    scored = [row for rows in _pool_map(score, list(pairs.items()), config.threads)
+              for row in rows]
+    surface = tuple((*point, err) for point, err, _, _ in scored)
+    failures = tuple((point, msg) for point, _, msg, _ in scored if msg is not None)
+    if len(failures) == len(scored):
         raise SolverError(
-            f"every grid point failed to fit for {payoff_id!r}: {failures[0]}"
+            f"every grid point failed to fit for {payoff_id!r}: {failures[0][1]}"
         )
-    residuals = [r for _, msg, r in scored if msg is None]
-    best = min(surface, key=lambda row: row[3])
+    best = min(range(len(surface)), key=lambda i: surface[i][3])
+    a, b, l, _ = surface[best]
     return GridResult(
         payoff_id=payoff_id,
-        alpha=best[0], beta=best[1], lam=best[2],
+        alpha=a, beta=b, lam=l,
         surface=surface,
         n_payoff_evals=ts.n_payoff_evals + config.n_val,
-        max_residual=float(np.max(residuals)),
+        max_residual=float(np.max([est.residual for _, _, _, est in scored
+                                   if est is not None])),
+        failures=failures,
+        training_set=ts,
+        estimator=scored[best][3],
     )
+
+
+def _report_grid_failures(command, grid):
+    """One stderr line per payoff whose grid had failed points."""
+    if grid.failures:
+        print(f"kernelval: {command} {grid.payoff_id}: {len(grid.failures)} of "
+              f"{len(grid.surface)} grid points failed; first: "
+              f"{grid.failures[0][1]}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +434,12 @@ def run_nested(config, payoff_id, gt):
     )
 
 
-def _star_estimator(config, payoff_id, grid):
-    """Refit the searched hyperparameters on the grid training sample."""
-    ts = _training_set(config, payoff_id, "grid")
-    spec = config.kernel_at(grid.alpha, grid.beta)
-    return ts, krr.fit(ts, spec, grid.lam, mode=config.mode,
-                       payoff_id=payoff_id)
+def _star_estimator(grid):
+    """The grid training sample and the fit at the searched hyperparameters.
+
+    Both come from the grid search itself; nothing is refit.
+    """
+    return grid.training_set, grid.estimator
 
 
 def run_table2(config, payoff_ids=None):
@@ -471,7 +498,7 @@ def run_figures(config, payoff_ids=None):
         errs = [e for _, e in sweep]
         interior = 0 < int(np.argmin(errs)) < len(errs) - 1
         gt = _ground_truth(config, payoff_id)
-        _, est = _star_estimator(config, payoff_id, grid)
+        _, est = _star_estimator(grid)
         fig3 = trajectory_csv(est, gt, test_paths)
         return payoff_id, {
             "grid": grid,
@@ -657,6 +684,7 @@ def _cmd_grid_search(config, config_path):
     outputs, evals, stars = [], {}, {}
     for payoff_id in config.payoffs:
         grid = grid_search(config, payoff_id)
+        _report_grid_failures("grid-search", grid)
         outputs.append(_write(config.out_dir, f"grid_{payoff_id}.csv",
                               grid.surface_csv()))
         evals[payoff_id] = grid.n_payoff_evals
@@ -677,9 +705,10 @@ def _cmd_table2(config, config_path):
         doc = results[payoff_id]
         grid, kernel, nested = doc["grid"], doc["kernel"], doc["nested"]
         reports += [kernel, nested]
+        _report_grid_failures("table2", grid)
         outputs.append(_write(config.out_dir, f"grid_{payoff_id}.csv",
                               grid.surface_csv()))
-        ts, est = _star_estimator(config, payoff_id, grid)
+        ts, est = _star_estimator(grid)
         outputs.append(_write(config.out_dir, f"train_{payoff_id}.csv",
                               training_set_to_csv(ts)))
         outputs.append(_write(config.out_dir, f"estimator_{payoff_id}.json",
@@ -707,6 +736,7 @@ def _cmd_figures(config, config_path):
     outputs, evals, interior = [], {}, {}
     for payoff_id in config.payoffs:
         doc = results[payoff_id]
+        _report_grid_failures("figures", doc["grid"])
         for fig in ("fig1", "fig2", "fig3"):
             outputs.append(_write(config.out_dir, f"{fig}_{payoff_id}.csv",
                                   doc[fig]))

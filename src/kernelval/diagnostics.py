@@ -480,7 +480,7 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
     resid_t = (f(probe) - kernels.feature_matrix(spec, probe) @ h_pop) / np.sqrt(wpr)
     kap_sq = kernels.tilted_diag(spec, probe, wpr)
     c2 = (2.0 / lam) ** 2 * float(np.max(resid_t**2 * kap_sq))
-    kzz = float(phi_z @ phi_z) / wz
+    kzz = float(kernels.tilted_diag(spec, z, wz)[0])
     var_c2_bound = 0.25 * c2 * kzz
 
     if n_repeats < 8:

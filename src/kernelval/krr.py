@@ -18,6 +18,8 @@ their overlap and the tests pin that equivalence tightly.
 Solves use a dense Cholesky factorization and fail loudly with the
 estimated condition number; no silent jitter is ever added.  ``lambda = 0``
 is admitted only when the reciprocal condition number exceeds 1e-12.
+A ridge path (:func:`fit_path`) builds the matrix once and solves it at
+each lambda; a single fit is the path with one lambda.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "fit_dual_sorted",
     "fit_primal",
     "fit",
+    "fit_path",
     "predict",
     "normal_equation_residual",
     "regularization_path",
@@ -86,9 +89,10 @@ class Estimator:
                 arr.setflags(write=False)
 
 
-def _check_fit_inputs(ts, spec, lam):
-    if lam < 0:
-        raise InputError(f"regularization parameter must be nonnegative, got {lam}")
+def _check_fit_inputs(ts, spec, lambdas):
+    for lam in lambdas:
+        if lam < 0:
+            raise InputError(f"regularization parameter must be nonnegative, got {lam}")
     if ts.d != spec.d or ts.T != spec.T:
         raise InputError(
             f"training set is ({ts.d}, {ts.T}) but kernel expects ({spec.d}, {spec.T})"
@@ -100,7 +104,8 @@ def _check_fit_inputs(ts, spec, lam):
 def _solve_spd(M, rhs, lam, what):
     """Cholesky solve of an SPD system; loud failure, no jitter.
 
-    ``M`` already contains the ridge shift.  For ``lam == 0`` the reciprocal
+    ``M`` already contains the ridge shift and is left unchanged (the
+    factorization works on a copy).  For ``lam == 0`` the reciprocal
     condition number is estimated first and the solve refused below
     ``RCOND_FLOOR``.  Returns the solution and its relative residual.
     """
@@ -136,54 +141,20 @@ def _check_dual_size(n, what):
         )
 
 
-def _unsorted_system(ts, spec, lam):
-    """``(M, rhs)`` of the dual fit: ``K~ / n + lambda I`` and ``f / sqrt(w)``."""
+# Each `_*_system` function returns ``(M, rhs, fields, coef_fields)``: the fit's
+# matrix without the ridge shift, its right-hand side, the estimator fields
+# shared by every lambda, and a map from a solution to the coefficient fields.
+
+
+def _unsorted_system(ts, spec):
+    """The dual fit: ``K~ / n`` and ``f / sqrt(w)``."""
     _check_dual_size(ts.n, "paths")
     M = kernels.tilted_gram(spec, ts.paths, ts.weights)
     M /= ts.n
-    M[np.diag_indices_from(M)] += lam
-    return M, ts.payoff_values * (1.0 / np.sqrt(ts.weights))
-
-
-def _sorted_system(ts, spec, lam, first, counts):
-    """``(M, rhs)`` of the sorted dual fit on the distinct paths ``first``."""
-    _check_dual_size(first.shape[0], "distinct paths")
-    root_m = np.sqrt(counts.astype(float))
-    sub_w = ts.weights[first]
-    M = kernels.tilted_gram(spec, ts.paths[first], sub_w)
-    M *= root_m[:, None]
-    M *= root_m[None, :]
-    M /= ts.n
-    M[np.diag_indices_from(M)] += lam
-    return M, root_m * ts.payoff_values[first] / np.sqrt(sub_w)
-
-
-def _primal_system(ts, spec, lam):
-    """``(M, rhs)`` of the primal fit: the ``m x m`` tilted normal equations."""
     inv_sqrt_w = 1.0 / np.sqrt(ts.weights)
-    V = kernels.feature_matrix(spec, ts.paths) * inv_sqrt_w[:, None]
-    M = V.T @ V / ts.n
-    M[np.diag_indices_from(M)] += lam
-    return M, V.T @ (ts.payoff_values * inv_sqrt_w) / ts.n
-
-
-def fit_dual_unsorted(ts, spec, lam, payoff_id=None):
-    """Ridge fit in the dual: one coefficient per training path."""
-    _check_fit_inputs(ts, spec, lam)
-    g, res = _solve_spd(*_unsorted_system(ts, spec, lam), lam, "dual fit")
-    return Estimator(
-        mode="dual-unsorted",
-        kernel=spec,
-        lam=lam,
-        n_train=ts.n,
-        paths=np.array(ts.paths),
-        eval_coef=g * (1.0 / np.sqrt(ts.weights)),
-        dual_coef=g,
-        weights=np.array(ts.weights),
-        payoff_id=ts.payoff_id if payoff_id is None else payoff_id,
-        training_hash=content_hash(ts),
-        residual=res,
-    )
+    fields = {"paths": np.array(ts.paths), "weights": np.array(ts.weights)}
+    return (M, ts.payoff_values * inv_sqrt_w, fields,
+            lambda g: {"dual_coef": g, "eval_coef": g * inv_sqrt_w})
 
 
 def _group_paths(paths):
@@ -197,67 +168,114 @@ def _group_paths(paths):
     return first, inverse.reshape(-1), counts
 
 
-def fit_dual_sorted(ts, spec, lam, payoff_id=None):
-    """Dual ridge fit on distinct paths with multiplicity scaling.
+def _sorted_system(ts, spec):
+    """The sorted dual fit on the distinct paths, scaled by multiplicity.
 
     Duplicate paths (bitwise-identical) are merged; the reduced system is
     ``((1/n) K + lambda) g = f`` with ``K_ij = sqrt(|I_i| |I_j|) k~`` and
-    ``f_j = sqrt(|I_j|) f~_j``.  Equivalent to the unsorted fit but with one
-    row per distinct path.  Payoffs and weights are functions of the path,
-    so each group takes its first occurrence.
+    ``f_j = sqrt(|I_j|) f~_j``.  Payoffs and weights are functions of the
+    path, so each group takes its first occurrence.
     """
-    _check_fit_inputs(ts, spec, lam)
     first, _, counts = _group_paths(ts.paths)
-    M, rhs = _sorted_system(ts, spec, lam, first, counts)
-    g, res = _solve_spd(M, rhs, lam, "dual fit (sorted)")
+    _check_dual_size(first.shape[0], "distinct paths")
+    root_m = np.sqrt(counts.astype(float))
     sub_w = ts.weights[first]
-    return Estimator(
-        mode="dual-sorted",
-        kernel=spec,
-        lam=lam,
-        n_train=ts.n,
-        paths=np.array(ts.paths[first]),
-        eval_coef=np.sqrt(counts.astype(float)) * g / np.sqrt(sub_w),
-        dual_coef=g,
-        weights=np.array(sub_w),
-        multiplicity=counts.astype(np.int64),
-        support_index=first.astype(np.int64),
-        payoff_id=ts.payoff_id if payoff_id is None else payoff_id,
-        training_hash=content_hash(ts),
-        residual=res,
-    )
+    M = kernels.tilted_gram(spec, ts.paths[first], sub_w)
+    M *= root_m[:, None]
+    M *= root_m[None, :]
+    M /= ts.n
+    fields = {"paths": np.array(ts.paths[first]), "weights": np.array(sub_w),
+              "multiplicity": counts.astype(np.int64),
+              "support_index": first.astype(np.int64)}
+    return (M, root_m * ts.payoff_values[first] / np.sqrt(sub_w), fields,
+            lambda g: {"dual_coef": g, "eval_coef": root_m * g / np.sqrt(sub_w)})
+
+
+def _primal_system(ts, spec):
+    """The primal fit: the ``m x m`` tilted normal equations."""
+    inv_sqrt_w = 1.0 / np.sqrt(ts.weights)
+    V = kernels.feature_matrix(spec, ts.paths) * inv_sqrt_w[:, None]
+    M = V.T @ V / ts.n
+    fields = {"paths": np.array(ts.paths), "weights": np.array(ts.weights)}
+    return (M, V.T @ (ts.payoff_values * inv_sqrt_w) / ts.n, fields,
+            lambda h: {"primal_coef": h})
+
+
+_SYSTEMS = {
+    "dual-unsorted": (_unsorted_system, "dual fit"),
+    "dual-sorted": (_sorted_system, "dual fit (sorted)"),
+    "primal": (_primal_system, "primal fit"),
+}
+
+
+def fit_path(ts, spec, lambdas, mode="dual-unsorted", payoff_id=None):
+    """Ridge fits at each ``lambda`` in ``lambdas`` from one system build.
+
+    The mode's matrix is built and the training set hashed once; each lambda
+    then only sets the diagonal to ``d0 + lambda`` before its Cholesky solve,
+    so every fit equals a path of that lambda alone bitwise.  Returns one
+    entry per lambda: its :class:`Estimator`, or the :class:`SolverError` or
+    ``OverflowError`` that fit failed with.  Bad inputs raise
+    :class:`InputError` and oversized dual systems :class:`CapabilityError`.
+    """
+    if mode not in _SYSTEMS:
+        raise InputError(f"unknown fit mode {mode!r}; known: {sorted(_SYSTEMS)}")
+    if mode == "primal" and not isinstance(spec, FeatureMapKernel):
+        raise InputError("primal fitting requires a FeatureMapKernel")
+    lambdas = list(lambdas)
+    _check_fit_inputs(ts, spec, lambdas)
+    build, what = _SYSTEMS[mode]
+    try:
+        M, rhs, fields, coef_fields = build(ts, spec)
+    except OverflowError as exc:
+        return [exc] * len(lambdas)
+    shared = dict(fields, mode=mode, kernel=spec, n_train=ts.n,
+                  payoff_id=ts.payoff_id if payoff_id is None else payoff_id,
+                  training_hash=content_hash(ts))
+    diag = np.diag_indices_from(M)
+    d0 = M[diag]
+    out = []
+    for lam in lambdas:
+        M[diag] = d0 + lam
+        try:
+            sol, res = _solve_spd(M, rhs, lam, what)
+        except SolverError as exc:
+            out.append(exc)
+        else:
+            out.append(Estimator(lam=lam, residual=res, **shared, **coef_fields(sol)))
+    return out
+
+
+def _raise_failure(results):
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+
+
+def fit(ts, spec, lam, mode="dual-unsorted", payoff_id=None):
+    """One ridge fit by mode name: :func:`fit_path` with a single lambda."""
+    results = fit_path(ts, spec, [lam], mode, payoff_id)
+    _raise_failure(results)
+    return results[0]
+
+
+def fit_dual_unsorted(ts, spec, lam, payoff_id=None):
+    """Ridge fit in the dual: one coefficient per training path."""
+    return fit(ts, spec, lam, "dual-unsorted", payoff_id)
+
+
+def fit_dual_sorted(ts, spec, lam, payoff_id=None):
+    """Dual ridge fit on distinct paths with multiplicity scaling.
+
+    Equivalent to the unsorted fit but with one row per distinct path; see
+    :func:`_sorted_system`.
+    """
+    return fit(ts, spec, lam, "dual-sorted", payoff_id)
 
 
 def fit_primal(ts, spec, lam, payoff_id=None):
     """Ridge fit in an explicit feature basis (m x m normal equations)."""
-    if not isinstance(spec, FeatureMapKernel):
-        raise InputError("primal fitting requires a FeatureMapKernel")
-    _check_fit_inputs(ts, spec, lam)
-    h, res = _solve_spd(*_primal_system(ts, spec, lam), lam, "primal fit")
-    return Estimator(
-        mode="primal",
-        kernel=spec,
-        lam=lam,
-        n_train=ts.n,
-        paths=np.array(ts.paths),
-        primal_coef=h,
-        weights=np.array(ts.weights),
-        payoff_id=ts.payoff_id if payoff_id is None else payoff_id,
-        training_hash=content_hash(ts),
-        residual=res,
-    )
-
-
-def fit(ts, spec, lam, mode="dual-unsorted", payoff_id=None):
-    """Dispatch to one of the three fitting routes by name."""
-    table = {
-        "dual-unsorted": fit_dual_unsorted,
-        "dual-sorted": fit_dual_sorted,
-        "primal": fit_primal,
-    }
-    if mode not in table:
-        raise InputError(f"unknown fit mode {mode!r}; known: {sorted(table)}")
-    return table[mode](ts, spec, lam, payoff_id=payoff_id)
+    return fit(ts, spec, lam, "primal", payoff_id)
 
 
 def predict(est, x):
@@ -280,15 +298,10 @@ def _relative_residual(M, sol, rhs):
 
 def normal_equation_residual(est, ts):
     """Relative residual of the fitted system, rebuilt from the training set."""
-    if est.mode == "dual-unsorted":
-        M, rhs = _unsorted_system(ts, est.kernel, est.lam)
-    elif est.mode == "dual-sorted":
-        first, _, counts = _group_paths(ts.paths)
-        M, rhs = _sorted_system(ts, est.kernel, est.lam, first, counts)
-    elif est.mode == "primal":
-        M, rhs = _primal_system(ts, est.kernel, est.lam)
-    else:
+    if est.mode not in _SYSTEMS:
         raise InputError(f"unknown estimator mode {est.mode!r}")
+    M, rhs, _, _ = _SYSTEMS[est.mode][0](ts, est.kernel)
+    M[np.diag_indices_from(M)] += est.lam
     coef = est.primal_coef if est.mode == "primal" else est.dual_coef
     return _relative_residual(M, coef, rhs)
 
@@ -301,17 +314,13 @@ def regularization_path(ts, spec, lambdas, mode="primal", eval_paths=None):
     (training paths by default).  Requires the unregularized problem to be
     well conditioned, so this is a finite-dimensional (primal) tool first.
     """
-    lambdas = [float(l) for l in lambdas]
-    if any(l < 0 for l in lambdas):
-        raise InputError("regularization parameters must be nonnegative")
-    base = fit(ts, spec, 0.0, mode=mode)
+    fits = fit_path(ts, spec, [0.0] + [float(l) for l in lambdas], mode)
+    _raise_failure(fits)
+    base, ests = fits[0], fits[1:]
     grid = ts.paths if eval_paths is None else eval_paths
     base_vals = predict(base, grid)
-    ests, errs = [], []
-    for l in lambdas:
-        e = fit(ts, spec, l, mode=mode)
-        ests.append(e)
-        errs.append(float(np.sqrt(np.mean((predict(e, grid) - base_vals) ** 2))))
+    errs = [float(np.sqrt(np.mean((predict(e, grid) - base_vals) ** 2)))
+            for e in ests]
     return ests, errs
 
 

@@ -348,28 +348,25 @@ def build_training_set(sampler, payoff_fn, n, payoff_id="", stream=("train",), s
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
 def training_set_to_csv(ts):
-    """Render a TrainingSet as CSV text: path_id, x_1_1..x_d_T, payoff, weight."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """Render a TrainingSet as CSV text: path_id, x_1_1..x_d_T, payoff, weight.
+
+    Coordinates run time-major (``x_c_t`` with ``c`` inner); every value is
+    its shortest round-trip ``repr``.
+    """
     header = ["path_id"]
     for t in range(1, ts.T + 1):
         for c in range(1, ts.d + 1):
             header.append(f"x_{c}_{t}")
     header += ["payoff", "weight"]
-    writer.writerow(header)
+    cols = np.column_stack([ts.paths.transpose(0, 2, 1).reshape(ts.n, -1),
+                            ts.payoff_values, ts.weights])
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    # row by row: one tolist() of the whole table holds n lists of Python
+    # floats at once, which left the diagnostics suite's peak RSS ~1 MB higher
     for i in range(ts.n):
-        row = [str(i)]
-        for t in range(ts.T):
-            for c in range(ts.d):
-                row.append(_fmt(ts.paths[i, c, t]))
-        row.append(_fmt(ts.payoff_values[i]))
-        row.append(_fmt(ts.weights[i]))
-        writer.writerow(row)
+        buf.write(f"{i},{','.join(map(repr, cols[i].tolist()))}\n")
     return buf.getvalue()
 
 

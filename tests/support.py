@@ -5,6 +5,8 @@ hand-built designs, and reference algorithms used to cross-check the
 production code paths.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -165,3 +167,27 @@ def unfused_value_series(est, X):
         terms = unfused_conditional_gram(est.kernel, X, est.paths, t) * est.eval_coef
         cols.append([math.fsum(row) / est.n_train for row in terms])
     return np.array(cols).T
+
+
+def csv_writer_training_set(ts):
+    """Training-set CSV rendered cell by cell through ``csv.writer``.
+
+    The original rendering of ``sampling.training_set_to_csv``: one
+    ``repr(float(v))`` per cell, coordinates time-major.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["path_id"]
+    for t in range(1, ts.T + 1):
+        for c in range(1, ts.d + 1):
+            header.append(f"x_{c}_{t}")
+    writer.writerow(header + ["payoff", "weight"])
+    for i in range(ts.n):
+        row = [str(i)]
+        for t in range(ts.T):
+            for c in range(ts.d):
+                row.append(repr(float(ts.paths[i, c, t])))
+        row.append(repr(float(ts.payoff_values[i])))
+        row.append(repr(float(ts.weights[i])))
+        writer.writerow(row)
+    return buf.getvalue()

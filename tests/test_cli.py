@@ -7,8 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from kernelval.cli import load_config, main
-from kernelval.sampling import load_training_set
+from kernelval import cli, kernels, krr
+from kernelval.cli import grid_search, load_config, main
+from kernelval.errors import SolverError
+from kernelval.market import payoff_function
+from kernelval.sampling import content_hash, draw_paths, load_training_set
 
 TINY = """
 [market]
@@ -59,6 +62,70 @@ def tiny_cfg(tmp_path):
 
 def _run(*argv):
     return main(list(argv))
+
+
+# lambda = 0 is refused in the middle of two of the three ridge paths
+FAILING = TINY.replace("lambdas = 1e-5, 1e-3", "lambdas = 1e-3, 0, 1e-5")
+
+
+def test_grid_search_equals_per_point_fits():
+    cfg = load_config(text=FAILING)
+    pid = "european_put"
+    grid = grid_search(cfg, pid)
+    ts = cli._training_set(cfg, pid, "grid")
+    val = draw_paths(cfg.nominal(), cfg.n_val, stream=("grid", pid, "val"),
+                     seed=cfg.master_seed)
+    truth = payoff_function(cfg.market, pid)(val)
+    surface, failures = [], []
+    for a, b, l in cfg.grid_points():
+        try:
+            est = krr.fit(ts, cfg.kernel_at(a, b), l, mode=cfg.mode)
+        except SolverError as exc:
+            surface.append((a, b, l, float("inf")))
+            failures.append(((a, b, l), str(exc)))
+            continue
+        err = float(np.linalg.norm(krr.predict(est, val) - truth)) / np.linalg.norm(truth)
+        surface.append((a, b, l, err))
+    assert grid.surface == tuple(surface)
+    assert grid.failures == tuple(failures)
+    assert [p for p, _ in failures] == [(0.0, 0.15, 0.0), (2.0, 0.0, 0.0)]
+    # the selected fit is the one a fresh refit gives
+    assert content_hash(grid.training_set) == content_hash(ts)
+    refit = krr.fit(ts, cfg.kernel_at(grid.alpha, grid.beta), grid.lam,
+                    mode=cfg.mode, payoff_id=pid)
+    assert krr.estimator_to_json(grid.estimator) == krr.estimator_to_json(refit)
+
+
+def test_grid_search_builds_one_gram_per_pair(monkeypatch):
+    cfg = load_config(text=FAILING)
+    square = []
+    gram = kernels.gram
+
+    def counting(spec, X, Y=None):
+        out = gram(spec, X, Y)
+        if out.shape == (cfg.n_train, cfg.n_train):
+            square.append((spec.alpha, spec.beta))
+        return out
+
+    monkeypatch.setattr(kernels, "gram", counting)
+    grid_search(cfg, "european_put")
+    assert square == [(0.0, 0.15), (2.0, 0.0), (2.0, 0.15)]
+
+
+@pytest.mark.parametrize("command", ["grid-search", "table2", "figures"])
+def test_grid_failures_reported_on_stderr(command, tmp_path, capsys):
+    p = tmp_path / "failing.cfg"
+    p.write_text(FAILING)
+    out = tmp_path / "out"
+    assert _run(command, "--config", str(p), "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    assert f"{command} european_put: 2 of 9 grid points failed; first: " in err
+    assert "dual fit: lambda = 0 refused" in err
+    if command != "figures":
+        with open(out / "grid_european_put.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["alpha", "beta", "lambda", "rel_l2_error"]
+        assert [r[3] for r in rows[1:]].count("inf") == 2
 
 
 def test_no_command_or_unknown_flag_exit_1(capsys):

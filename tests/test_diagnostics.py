@@ -209,6 +209,20 @@ class TestCltExperiment:
         assert rep.normality_accepted_1pct == (rep.ad_pvalue > 0.01)
         assert json.loads(rep.to_json())["ad_pvalue"] == rep.ad_pvalue
 
+    @pytest.mark.parametrize("mixture", [True, False])
+    def test_c2_bound_matches_feature_inner_product(self, mixture):
+        spec, sampler = self._setup()
+        if not mixture:
+            sampler = MeasureSpec(gamma=0.2, d=1, T=2, seed=0)
+        z = np.array([[[1.7, 0.9]]])
+        rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=100,
+                             n_repeats=4, sampler=sampler, probe_z=z[0], seed=3,
+                             n_probe_sup=2_000)
+        # the hand-written tilted diagonal the bound used before
+        phi = feature_matrix(spec, z)[0]
+        old = 0.25 * rep.c2 * (float(phi @ phi) / float(sampler.weight(z)[0]))
+        assert rep.var_c2_bound == pytest.approx(old, rel=1e-12, abs=0.0)
+
     def test_too_few_repeats_degenerate(self):
         spec, sampler = self._setup()
         rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=200,

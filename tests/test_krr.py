@@ -12,7 +12,7 @@ from kernelval.kernels import (FeatureMapKernel, GaussExpKernel, feature_matrix,
                                gram, monomial_features)
 from kernelval.krr import (MAX_DUAL_SIZE, estimator_from_json,
                            estimator_to_json, fit, fit_dual_sorted,
-                           fit_dual_unsorted, fit_primal, load_estimator,
+                           fit_dual_unsorted, fit_path, fit_primal, load_estimator,
                            normal_equation_residual, predict,
                            regularization_path, save_estimator)
 from kernelval.market import BSConfig, payoff_function
@@ -29,6 +29,15 @@ def _ts(n, seed=314, stream=("krr",)):
     m = dataclasses.replace(MEASURE, seed=seed)
     return build_training_set(m, PAYOFF, n, payoff_id="european_put",
                               stream=stream)
+
+
+def _repeated_ts(k, times):
+    """Each of ``k`` sampled paths ``times`` times in a row."""
+    base = _ts(k)
+    reps = np.repeat(np.arange(k), times)
+    return TrainingSet(paths=base.paths[reps], payoff_values=base.payoff_values[reps],
+                       weights=base.weights[reps], payoff_id=base.payoff_id,
+                       gamma=base.gamma, n_payoff_evals=k * times)
 
 
 def test_three_point_system_solved_by_hand():
@@ -116,16 +125,7 @@ def test_residual_reported_and_degraded_by_perturbation():
 
 
 def test_sorted_mode_merges_duplicates():
-    base = _ts(12)
-    reps = np.repeat(np.arange(12), 3)
-    ts = TrainingSet(
-        paths=base.paths[reps],
-        payoff_values=base.payoff_values[reps],
-        weights=base.weights[reps],
-        payoff_id=base.payoff_id,
-        gamma=base.gamma,
-        n_payoff_evals=36,
-    )
+    ts = _repeated_ts(12, 3)
     lam = 1e-4
     sorted_est = fit_dual_sorted(ts, SPEC, lam)
     unsorted_est = fit_dual_unsorted(ts, SPEC, lam)
@@ -159,18 +159,54 @@ def test_primal_equals_dual_for_feature_kernels():
 
 
 def test_zero_lambda_refused_on_singular_gram():
-    base = _ts(8)
-    reps = np.repeat(np.arange(8), 2)
-    ts = TrainingSet(
-        paths=base.paths[reps],
-        payoff_values=base.payoff_values[reps],
-        weights=base.weights[reps],
-        payoff_id="",
-        gamma=base.gamma,
-        n_payoff_evals=16,
-    )
     with pytest.raises(SolverError):
-        fit_dual_unsorted(ts, SPEC, 0.0)
+        fit_dual_unsorted(_repeated_ts(8, 2), SPEC, 0.0)
+
+
+def _assert_same_fit(a, b):
+    """Bitwise equality: coefficients, residual, training hash, every field."""
+    for name in ("eval_coef", "dual_coef", "primal_coef", "paths", "weights",
+                 "multiplicity", "support_index"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
+    assert a.residual == b.residual
+    assert a.training_hash == b.training_hash
+    assert estimator_to_json(a) == estimator_to_json(b)
+
+
+@pytest.mark.parametrize("mode", ["dual-unsorted", "dual-sorted", "primal"])
+def test_fit_path_equals_separate_fits(mode):
+    lambdas = [1e-3, 1e-7, 1e-5, 1e-9]
+    if mode == "primal":
+        ts, spec = _ts(40), FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2)
+    else:
+        ts, spec = _repeated_ts(15, 3), SPEC
+    path = fit_path(ts, spec, lambdas, mode=mode, payoff_id="put")
+    assert len(path) == len(lambdas)
+    for lam, est in zip(lambdas, path):
+        assert est.lam == lam and est.payoff_id == "put"
+        _assert_same_fit(est, fit(ts, spec, lam, mode=mode, payoff_id="put"))
+
+
+def test_refused_lambda_zero_mid_path_leaves_later_fits_unchanged():
+    ts = _repeated_ts(8, 2)  # singular Gram: lambda = 0 is refused
+    lambdas = [1e-3, 0.0, 1e-5, 1e-7]
+    path = fit_path(ts, SPEC, lambdas)
+    assert isinstance(path[1], SolverError)
+    with pytest.raises(SolverError) as exc:
+        fit(ts, SPEC, 0.0)
+    assert str(path[1]) == str(exc.value)
+    for i in (0, 2, 3):
+        _assert_same_fit(path[i], fit(ts, SPEC, lambdas[i]))
+
+
+def test_overflowing_gram_fails_every_lambda():
+    base = _ts(4)
+    ts = dataclasses.replace(base, paths=base.paths + 60.0)
+    path = fit_path(ts, SPEC, [1e-3, 1e-5])
+    assert all(isinstance(r, OverflowError) for r in path)
+    with pytest.raises(OverflowError):
+        fit(ts, SPEC, 1e-3)
 
 
 def test_gram_size_guard(monkeypatch):

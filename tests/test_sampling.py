@@ -8,12 +8,13 @@ import pytest
 from kernelval.errors import DataError, InputError
 from kernelval.kernels import (FeatureMapKernel, GaussExpKernel,
                                monomial_features)
-from kernelval.sampling import (MeasureSpec, MixtureSampler,
+from kernelval.sampling import (MeasureSpec, MixtureSampler, TrainingSet,
                                 build_training_set, content_hash, derive_rng,
                                 derive_seed, draw_paths, load_training_set,
                                 log_rn_weight, mixture_sampler, optimal_gamma,
                                 rn_weight, save_training_set,
                                 training_set_from_csv, training_set_to_csv)
+from support import csv_writer_training_set
 
 
 def test_derived_seeds_are_frozen():
@@ -200,6 +201,22 @@ def test_csv_roundtrip_is_exact(tmp_path):
     loaded = load_training_set(p, payoff_id="abs", gamma=0.45)
     assert np.array_equal(loaded.paths, ts.paths)
     assert digest == content_hash(ts)
+
+
+@pytest.mark.parametrize("d, T", [(1, 2), (2, 3)])
+def test_csv_text_equals_cell_by_cell_rendering(d, T):
+    m = MeasureSpec(gamma=0.3, d=d, T=T, seed=11)
+    ts = build_training_set(m, lambda p: p.sum(axis=(1, 2)) ** 3, 25)
+    paths = np.array(ts.paths)
+    paths[0, 0, 0] = -0.0
+    paths[1, d - 1, T - 1] = 1e-310
+    values = np.array(ts.payoff_values)
+    values[2] = -0.0
+    odd = TrainingSet(paths=paths, payoff_values=values, weights=np.array(ts.weights),
+                      payoff_id="", gamma=0.3, n_payoff_evals=25)
+    for s in (ts, odd):
+        assert training_set_to_csv(s) == csv_writer_training_set(s)
+    assert "\n0,-0.0," in training_set_to_csv(odd)
 
 
 def test_csv_header_and_shape_errors():
