@@ -14,16 +14,14 @@ from .errors import (CapabilityError, DataError, InputError, KernelvalError,
 from .kernels import (FeatureMapKernel, GaussExpKernel, GaussPolyKernel,
                       MonomialFeature, cond_expect, gauss_poly_features, gram,
                       monomial_features, tilted_gram)
-from .krr import (Estimator, fit, fit_dual_sorted, fit_dual_unsorted,
-                  fit_path, fit_primal, load_estimator, normal_equation_residual,
-                  predict, regularization_path, save_estimator)
+from .krr import (Estimator, fit, fit_path, load_estimator,
+                  normal_equation_residual, predict, regularization_path)
 from .market import (BSConfig, GroundTruth, PAYOFF_IDS, nested_mc_estimate,
                      payoff, payoff_function, stock_path)
 from .sampling import (MeasureSpec, MixtureSampler, TrainingSet,
                        build_training_set, draw_paths, mixture_sampler)
-from .valuation import (ErrorReport, ValueSeries, martingale_gap,
-                        payoff_l2_error, repeat_experiment, value_at_zero,
-                        value_series, value_series_many)
+from .valuation import (ErrorReport, martingale_gap, payoff_l2_error,
+                        repeat_experiment, value_at_zero, value_series_many)
 
 __all__ = [
     "__version__",
@@ -32,13 +30,12 @@ __all__ = [
     "GaussExpKernel", "GaussPolyKernel", "FeatureMapKernel", "MonomialFeature",
     "monomial_features", "gauss_poly_features", "gram", "tilted_gram",
     "cond_expect",
-    "Estimator", "fit", "fit_dual_unsorted", "fit_dual_sorted", "fit_primal",
-    "fit_path", "predict", "normal_equation_residual", "regularization_path",
-    "save_estimator", "load_estimator",
+    "Estimator", "fit", "fit_path", "predict", "normal_equation_residual",
+    "regularization_path", "load_estimator",
     "BSConfig", "PAYOFF_IDS", "GroundTruth", "nested_mc_estimate", "payoff",
     "payoff_function", "stock_path",
     "MeasureSpec", "MixtureSampler", "TrainingSet", "build_training_set",
     "draw_paths", "mixture_sampler",
-    "ValueSeries", "ErrorReport", "value_series", "value_series_many",
-    "value_at_zero", "martingale_gap", "payoff_l2_error", "repeat_experiment",
+    "ErrorReport", "value_series_many", "value_at_zero", "martingale_gap",
+    "payoff_l2_error", "repeat_experiment",
 ]

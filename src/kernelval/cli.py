@@ -70,15 +70,47 @@ _DIAG_DEFAULTS = {
     "clt_repeats": 200,
 }
 
-_SCHEMA = {
-    "market": {"s0", "sigma", "rate", "steps", "strike", "barrier"},
-    "kernel": {"family", "alphas", "betas", "lambdas"},
-    "sampling": {"gamma", "n_train", "n_val", "n_test", "n_repeats", "mode"},
-    "ground_truth": {"method", "n_inner", "nested_outer", "nested_inner"},
-    "experiment": {"master_seed", "payoffs"},
-    "fit": {"alpha", "beta", "lambda"},
-    "diagnostics": set(_DIAG_DEFAULTS),
-    "output": {"directory"},
+
+def _floats(text):
+    return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+def _words(text):
+    return tuple(text.replace(",", " ").split())
+
+
+# (section, key) -> (field, cast).  [market] fields are BSConfig's,
+# [diagnostics] fields are keys of ExperimentConfig.diag, the rest are
+# ExperimentConfig's own.
+_KEYS = {
+    ("market", "s0"): ("s0", float),
+    ("market", "sigma"): ("sigma", float),
+    ("market", "rate"): ("rate", float),
+    ("market", "steps"): ("T", int),
+    ("market", "strike"): ("strike", float),
+    ("market", "barrier"): ("barrier", float),
+    ("kernel", "family"): ("family", str),
+    ("kernel", "alphas"): ("alphas", _floats),
+    ("kernel", "betas"): ("betas", _floats),
+    ("kernel", "lambdas"): ("lambdas", _floats),
+    ("sampling", "gamma"): ("gamma", float),
+    ("sampling", "n_train"): ("n_train", int),
+    ("sampling", "n_val"): ("n_val", int),
+    ("sampling", "n_test"): ("n_test", int),
+    ("sampling", "n_repeats"): ("n_repeats", int),
+    ("sampling", "mode"): ("mode", str),
+    ("ground_truth", "method"): ("gt_method", str),
+    ("ground_truth", "n_inner"): ("n_inner_gt", int),
+    ("ground_truth", "nested_outer"): ("nested_outer", int),
+    ("ground_truth", "nested_inner"): ("nested_inner", int),
+    ("experiment", "master_seed"): ("master_seed", int),
+    ("experiment", "payoffs"): ("payoffs", _words),
+    ("fit", "alpha"): ("fit_alpha", float),
+    ("fit", "beta"): ("fit_beta", float),
+    ("fit", "lambda"): ("fit_lambda", float),
+    **{("diagnostics", key): (key, type(value))
+       for key, value in _DIAG_DEFAULTS.items()},
+    ("output", "directory"): ("out_dir", str),
 }
 
 
@@ -134,6 +166,15 @@ class ExperimentConfig:
             raise InputError(
                 f"experiment mode must be a dual mode, got {self.mode!r}"
             )
+        for name in ("n", "n_ref", "n_repeats", "conc_repeats", "clt_n",
+                     "clt_repeats"):
+            if self.diag[name] < 1:
+                raise InputError(f"diagnostics {name} must be at least 1")
+        for name in ("lambda", "clt_lambda"):
+            if not self.diag[name] > 0:
+                raise InputError(f"diagnostics {name} must be positive")
+        if self.diag["payoff"] not in PAYOFF_IDS:
+            raise InputError(f"unknown diagnostics payoff {self.diag['payoff']!r}")
 
     def grid_points(self):
         """Grid iteration order: alpha outer, beta middle, lambda inner.
@@ -162,10 +203,6 @@ class ExperimentConfig:
                               gamma=self.gamma)
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.replace(",", " ").split())
-
-
 def load_config(path=None, text=None, overrides=None):
     """Build an ExperimentConfig from an INI-style file, text, or defaults.
 
@@ -184,77 +221,31 @@ def load_config(path=None, text=None, overrides=None):
         except configparser.Error as exc:
             raise InputError(f"malformed config: {exc}") from exc
 
-    kw = {}
+    sections = sorted({section for section, _ in _KEYS})
+    kw, market, diag = {}, {}, {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise InputError(
-                f"unknown config section [{section}]; known: {sorted(_SCHEMA)}"
+                f"unknown config section [{section}]; known: {sections}"
             )
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in _KEYS:
+                known = sorted(k for s, k in _KEYS if s == section)
                 raise InputError(
-                    f"unknown key {key!r} in [{section}]; "
-                    f"known: {sorted(_SCHEMA[section])}"
+                    f"unknown key {key!r} in [{section}]; known: {known}"
                 )
-
-    def get(section, key, cast, default=None):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+            name, cast = _KEYS[section, key]
             try:
-                return cast(raw)
+                value = cast(raw)
             except ValueError as exc:
                 raise InputError(
                     f"bad value for {key!r} in [{section}]: {raw!r}"
                 ) from exc
-        return default
-
-    market_kw = {}
-    for key, cast in (("s0", float), ("sigma", float), ("rate", float),
-                      ("strike", float), ("barrier", float)):
-        v = get("market", key, cast)
-        if v is not None:
-            market_kw[key] = v
-    steps = get("market", "steps", int)
-    if steps is not None:
-        market_kw["T"] = steps
-    if market_kw:
-        kw["market"] = BSConfig(**market_kw)
-
-    for section, key, attr, cast in (
-        ("kernel", "family", "family", str),
-        ("kernel", "alphas", "alphas", _floats),
-        ("kernel", "betas", "betas", _floats),
-        ("kernel", "lambdas", "lambdas", _floats),
-        ("sampling", "gamma", "gamma", float),
-        ("sampling", "n_train", "n_train", int),
-        ("sampling", "n_val", "n_val", int),
-        ("sampling", "n_test", "n_test", int),
-        ("sampling", "n_repeats", "n_repeats", int),
-        ("sampling", "mode", "mode", str),
-        ("ground_truth", "method", "gt_method", str),
-        ("ground_truth", "n_inner", "n_inner_gt", int),
-        ("ground_truth", "nested_outer", "nested_outer", int),
-        ("ground_truth", "nested_inner", "nested_inner", int),
-        ("experiment", "master_seed", "master_seed", int),
-        ("fit", "alpha", "fit_alpha", float),
-        ("fit", "beta", "fit_beta", float),
-        ("fit", "lambda", "fit_lambda", float),
-        ("output", "directory", "out_dir", str),
-    ):
-        v = get(section, key, cast)
-        if v is not None:
-            kw[attr] = v
-
-    payoffs = get("experiment", "payoffs", str)
-    if payoffs is not None:
-        kw["payoffs"] = tuple(payoffs.replace(",", " ").split())
-
-    if parser.has_section("diagnostics"):
-        diag = dict(_DIAG_DEFAULTS)
-        for key in parser["diagnostics"]:
-            cast = type(_DIAG_DEFAULTS[key])
-            diag[key] = get("diagnostics", key, cast)
-        kw["diag"] = diag
+            {"market": market, "diagnostics": diag}.get(section, kw)[name] = value
+    if market:
+        kw["market"] = BSConfig(**market)
+    if diag:
+        kw["diag"] = {**_DIAG_DEFAULTS, **diag}
 
     cfg = ExperimentConfig(**kw)
     if overrides:
@@ -523,8 +514,6 @@ def run_diagnostics(config):
     """Bound suite on the configured diagnostic problem; returns reports."""
     d = config.diag
     payoff_id = d["payoff"]
-    if payoff_id not in PAYOFF_IDS:
-        raise InputError(f"unknown diagnostics payoff {payoff_id!r}")
     spec = config.kernel_at(d["alpha"], d["beta"])
     meas = config.measure()
     lam, n = d["lambda"], d["n"]
@@ -582,20 +571,17 @@ def _config_digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
-    dest = os.path.join(out_dir, name)
-    with open(dest, "w") as fh:
-        fh.write(text)
-    return name
-
-
-def write_manifest(config, command, config_path, outputs, payoff_evals,
+def _write_outputs(config, command, config_path, files, payoff_evals,
                    extra=None):
-    """Record inputs, seeds, and budgets next to the artifacts.
+    """Write one command's artifacts, then its manifest, into ``config.out_dir``.
 
-    Thread count is deliberately omitted: outputs must not depend on it.
+    ``files`` maps each output file name to its text.  ``manifest.json``
+    records inputs, seeds, payoff budgets and the sorted output names, plus
+    ``extra``.  Thread count and output directory are deliberately left out
+    of the recorded config: outputs must not depend on them.
     """
+    recorded = asdict(config)
+    del recorded["threads"], recorded["out_dir"]
     doc = {
         "command": command,
         "package_version": __version__,
@@ -603,21 +589,16 @@ def write_manifest(config, command, config_path, outputs, payoff_evals,
         "config_path": config_path,
         "config_sha256": _config_digest(config_path),
         "master_seed": config.master_seed,
-        "config": _manifest_config(config),
+        "config": recorded,
         "payoff_evaluations": payoff_evals,
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    return _write(config.out_dir, "manifest.json",
-                  json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _manifest_config(config):
-    doc = asdict(config)
-    doc.pop("threads", None)
-    doc.pop("out_dir", None)
-    return doc
+    manifest = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    os.makedirs(config.out_dir, exist_ok=True)
+    for name, text in {**files, "manifest.json": manifest}.items():
+        with open(os.path.join(config.out_dir, name), "w") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -626,37 +607,34 @@ def _manifest_config(config):
 
 
 def _cmd_simulate(config, config_path):
-    outputs, evals = [], {}
+    files, evals = {}, {}
     for payoff_id in config.payoffs:
         ts = _training_set(config, payoff_id, "fit")
-        outputs.append(_write(config.out_dir, f"train_{payoff_id}.csv",
-                              training_set_to_csv(ts)))
+        files[f"train_{payoff_id}.csv"] = training_set_to_csv(ts)
         evals[payoff_id] = ts.n_payoff_evals
-    outputs.append(write_manifest(config, "simulate", config_path, outputs, evals))
+    _write_outputs(config, "simulate", config_path, files, evals)
     return 0
 
 
 def _cmd_fit(config, config_path):
-    outputs, evals = [], {}
+    files, evals = {}, {}
     spec = config.kernel_at(config.fit_alpha, config.fit_beta)
     for payoff_id in config.payoffs:
         ts = _training_set(config, payoff_id, "fit")
         est = krr.fit(ts, spec, config.fit_lambda, mode=config.mode,
                       payoff_id=payoff_id)
-        outputs.append(_write(config.out_dir, f"train_{payoff_id}.csv",
-                              training_set_to_csv(ts)))
-        outputs.append(_write(config.out_dir, f"estimator_{payoff_id}.json",
-                              krr.estimator_to_json(est)))
+        files[f"train_{payoff_id}.csv"] = training_set_to_csv(ts)
+        files[f"estimator_{payoff_id}.json"] = krr.estimator_to_json(est)
         resid = krr.normal_equation_residual(est, ts)
         print(f"fit {payoff_id}: alpha={config.fit_alpha} beta={config.fit_beta} "
               f"lambda={config.fit_lambda} normal-eq residual={resid:.3e}")
         evals[payoff_id] = ts.n_payoff_evals
-    outputs.append(write_manifest(config, "fit", config_path, outputs, evals))
+    _write_outputs(config, "fit", config_path, files, evals)
     return 0
 
 
 def _cmd_value(config, config_path):
-    outputs, evals = [], {}
+    files, evals = {}, {}
     test_paths = _shared_test_paths(config)
     for payoff_id in config.payoffs:
         est_path = os.path.join(config.out_dir, f"estimator_{payoff_id}.json")
@@ -671,51 +649,44 @@ def _cmd_value(config, config_path):
         for i in range(series.shape[0]):
             for t in range(series.shape[1]):
                 lines.append(f"{i},{t},{float(series[i, t])!r}")
-        outputs.append(_write(config.out_dir, f"value_{payoff_id}.csv",
-                              "\n".join(lines) + "\n"))
+        files[f"value_{payoff_id}.csv"] = "\n".join(lines) + "\n"
         evals[payoff_id] = ts.n_payoff_evals
         print(f"value {payoff_id}: V0 = {float(series[0, 0])!r} "
               f"({series.shape[0]} paths x {series.shape[1]} times)")
-    outputs.append(write_manifest(config, "value", config_path, outputs, evals))
+    _write_outputs(config, "value", config_path, files, evals)
     return 0
 
 
 def _cmd_grid_search(config, config_path):
-    outputs, evals, stars = [], {}, {}
+    files, evals, stars = {}, {}, {}
     for payoff_id in config.payoffs:
         grid = grid_search(config, payoff_id)
         _report_grid_failures("grid-search", grid)
-        outputs.append(_write(config.out_dir, f"grid_{payoff_id}.csv",
-                              grid.surface_csv()))
+        files[f"grid_{payoff_id}.csv"] = grid.surface_csv()
         evals[payoff_id] = grid.n_payoff_evals
         stars[payoff_id] = {"alpha": grid.alpha, "beta": grid.beta,
                             "lambda": grid.lam}
         print(f"grid-search {payoff_id}: alpha*={grid.alpha} "
               f"beta*={grid.beta} lambda*={grid.lam}")
-    outputs.append(write_manifest(config, "grid-search", config_path, outputs,
-                                  evals, extra={"optimal": stars}))
+    _write_outputs(config, "grid-search", config_path, files, evals,
+                   extra={"optimal": stars})
     return 0
 
 
 def _cmd_table2(config, config_path):
     results = run_table2(config)
-    outputs, evals, stars = [], {}, {}
+    files, evals, stars = {}, {}, {}
     reports = []
     for payoff_id in config.payoffs:
         doc = results[payoff_id]
         grid, kernel, nested = doc["grid"], doc["kernel"], doc["nested"]
         reports += [kernel, nested]
         _report_grid_failures("table2", grid)
-        outputs.append(_write(config.out_dir, f"grid_{payoff_id}.csv",
-                              grid.surface_csv()))
         ts, est = _star_estimator(grid)
-        outputs.append(_write(config.out_dir, f"train_{payoff_id}.csv",
-                              training_set_to_csv(ts)))
-        outputs.append(_write(config.out_dir, f"estimator_{payoff_id}.json",
-                              krr.estimator_to_json(est)))
-        gt_name = f"gt_{payoff_id}.csv"
-        doc["gt"].save(os.path.join(config.out_dir, gt_name))
-        outputs.append(gt_name)
+        files[f"grid_{payoff_id}.csv"] = grid.surface_csv()
+        files[f"train_{payoff_id}.csv"] = training_set_to_csv(ts)
+        files[f"estimator_{payoff_id}.json"] = krr.estimator_to_json(est)
+        files[f"gt_{payoff_id}.csv"] = doc["gt"].to_csv()
         evals[payoff_id] = (grid.n_payoff_evals + kernel.n_payoff_evals
                             + nested.n_payoff_evals)
         stars[payoff_id] = {"alpha": grid.alpha, "beta": grid.beta,
@@ -724,33 +695,31 @@ def _cmd_table2(config, config_path):
         nmeans = ", ".join(f"{v:.3f}" for v in nested.mean_pct)
         print(f"table2 {payoff_id}: stars=({grid.alpha}, {grid.beta}, "
               f"{grid.lam}) kernel%=({means}) nested%=({nmeans})")
-    outputs.append(_write(config.out_dir, "table2.csv",
-                          error_reports_to_csv(reports)))
-    outputs.append(write_manifest(config, "table2", config_path, outputs,
-                                  evals, extra={"optimal": stars}))
+    files["table2.csv"] = error_reports_to_csv(reports)
+    _write_outputs(config, "table2", config_path, files, evals,
+                   extra={"optimal": stars})
     return 0
 
 
 def _cmd_figures(config, config_path):
     results = run_figures(config)
-    outputs, evals, interior = [], {}, {}
+    files, evals, interior = {}, {}, {}
     for payoff_id in config.payoffs:
         doc = results[payoff_id]
         _report_grid_failures("figures", doc["grid"])
         for fig in ("fig1", "fig2", "fig3"):
-            outputs.append(_write(config.out_dir, f"{fig}_{payoff_id}.csv",
-                                  doc[fig]))
+            files[f"{fig}_{payoff_id}.csv"] = doc[fig]
         evals[payoff_id] = doc["grid"].n_payoff_evals
         interior[payoff_id] = doc["lambda_interior"]
         print(f"figures {payoff_id}: lambda minimum "
               f"{'interior' if doc['lambda_interior'] else 'on the boundary'}")
-    outputs.append(write_manifest(config, "figures", config_path, outputs,
-                                  evals, extra={"lambda_interior": interior}))
+    _write_outputs(config, "figures", config_path, files, evals,
+                   extra={"lambda_interior": interior})
     return 0
 
 
 def _cmd_nested_mc(config, config_path):
-    outputs, evals, reports = [], {}, []
+    evals, reports = {}, []
     for payoff_id in config.payoffs:
         gt = _ground_truth(config, payoff_id)
         rep = run_nested(config, payoff_id, gt)
@@ -759,10 +728,8 @@ def _cmd_nested_mc(config, config_path):
         means = ", ".join(f"{v:.2f}" for v in rep.mean_pct)
         stds = ", ".join(f"{v:.2f}" for v in rep.std_pct)
         print(f"nested-mc {payoff_id}: mean%=({means}) std%=({stds})")
-    outputs.append(_write(config.out_dir, "nested.csv",
-                          error_reports_to_csv(reports)))
-    outputs.append(write_manifest(config, "nested-mc", config_path, outputs,
-                                  evals))
+    _write_outputs(config, "nested-mc", config_path,
+                   {"nested.csv": error_reports_to_csv(reports)}, evals)
     return 0
 
 
@@ -779,11 +746,9 @@ def _diag_evals(d):
 
 def _cmd_diagnostics(config, config_path):
     reports = run_diagnostics(config)
-    outputs = []
-    failed = []
+    files, failed = {}, []
     for name, rep in reports.items():
-        outputs.append(_write(config.out_dir, f"diag_{name}.json",
-                              rep.to_json() + "\n"))
+        files[f"diag_{name}.json"] = rep.to_json() + "\n"
         if name == "clt":
             ok = rep.mean_within_3se and rep.normality_accepted_1pct
         else:
@@ -791,8 +756,8 @@ def _cmd_diagnostics(config, config_path):
         if not ok:
             failed.append(name)
         print(f"diagnostics {name}: {'PASS' if ok else 'FAIL'}")
-    outputs.append(write_manifest(config, "diagnostics", config_path, outputs,
-                                  _diag_evals(config.diag)))
+    _write_outputs(config, "diagnostics", config_path, files,
+                   _diag_evals(config.diag))
     if failed:
         raise DataError(f"bound checks failed: {', '.join(failed)}")
     return 0
@@ -835,9 +800,10 @@ def build_parser():
                        help="configuration file (defaults cover the two-step study)")
         p.add_argument("--payoff", metavar="ID",
                        help=f"restrict to one payoff; known: {', '.join(PAYOFF_IDS)}")
-        p.add_argument("--seed", type=int, metavar="U64",
+        p.add_argument("--seed", type=int, metavar="U64", dest="master_seed",
                        help="override the master seed")
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument("--out", metavar="DIR", dest="out_dir",
+                       help="output directory")
         p.add_argument("--threads", type=int, metavar="N",
                        help="worker threads (outputs are thread-count invariant)")
         p.add_argument("--n-train", type=int, metavar="N", dest="n_train",
@@ -856,17 +822,9 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.n_train is not None:
-        overrides["n_train"] = args.n_train
-    if args.n_inner_gt is not None:
-        overrides["n_inner_gt"] = args.n_inner_gt
+    # every other flag's dest is the ExperimentConfig field it overrides
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "config", "payoff") and value is not None}
     if args.payoff is not None:
         overrides["payoffs"] = (args.payoff,)
     try:

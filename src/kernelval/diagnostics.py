@@ -43,7 +43,6 @@ __all__ = [
     "clt_experiment",
     "robustness_check",
     "tilted_l2_norm",
-    "h_norm_distance",
     "feature_gram_exact",
     "feature_payoff_moments",
     "population_fit",
@@ -137,19 +136,6 @@ def _quad_form(spec, P, w, c, block=4000):
         G = kernels.tilted_gram(spec, P[lo:hi], w[lo:hi], P, w)
         acc += float(c[lo:hi] @ (G @ c))
     return acc
-
-
-def h_norm_distance(e1, e2):
-    """Exact RKHS distance ||h~_1 - h~_2|| via Gram quadratic forms."""
-    if e1.kernel != e2.kernel:
-        raise InputError("estimators must share a kernel for an RKHS distance")
-    spec = e1.kernel
-    c1, c2 = _tilde_coef(e1), _tilde_coef(e2)
-    q11 = _quad_form(spec, e1.paths, e1.weights, c1) / e1.n_train**2
-    q22 = _quad_form(spec, e2.paths, e2.weights, c2) / e2.n_train**2
-    G12 = kernels.tilted_gram(spec, e1.paths, e1.weights, e2.paths, e2.weights)
-    q12 = float(c1 @ (G12 @ c2)) / (e1.n_train * e2.n_train)
-    return math.sqrt(max(q11 - 2.0 * q12 + q22, 0.0))
 
 
 def tilted_l2_norm(spec):

@@ -59,7 +59,6 @@ __all__ = [
     "gauss_poly_features",
     "as_path",
     "as_paths",
-    "evaluate",
     "gram",
     "diag",
     "tilted_gram",
@@ -71,7 +70,6 @@ __all__ = [
     "conditional_gram_dot",
     "feature_vector",
     "feature_matrix",
-    "step_mean",
     "cond_expect_features",
     "conditional_feature_matrix",
     "gauss_moment",
@@ -366,15 +364,6 @@ def gram(spec, X, Y=None):
     raise InputError(f"unknown kernel spec {type(spec).__name__}")
 
 
-def evaluate(spec, x, y):
-    """Scalar kernel value ``k(x, y)``."""
-    x = as_path(x, spec.d, spec.T)
-    y = as_path(y, spec.d, spec.T)
-    if x is y or np.array_equal(x, y):
-        return diag(spec, x)
-    return float(gram(spec, x[None], y[None])[0, 0])
-
-
 def diag(spec, x):
     """``k(x, x)`` via the diagonal shortcut (no distance computation)."""
     x = as_path(x, spec.d, spec.T)
@@ -648,13 +637,6 @@ def feature_matrix(spec, X):
             v = v * f.step_values(s, X[:, :, s])
         out[:, i] = v
     return out
-
-
-def step_mean(spec, i, t):
-    """``E[phi_{i,t}(X_t)]`` under the standard normal step law."""
-    if not isinstance(spec, FeatureMapKernel):
-        raise InputError("step_mean requires a FeatureMapKernel")
-    return float(spec.features[i].step_mean(t))
 
 
 def cond_expect_features(spec, prefix, t):

@@ -38,9 +38,6 @@ from .sampling import content_hash
 
 __all__ = [
     "Estimator",
-    "fit_dual_unsorted",
-    "fit_dual_sorted",
-    "fit_primal",
     "fit",
     "fit_path",
     "predict",
@@ -48,7 +45,6 @@ __all__ = [
     "regularization_path",
     "estimator_to_json",
     "estimator_from_json",
-    "save_estimator",
     "load_estimator",
     "MAX_DUAL_SIZE",
     "RCOND_FLOOR",
@@ -259,25 +255,6 @@ def fit(ts, spec, lam, mode="dual-unsorted", payoff_id=None):
     return results[0]
 
 
-def fit_dual_unsorted(ts, spec, lam, payoff_id=None):
-    """Ridge fit in the dual: one coefficient per training path."""
-    return fit(ts, spec, lam, "dual-unsorted", payoff_id)
-
-
-def fit_dual_sorted(ts, spec, lam, payoff_id=None):
-    """Dual ridge fit on distinct paths with multiplicity scaling.
-
-    Equivalent to the unsorted fit but with one row per distinct path; see
-    :func:`_sorted_system`.
-    """
-    return fit(ts, spec, lam, "dual-sorted", payoff_id)
-
-
-def fit_primal(ts, spec, lam, payoff_id=None):
-    """Ridge fit in an explicit feature basis (m x m normal equations)."""
-    return fit(ts, spec, lam, "primal", payoff_id)
-
-
 def predict(est, x):
     """Fitted payoff value(s) at new paths; scalar in, scalar out."""
     a = np.asarray(x, dtype=float)
@@ -433,11 +410,6 @@ def estimator_from_json(text, ts):
         training_hash=doc["training_hash"],
         residual=float(doc.get("residual", float("nan"))),
     )
-
-
-def save_estimator(est, path):
-    with open(path, "w") as fh:
-        fh.write(estimator_to_json(est))
 
 
 def load_estimator(path, ts):

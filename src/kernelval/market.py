@@ -240,8 +240,8 @@ class GroundTruth:
 
     ``method`` selects deterministic quadrature (default; noise-free at the
     resolutions used here) or conditional MC at ``n_inner`` per evaluation.
-    Computed values are cached; the MC variant persists to the CSV layout
-    ``t, x1, value, n_inner, seed``.
+    Computed values are cached in memory for the life of the object;
+    :meth:`to_csv` renders them.
     """
 
     def __init__(self, cfg, payoff_id, method="quadrature", n_inner=10_000, seed=0,
@@ -325,59 +325,20 @@ class GroundTruth:
             raise CapabilityError("intermediate ground truth implemented for T == 2 only")
         return out
 
-    # -- CSV cache -----------------------------------------------------
-
-    def _cache_tag(self):
-        """The ``n_inner, seed`` columns of a cache row; n_inner 0 marks quadrature."""
-        return (self.n_inner if self.method == "mc" else 0, self.seed)
-
     def to_csv(self):
+        """The computed values as CSV rows ``t, x1, value, n_inner, seed``.
+
+        ``n_inner`` is 0 for quadrature, which has no inner budget.
+        """
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["t", "x1", "value", "n_inner", "seed"])
-        tag = [str(v) for v in self._cache_tag()]
+        tag = [str(self.n_inner if self.method == "mc" else 0), str(self.seed)]
         if self._v0 is not None:
             w.writerow(["0", "", repr(float(self._v0))] + tag)
         for x1 in sorted(self._v1_cache):
             w.writerow(["1", repr(x1), repr(self._v1_cache[x1])] + tag)
         return buf.getvalue()
-
-    def load_csv(self, text):
-        """Fill the caches from :meth:`to_csv` output written by a matching object.
-
-        A row whose ``n_inner`` or ``seed`` differs from this object's method,
-        inner budget and seed is refused: its values answer another question.
-        """
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != ["t", "x1", "value", "n_inner", "seed"]:
-            raise InputError(f"unrecognized ground-truth cache header {header}")
-        n_inner, seed = self._cache_tag()
-        for row in reader:
-            if not row:
-                continue
-            if (int(row[3]), int(row[4])) != (n_inner, seed):
-                raise InputError(
-                    f"ground-truth cache row was written with n_inner={row[3]}, "
-                    f"seed={row[4]}; this {self.method} ground truth expects "
-                    f"n_inner={n_inner}, seed={seed}"
-                )
-            t = int(row[0])
-            if t == 0:
-                self._v0 = float(row[2])
-            elif t == 1:
-                self._v1_cache[float(row[1])] = float(row[2])
-            else:
-                raise InputError(f"cache rows must have t in {{0, 1}}, got {t}")
-        return self
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
-    def load(self, path):
-        with open(path) as fh:
-            return self.load_csv(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,16 @@ Re-deriving a stream with the same seed and tags replays it exactly.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import CapabilityError, DataError, InputError
-from .kernels import FeatureMapKernel, GaussExpKernel, MonomialFeature, as_paths, gauss_moment
+from .kernels import FeatureMapKernel, as_paths, gauss_moment
 
 __all__ = [
     "MeasureSpec",
@@ -46,13 +45,9 @@ __all__ = [
     "draw_paths",
     "rn_weight",
     "log_rn_weight",
-    "optimal_gamma",
     "mixture_sampler",
     "build_training_set",
     "training_set_to_csv",
-    "training_set_from_csv",
-    "save_training_set",
-    "load_training_set",
     "content_hash",
 ]
 
@@ -103,9 +98,6 @@ class MeasureSpec:
     def weight(self, paths):
         return rn_weight(self, paths)
 
-    def log_weight(self, paths):
-        return log_rn_weight(self, paths)
-
 
 def draw_paths(measure, n, stream=("paths",), seed=None):
     """Draw ``n`` paths of shape ``(n, d, T)`` from the measure's own stream.
@@ -132,18 +124,6 @@ def log_rn_weight(measure, x):
 def rn_weight(measure, x):
     """Radon-Nikodym weight ``w = d(tilted)/d(nominal)`` at the given paths."""
     return np.exp(log_rn_weight(measure, x))
-
-
-def optimal_gamma(kernel_spec):
-    """Variance-optimal Gaussian tilt for a kernel, if one exists.
-
-    For the Gaussian-exponentiated kernel the weight proportional to the
-    squared diagonal ``exp(beta ||x||^2)`` is itself a Gaussian tilt with
-    ``gamma = beta``; no other family admits one, so ``None`` is returned.
-    """
-    if isinstance(kernel_spec, GaussExpKernel):
-        return kernel_spec.beta
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +222,6 @@ class MixtureSampler:
         if np.asarray(paths).ndim <= 2 and X.shape[0] == 1:
             return float(out[0])
         return out
-
-    def log_weight(self, paths):
-        return np.log(self.weight(paths))
 
 
 def mixture_sampler(spec, seed=0):
@@ -368,54 +345,6 @@ def training_set_to_csv(ts):
     for i in range(ts.n):
         buf.write(f"{i},{','.join(map(repr, cols[i].tolist()))}\n")
     return buf.getvalue()
-
-
-def training_set_from_csv(text, payoff_id="", gamma=None):
-    """Parse CSV text produced by :func:`training_set_to_csv`."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty training-set CSV") from None
-    if header[0] != "path_id" or header[-2:] != ["payoff", "weight"]:
-        raise DataError(f"unrecognized training-set header {header[:3]}...")
-    coords = header[1:-2]
-    dims = [tuple(int(p) for p in c.split("_")[1:]) for c in coords]
-    d = max(c for c, _ in dims)
-    T = max(t for _, t in dims)
-    if len(coords) != d * T:
-        raise DataError(f"expected {d * T} coordinate columns, found {len(coords)}")
-    paths, values, weights = [], [], []
-    for row in reader:
-        if not row:
-            continue
-        xs = np.array([float(v) for v in row[1:-2]])
-        paths.append(xs.reshape(T, d).T)
-        values.append(float(row[-2]))
-        weights.append(float(row[-1]))
-    if not paths:
-        raise DataError("training-set CSV has a header but no rows")
-    return TrainingSet(
-        paths=np.array(paths),
-        payoff_values=np.array(values),
-        weights=np.array(weights),
-        payoff_id=payoff_id,
-        gamma=gamma,
-        n_payoff_evals=0,
-    )
-
-
-def save_training_set(ts, path):
-    text = training_set_to_csv(ts)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def load_training_set(path, payoff_id="", gamma=None):
-    with open(path) as fh:
-        text = fh.read()
-    return training_set_from_csv(text, payoff_id=payoff_id, gamma=gamma)
 
 
 def content_hash(ts):

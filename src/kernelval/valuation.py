@@ -28,9 +28,7 @@ from .errors import DataError, InputError
 from .sampling import MeasureSpec, build_training_set, derive_rng, draw_paths
 
 __all__ = [
-    "ValueSeries",
     "ErrorReport",
-    "value_series",
     "value_series_many",
     "value_at_zero",
     "payoff_errors",
@@ -42,20 +40,6 @@ __all__ = [
     "error_reports_to_csv",
     "trajectory_csv",
 ]
-
-
-@dataclass(frozen=True)
-class ValueSeries:
-    """Value process of one evaluation path: values[t] = Vhat_t."""
-
-    values: np.ndarray
-    path: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.path.setflags(write=False)
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("value series contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -114,13 +98,6 @@ def value_series_many(est, X, block=2048):
     if est.mode == "primal":
         return _primal_series(est, X, block)
     return _dual_series(est, X, block)
-
-
-def value_series(est, x):
-    """Value process along one path, terminal entry equals predict(est, x)."""
-    p = kernels.as_path(x, est.kernel.d, est.kernel.T)
-    vals = value_series_many(est, p[None])[0]
-    return ValueSeries(values=vals, path=np.array(p))
 
 
 def value_at_zero(est, order="forward"):

@@ -9,9 +9,9 @@ import pytest
 
 from kernelval import cli, kernels, krr
 from kernelval.cli import grid_search, load_config, main
-from kernelval.errors import SolverError
+from kernelval.errors import InputError, SolverError
 from kernelval.market import payoff_function
-from kernelval.sampling import content_hash, draw_paths, load_training_set
+from kernelval.sampling import content_hash, draw_paths, training_set_to_csv
 
 TINY = """
 [market]
@@ -50,6 +50,24 @@ payoffs = european_put
 alpha = 2
 beta = 0.15
 lambda = 1e-5
+"""
+
+
+TINY_DIAG = TINY + """
+[diagnostics]
+payoff = european_put
+alpha = 2
+beta = 0.15
+lambda = 1e-3
+n = 80
+n_ref = 320
+n_repeats = 4
+conc_repeats = 8
+eps = 0.01
+clt_degree = 2
+clt_lambda = 1e-3
+clt_n = 200
+clt_repeats = 12
 """
 
 
@@ -166,10 +184,12 @@ def test_load_config_defaults_and_overrides(tiny_cfg):
 def test_simulate_produces_loadable_csv(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "sim"
     assert _run("simulate", "--config", str(tiny_cfg), "--out", str(out)) == 0
-    ts = load_training_set(out / "train_european_put.csv",
-                           payoff_id="european_put", gamma=0.45)
+    cfg = load_config(path=str(tiny_cfg))
+    ts = cli._training_set(cfg, "european_put", "fit")
     assert ts.n == 60 and ts.T == 2
     assert (ts.weights > 0).all()
+    assert ((out / "train_european_put.csv").read_bytes()
+            == training_set_to_csv(ts).encode())
     capsys.readouterr()
 
 
@@ -276,22 +296,7 @@ def test_nested_mc_budget_in_manifest(tiny_cfg, tmp_path, capsys):
 
 def test_diagnostics_small_run(tmp_path, capsys):
     p = tmp_path / "diag.cfg"
-    p.write_text(TINY + """
-[diagnostics]
-payoff = european_put
-alpha = 2
-beta = 0.15
-lambda = 1e-3
-n = 80
-n_ref = 320
-n_repeats = 4
-conc_repeats = 8
-eps = 0.01
-clt_degree = 2
-clt_lambda = 1e-3
-clt_n = 200
-clt_repeats = 12
-""")
+    p.write_text(TINY_DIAG)
     out = tmp_path / "diag"
     rc = _run("diagnostics", "--config", str(p), "--out", str(out))
     assert rc == 0
@@ -303,3 +308,108 @@ clt_repeats = 12
     assert names <= set(os.listdir(out))
     doc = json.loads((out / "diag_mse_bound.json").read_text())
     assert doc["violated"] is False
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "0"), ("n_ref", "0"), ("n_repeats", "0"), ("conc_repeats", "0"),
+    ("clt_n", "0"), ("clt_repeats", "0"), ("n_repeats", "-3"),
+    ("lambda", "0"), ("clt_lambda", "0"), ("clt_lambda", "-1"),
+    ("payoff", "bermudan_put"),
+])
+def test_diagnostics_config_rejects_bad_values(key, value, tmp_path,
+                                                          capsys):
+    p = tmp_path / "diag.cfg"
+    head, diag = TINY_DIAG.split("[diagnostics]")
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+             for line in diag.splitlines()]
+    p.write_text(head + "[diagnostics]" + "\n".join(lines) + "\n")
+    out = tmp_path / "diag"
+    assert _run("diagnostics", "--config", str(p), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and key in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()
+    # the check is the config's own, so every command refuses the file
+    assert _run("simulate", "--config", str(p), "--out", str(out)) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "value", "grid-search",
+                                     "table2", "figures", "nested-mc",
+                                     "diagnostics"])
+def test_manifest_lists_exactly_the_files_written(command, tmp_path, capsys):
+    p = tmp_path / "tiny.cfg"
+    p.write_text(TINY_DIAG if command == "diagnostics" else TINY)
+    out = tmp_path / "out"
+    if command == "value":
+        assert _run("fit", "--config", str(p), "--out", str(out)) == 0
+    before = set(os.listdir(out)) if out.exists() else set()
+    assert _run(command, "--config", str(p), "--out", str(out)) == 0
+    written = set(os.listdir(out)) - before - {"manifest.json"}
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["command"] == command
+    assert man["outputs"] == sorted(written)
+    capsys.readouterr()
+
+
+# every (section, key) of the config table, set away from its default:
+# (raw text, accessor on the loaded config, expected value)
+EVERY_KEY = {
+    ("market", "s0"): ("1.5", lambda c: c.market.s0, 1.5),
+    ("market", "sigma"): ("0.3", lambda c: c.market.sigma, 0.3),
+    ("market", "rate"): ("0.01", lambda c: c.market.rate, 0.01),
+    ("market", "steps"): ("3", lambda c: c.market.T, 3),
+    ("market", "strike"): ("1.1", lambda c: c.market.strike, 1.1),
+    ("market", "barrier"): ("2.5", lambda c: c.market.barrier, 2.5),
+    ("kernel", "alphas"): ("1, 3", lambda c: c.alphas, (1.0, 3.0)),
+    ("kernel", "betas"): ("0.1 0.2", lambda c: c.betas, (0.1, 0.2)),
+    ("kernel", "lambdas"): ("1e-4", lambda c: c.lambdas, (1e-4,)),
+    ("sampling", "gamma"): ("0.4", lambda c: c.gamma, 0.4),
+    ("sampling", "n_train"): ("70", lambda c: c.n_train, 70),
+    ("sampling", "n_val"): ("21", lambda c: c.n_val, 21),
+    ("sampling", "n_test"): ("41", lambda c: c.n_test, 41),
+    ("sampling", "n_repeats"): ("3", lambda c: c.n_repeats, 3),
+    ("sampling", "mode"): ("dual-sorted", lambda c: c.mode, "dual-sorted"),
+    ("ground_truth", "method"): ("mc", lambda c: c.gt_method, "mc"),
+    ("ground_truth", "n_inner"): ("501", lambda c: c.n_inner_gt, 501),
+    ("ground_truth", "nested_outer"): ("21", lambda c: c.nested_outer, 21),
+    ("ground_truth", "nested_inner"): ("6", lambda c: c.nested_inner, 6),
+    ("experiment", "master_seed"): ("78", lambda c: c.master_seed, 78),
+    ("experiment", "payoffs"): ("asian_put, european_call", lambda c: c.payoffs,
+                                ("asian_put", "european_call")),
+    ("fit", "alpha"): ("3", lambda c: c.fit_alpha, 3.0),
+    ("fit", "beta"): ("0.2", lambda c: c.fit_beta, 0.2),
+    ("fit", "lambda"): ("1e-4", lambda c: c.fit_lambda, 1e-4),
+    ("diagnostics", "payoff"): ("asian_call", lambda c: c.diag["payoff"],
+                                "asian_call"),
+    ("diagnostics", "alpha"): ("3", lambda c: c.diag["alpha"], 3.0),
+    ("diagnostics", "beta"): ("0.2", lambda c: c.diag["beta"], 0.2),
+    ("diagnostics", "lambda"): ("1e-4", lambda c: c.diag["lambda"], 1e-4),
+    ("diagnostics", "n"): ("81", lambda c: c.diag["n"], 81),
+    ("diagnostics", "n_ref"): ("330", lambda c: c.diag["n_ref"], 330),
+    ("diagnostics", "n_repeats"): ("5", lambda c: c.diag["n_repeats"], 5),
+    ("diagnostics", "conc_repeats"): ("9", lambda c: c.diag["conc_repeats"], 9),
+    ("diagnostics", "eps"): ("0.02", lambda c: c.diag["eps"], 0.02),
+    ("diagnostics", "clt_degree"): ("2", lambda c: c.diag["clt_degree"], 2),
+    ("diagnostics", "clt_lambda"): ("1e-4", lambda c: c.diag["clt_lambda"], 1e-4),
+    ("diagnostics", "clt_n"): ("201", lambda c: c.diag["clt_n"], 201),
+    ("diagnostics", "clt_repeats"): ("13", lambda c: c.diag["clt_repeats"], 13),
+    ("output", "directory"): ("elsewhere", lambda c: c.out_dir, "elsewhere"),
+}
+
+
+def test_every_config_key_reaches_its_field():
+    sections = {}
+    for (section, key), (raw, _, _) in EVERY_KEY.items():
+        sections.setdefault(section, []).append(f"{key} = {raw}")
+    text = "\n".join(f"[{s}]\n" + "\n".join(lines) for s, lines in sections.items())
+    cfg = load_config(text=text)
+    default = cli.ExperimentConfig()
+    for (section, key), (_, get, expected) in EVERY_KEY.items():
+        assert get(default) != expected, (section, key)
+        assert get(cfg) == expected, (section, key)
+        assert type(get(cfg)) is type(expected), (section, key)
+    # the only valid family is the default, so a wrong one must reach the check
+    with pytest.raises(InputError, match="gauss-poly"):
+        load_config(text="[kernel]\nfamily = gauss-poly\n")
+    assert set(EVERY_KEY) | {("kernel", "family")} == set(cli._KEYS)

@@ -7,15 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelval.diagnostics import (clt_experiment, concentration_check,
-                                   feature_gram_exact, feature_payoff_moments,
-                                   h_norm_distance, mse_bound_check,
+from kernelval.diagnostics import (_quad_form, clt_experiment,
+                                   concentration_check, feature_gram_exact,
+                                   feature_payoff_moments, mse_bound_check,
                                    normal_expectation_2step, population_fit,
                                    reference_estimator, robustness_check,
                                    tilted_l2_norm)
 from kernelval.errors import InputError
 from kernelval.kernels import (FeatureMapKernel, GaussExpKernel, feature_matrix,
-                               gram, monomial_features)
+                               monomial_features, tilted_gram)
 from kernelval.krr import fit
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, MixtureSampler,
@@ -48,21 +48,18 @@ def test_tilted_l2_norm_closed_form():
         tilted_l2_norm(FeatureMapKernel(features=monomial_features(1, 2, 1)))
 
 
-def test_h_norm_distance_identity_and_hand_value():
+@pytest.mark.parametrize("block", [7, 40])
+def test_quad_form_in_blocks_matches_tilted_gram(block):
     f = payoff_function(CFG, "european_put")
     ts = build_training_set(SAMPLER, f, 40, stream=("hn",))
     e1 = fit(ts, SPEC, 1e-4)
-    assert h_norm_distance(e1, e1) == 0.0
     e2 = fit(ts.with_payoffs(2.0 * ts.payoff_values), SPEC, 1e-4)
-    # shared support: distance^2 = (1/n^2) a^T K~ a with a = c1 - c2
-    a = e1.dual_coef - e2.dual_coef
-    Kt = gram(SPEC, ts.paths) / np.sqrt(np.outer(ts.weights, ts.weights))
-    manual = math.sqrt(a @ Kt @ a) / ts.n
-    assert h_norm_distance(e1, e2) == pytest.approx(manual, rel=1e-10)
-    other = fit(ts, GaussExpKernel(alpha=2.0, beta=0.3, d=1, T=2, gamma=0.45),
-                1e-4)
-    with pytest.raises(InputError):
-        h_norm_distance(e1, other)
+    K = tilted_gram(SPEC, ts.paths, ts.weights)
+    # a fit's coefficients, and the coefficient gap the robustness check uses
+    for c in (e1.dual_coef, e1.dual_coef - e2.dual_coef):
+        full = float(c @ K @ c)
+        blocked = _quad_form(SPEC, ts.paths, ts.weights, c, block=block)
+        assert abs(blocked - full) <= 1e-12 * abs(full)
 
 
 def test_normal_expectation_oracles():

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from kernelval import kernels
 from kernelval.errors import InputError
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, MonomialFeature, cond_expect,
@@ -34,16 +33,18 @@ def test_gauss_moments():
 
 def test_exponential_kernel_point_values():
     spec = GaussExpKernel(alpha=0.0, beta=0.3, d=1, T=1)
-    assert math.isclose(kernels.evaluate(spec, [1.0], [1.0]), math.exp(0.3),
+    assert math.isclose(diag(spec, [1.0]), math.exp(0.3), rel_tol=1e-15)
+    assert math.isclose(gram(spec, [1.0], [1.0])[0, 0], math.exp(0.3),
                         rel_tol=1e-15)
     spec2 = GaussExpKernel(alpha=1.0, beta=0.0, d=1, T=1)
-    assert math.isclose(kernels.evaluate(spec2, [0.0], [2.0]), math.exp(-4.0),
+    assert math.isclose(gram(spec2, [0.0], [2.0])[0, 0], math.exp(-4.0),
                         rel_tol=1e-15)
 
 
 def test_poly_kernel_point_value():
     spec = GaussPolyKernel(alpha=0.0, beta=2, d=1, T=1)
-    assert kernels.evaluate(spec, [1.0], [2.0]) == pytest.approx(9.0, rel=1e-15)
+    assert gram(spec, [1.0], [2.0])[0, 0] == pytest.approx(9.0, rel=1e-15)
+    assert diag(spec, [2.0]) == pytest.approx(25.0, rel=1e-15)
 
 
 def test_kernel_parameter_validation():

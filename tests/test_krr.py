@@ -11,10 +11,9 @@ from kernelval.errors import CapabilityError, DataError, InputError, SolverError
 from kernelval.kernels import (FeatureMapKernel, GaussExpKernel, feature_matrix,
                                gram, monomial_features)
 from kernelval.krr import (MAX_DUAL_SIZE, estimator_from_json,
-                           estimator_to_json, fit, fit_dual_sorted,
-                           fit_dual_unsorted, fit_path, fit_primal, load_estimator,
+                           estimator_to_json, fit, fit_path, load_estimator,
                            normal_equation_residual, predict,
-                           regularization_path, save_estimator)
+                           regularization_path)
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import MeasureSpec, TrainingSet, build_training_set
 from support import (linear_rate_problem, loglog_slope, ridge_gradient_descent,
@@ -43,7 +42,7 @@ def _repeated_ts(k, times):
 def test_three_point_system_solved_by_hand():
     ts = _ts(3)
     lam = 1e-3
-    est = fit_dual_unsorted(ts, SPEC, lam)
+    est = fit(ts, SPEC, lam, mode="dual-unsorted")
     K = gram(SPEC, ts.paths)
     Kt = K / np.sqrt(np.outer(ts.weights, ts.weights))
     M = Kt / 3 + lam * np.eye(3)
@@ -58,7 +57,7 @@ def test_three_point_system_solved_by_hand():
 def test_single_point_scalar_formula():
     ts = _ts(1)
     lam = 0.01
-    est = fit_dual_unsorted(ts, SPEC, lam)
+    est = fit(ts, SPEC, lam, mode="dual-unsorted")
     ktt = float(gram(SPEC, ts.paths, ts.paths)[0, 0]) / ts.weights[0]
     expect = (ts.payoff_values[0] / math.sqrt(ts.weights[0])) / (ktt + lam)
     assert est.dual_coef[0] == pytest.approx(expect, rel=1e-13)
@@ -70,7 +69,7 @@ def test_primal_matches_gradient_descent_reference():
     m = MeasureSpec(gamma=0.0, d=1, T=2, seed=21)
     ts = build_training_set(m, PAYOFF, 200, stream=("gd",))
     lam = 1e-2
-    est = fit_primal(ts, spec, lam)
+    est = fit(ts, spec, lam, mode="primal")
     phi = feature_matrix(spec, ts.paths)  # weights are all 1 at gamma = 0
     ref = ridge_gradient_descent(phi, ts.payoff_values, lam)
     assert np.allclose(est.primal_coef, ref, atol=1e-8)
@@ -80,7 +79,7 @@ def test_near_interpolation_at_tiny_lambda():
     # flat weights keep the system well conditioned at the tiny ridge
     m = MeasureSpec(gamma=0.0, d=1, T=2, seed=314)
     ts = build_training_set(m, PAYOFF, 25, stream=("interp",))
-    est = fit_dual_unsorted(ts, SPEC, 1e-12)
+    est = fit(ts, SPEC, 1e-12, mode="dual-unsorted")
     pred = predict(est, ts.paths)
     assert np.max(np.abs(pred - ts.payoff_values)) < 1e-6
 
@@ -93,9 +92,9 @@ def test_fit_is_linear_in_the_payoff():
     combo = ts.with_payoffs(a * ts.payoff_values + b * other.payoff_values)
     x = np.linspace(-1, 1, 7).reshape(-1, 1) * np.ones((7, 2))
     x = x.reshape(7, 1, 2)
-    pa = predict(fit_dual_unsorted(ts, SPEC, lam), x)
-    pb = predict(fit_dual_unsorted(other, SPEC, lam), x)
-    pc = predict(fit_dual_unsorted(combo, SPEC, lam), x)
+    pa = predict(fit(ts, SPEC, lam, mode="dual-unsorted"), x)
+    pb = predict(fit(other, SPEC, lam, mode="dual-unsorted"), x)
+    pc = predict(fit(combo, SPEC, lam, mode="dual-unsorted"), x)
     assert np.allclose(pc, a * pa + b * pb, rtol=1e-10, atol=1e-12)
 
 
@@ -109,14 +108,14 @@ def test_shrinkage_grows_with_lambda():
 def test_dual_norm_bound():
     ts = _ts(50)
     for lam in (1e-4, 1e-2):
-        est = fit_dual_unsorted(ts, SPEC, lam)
+        est = fit(ts, SPEC, lam, mode="dual-unsorted")
         rhs = ts.payoff_values / np.sqrt(ts.weights)
         assert np.linalg.norm(est.dual_coef) <= np.linalg.norm(rhs) / lam + 1e-9
 
 
 def test_residual_reported_and_degraded_by_perturbation():
     ts = _ts(30)
-    est = fit_dual_unsorted(ts, SPEC, 1e-5)
+    est = fit(ts, SPEC, 1e-5, mode="dual-unsorted")
     assert est.residual < 1e-10
     assert normal_equation_residual(est, ts) == pytest.approx(est.residual,
                                                               rel=1e-6)
@@ -127,8 +126,8 @@ def test_residual_reported_and_degraded_by_perturbation():
 def test_sorted_mode_merges_duplicates():
     ts = _repeated_ts(12, 3)
     lam = 1e-4
-    sorted_est = fit_dual_sorted(ts, SPEC, lam)
-    unsorted_est = fit_dual_unsorted(ts, SPEC, lam)
+    sorted_est = fit(ts, SPEC, lam, mode="dual-sorted")
+    unsorted_est = fit(ts, SPEC, lam, mode="dual-unsorted")
     assert sorted_est.paths.shape[0] == 12
     assert sorted_est.multiplicity.tolist() == [3] * 12
     x = np.linspace(-2, 2, 9).reshape(-1, 1, 1) * np.ones((9, 1, 2))
@@ -141,8 +140,8 @@ def test_sorted_mode_merges_duplicates():
 def test_sorted_equals_unsorted_without_duplicates():
     ts = _ts(45)
     x = np.linspace(-2, 2, 11).reshape(-1, 1, 1) * np.ones((11, 1, 2))
-    pa = predict(fit_dual_sorted(ts, SPEC, 1e-5), x)
-    pb = predict(fit_dual_unsorted(ts, SPEC, 1e-5), x)
+    pa = predict(fit(ts, SPEC, 1e-5, mode="dual-sorted"), x)
+    pb = predict(fit(ts, SPEC, 1e-5, mode="dual-unsorted"), x)
     assert np.max(np.abs(pa - pb)) < 1e-9
 
 
@@ -153,14 +152,14 @@ def test_primal_equals_dual_for_feature_kernels():
     ts = build_training_set(m, PAYOFF, 120, stream=("pd",))
     lam = 1e-4
     x = np.linspace(-2, 2, 13).reshape(-1, 1, 1) * np.ones((13, 1, 2))
-    pp = predict(fit_primal(ts, spec, lam), x)
-    pd = predict(fit_dual_unsorted(ts, spec, lam), x)
+    pp = predict(fit(ts, spec, lam, mode="primal"), x)
+    pd = predict(fit(ts, spec, lam, mode="dual-unsorted"), x)
     assert np.max(np.abs(pp - pd)) < 1e-8
 
 
 def test_zero_lambda_refused_on_singular_gram():
     with pytest.raises(SolverError):
-        fit_dual_unsorted(_repeated_ts(8, 2), SPEC, 0.0)
+        fit(_repeated_ts(8, 2), SPEC, 0.0, mode="dual-unsorted")
 
 
 def _assert_same_fit(a, b):
@@ -213,21 +212,21 @@ def test_gram_size_guard(monkeypatch):
     monkeypatch.setattr(krr, "MAX_DUAL_SIZE", 10)
     ts = _ts(11)
     with pytest.raises(CapabilityError):
-        fit_dual_unsorted(ts, SPEC, 1e-3)
+        fit(ts, SPEC, 1e-3, mode="dual-unsorted")
     assert MAX_DUAL_SIZE == 20_000  # the shipped limit itself
 
 
 def test_input_validation():
     ts = _ts(5)
     with pytest.raises(InputError):
-        fit_dual_unsorted(ts, SPEC, -1e-3)
+        fit(ts, SPEC, -1e-3, mode="dual-unsorted")
     with pytest.raises(InputError):
         fit(ts, SPEC, 1e-3, mode="banana")
     wrong = GaussExpKernel(alpha=1.0, beta=0.1, d=1, T=3)
     with pytest.raises(InputError):
-        fit_dual_unsorted(ts, wrong, 1e-3)
+        fit(ts, wrong, 1e-3, mode="dual-unsorted")
     with pytest.raises(InputError):
-        fit_primal(ts, SPEC, 1e-3)  # no finite feature basis
+        fit(ts, SPEC, 1e-3, mode="primal")  # no finite feature basis
 
 
 def test_serialization_roundtrip(tmp_path):
@@ -241,7 +240,7 @@ def test_serialization_roundtrip(tmp_path):
         assert np.array_equal(predict(back, x), predict(est, x))
     p = tmp_path / "est.json"
     est = fit(ts, SPEC, 1e-5)
-    save_estimator(est, p)
+    p.write_text(estimator_to_json(est))
     loaded = load_estimator(p, ts)
     assert loaded.training_hash == est.training_hash
     assert loaded.residual == est.residual

@@ -1,5 +1,7 @@
 """Black-Scholes market, payoffs, and value-process ground truth."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -160,36 +162,43 @@ def test_ground_truth_series_shape_and_columns():
     assert np.allclose(V[:, 1], gt.v1(paths[:, 0]))
 
 
-def test_ground_truth_cache_roundtrip(tmp_path):
+def test_ground_truth_cache_roundtrip():
     gt = GroundTruth(CFG, "european_call", method="mc", n_inner=2000, seed=9)
     v0 = gt.v0()
     v1 = gt.v1(np.array([0.2, -0.7]))
-    p = tmp_path / "gt.csv"
-    gt.save(p)
-    fresh = GroundTruth(CFG, "european_call", method="mc", n_inner=2000, seed=9)
-    fresh.load(p)
-    assert fresh.v0() == v0
-    assert np.array_equal(fresh.v1(np.array([0.2, -0.7])), v1)
+    rows = list(csv.reader(io.StringIO(gt.to_csv())))
+    assert rows[0] == ["t", "x1", "value", "n_inner", "seed"]
+    assert [r[0] for r in rows[1:]] == ["0", "1", "1"]
+    assert rows[1][1] == "" and float(rows[1][2]) == v0
+    # t = 1 rows in x1 order, every value exactly as computed
+    assert [float(r[1]) for r in rows[2:]] == [-0.7, 0.2]
+    assert [float(r[2]) for r in rows[2:]] == [v1[1], v1[0]]
+    assert all(r[3:] == ["2000", "9"] for r in rows[1:])
+
+
+def test_ground_truth_csv_tags_budget_and_seed():
+    def tags(gt):
+        gt.v0()
+        gt.v1([0.3])
+        rows = list(csv.reader(io.StringIO(gt.to_csv())))[1:]
+        return {tuple(r[3:]) for r in rows}
+
+    mc = dict(method="mc", n_inner=10, seed=7)
+    assert tags(GroundTruth(CFG, "european_call", **mc)) == {("10", "7")}
+    # another budget or seed is visible in every row of its artifact
+    assert tags(GroundTruth(CFG, "european_call", **{**mc, "n_inner": 20})) \
+        == {("20", "7")}
+    assert tags(GroundTruth(CFG, "european_call", **{**mc, "seed": 8})) \
+        == {("10", "8")}
+    # quadrature has no inner budget: its rows carry n_inner 0
+    assert tags(GroundTruth(CFG, "european_call", n_inner=2000, seed=9)) \
+        == {("0", "9")}
 
 
 def test_mc_ground_truth_does_not_depend_on_batch_position():
     a = GroundTruth(CFG, "european_call", method="mc", n_inner=500, seed=9)
     b = GroundTruth(CFG, "european_call", method="mc", n_inner=500, seed=9)
     assert a.v1([0.1])[0] == b.v1([0.5, 0.1])[1]
-
-
-def test_ground_truth_cache_refuses_other_budget_or_seed():
-    small = GroundTruth(CFG, "european_call", method="mc", n_inner=10, seed=7)
-    small.v1([0.3])
-    text = small.to_csv()
-    with pytest.raises(InputError):
-        GroundTruth(CFG, "european_call", method="mc", n_inner=100_000,
-                    seed=7).load_csv(text)
-    with pytest.raises(InputError):
-        GroundTruth(CFG, "european_call", method="mc", n_inner=10,
-                    seed=8).load_csv(text)
-    with pytest.raises(InputError):
-        GroundTruth(CFG, "european_call", seed=7).load_csv(text)
 
 
 def test_ground_truth_validation():

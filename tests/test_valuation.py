@@ -20,7 +20,7 @@ from kernelval.valuation import (ErrorReport, doob_check, error_reports_to_csv,
                                  martingale_gap, payoff_errors, payoff_l2_error,
                                  repeat_experiment, trajectory_csv,
                                  value_at_zero, value_process_error,
-                                 value_series, value_series_many)
+                                 value_series_many)
 from support import unfused_value_series
 
 CFG = BSConfig()
@@ -48,11 +48,11 @@ def test_value_at_zero_reduction_orders_agree():
 def test_series_endpoints():
     est = _fit()
     x = np.array([[0.4, -0.2]])
-    s = value_series(est, x)
-    assert s.values.shape == (3,)
-    assert s.values[0] == pytest.approx(value_at_zero(est), rel=1e-12)
+    s = value_series_many(est, x)
+    assert s.shape == (1, 3)
+    assert s[0, 0] == pytest.approx(value_at_zero(est), rel=1e-12)
     # the terminal value reveals the whole path, so it is the plain fit
-    assert s.values[2] == pytest.approx(predict(est, x), rel=1e-12)
+    assert s[0, 2] == pytest.approx(predict(est, x), rel=1e-12)
 
 
 def test_series_many_matches_single():
@@ -60,8 +60,9 @@ def test_series_many_matches_single():
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=5), 6)
     batch = value_series_many(est, X)
     for i in range(6):
-        one = value_series(est, X[i])
-        assert np.allclose(batch[i], one.values, rtol=1e-12)
+        one = value_series_many(est, X[i])
+        assert one.shape == (1, 3)
+        assert np.allclose(batch[i], one[0], rtol=1e-12)
     # block size changes BLAS accumulation order, so exact equality is out
     small_block = value_series_many(est, X, block=2)
     assert np.allclose(batch, small_block, rtol=1e-12, atol=1e-15)
