@@ -653,8 +653,28 @@ def _cmd_value(config, config_path):
         evals[payoff_id] = ts.n_payoff_evals
         print(f"value {payoff_id}: V0 = {float(series[0, 0])!r} "
               f"({series.shape[0]} paths x {series.shape[1]} times)")
-    _write_outputs(config, "value", config_path, files, evals)
+    fit_record = _fit_record(config.out_dir)
+    _write_outputs(config, "value", config_path, files, evals,
+                   extra=None if fit_record is None else {"fit": fit_record})
     return 0
+
+
+def _fit_record(out_dir):
+    """The manifest of the ``fit`` run whose estimators ``value`` reads.
+
+    ``value`` replaces the directory's ``manifest.json``, so it carries the
+    record it finds there: the fit's own, or the one an earlier ``value`` run
+    carried.  None when the directory has no manifest.
+    """
+    path = os.path.join(out_dir, "manifest.json")
+    if not os.path.isfile(path):
+        return None
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    return doc.get("fit") if doc.get("command") == "value" else doc
 
 
 def _cmd_grid_search(config, config_path):

@@ -128,14 +128,21 @@ def _tilde_coef(est):
     raise InputError("tilde coefficients require a dual-mode estimator")
 
 
-def _quad_form(spec, P, w, c, block=4000):
-    """c^T K~ c without materializing K~ for large supports."""
-    acc = 0.0
-    for lo in range(0, P.shape[0], block):
-        hi = min(lo + block, P.shape[0])
-        G = kernels.tilted_gram(spec, P[lo:hi], w[lo:hi], P, w)
-        acc += float(c[lo:hi] @ (G @ c))
-    return acc
+def _cross_form(spec, P, wp, c, Q, wq, v, block=kernels.BLOCK):
+    """``c^T K~(P, Q) v`` as a blocked kernel-times-vector product.
+
+    With ``1/sqrt(w)`` folded into the coefficients the tilted form is
+    ``(c / sqrt(wp)) @ K(P, Q) (v / sqrt(wq))``; :func:`kernels.gram_dot`
+    evaluates ``K(P, Q)`` times the vector in blocks of ``block`` rows, so
+    memory is O(block x |Q|) and no |P| x |Q| matrix is built.
+    """
+    u = c / np.sqrt(wp)
+    return float(u @ kernels.gram_dot(spec, P, Q, v / np.sqrt(wq), block))
+
+
+def _quad_form(spec, P, w, c, block=kernels.BLOCK):
+    """``c^T K~ c`` on the support ``P``: :func:`_cross_form` with ``Q = P``."""
+    return _cross_form(spec, P, w, c, P, w, c, block)
 
 
 def tilted_l2_norm(spec):
@@ -147,13 +154,9 @@ def tilted_l2_norm(spec):
     return (1.0 - 2.0 * spec.beta) ** (-spec.d * spec.T / 4.0)
 
 
-def _tilde_predict(est, sampler, Z, block=20_000):
+def _tilde_predict(est, sampler, Z):
     """f~_X on a batch: prediction divided by sqrt(sampling weight)."""
-    out = np.empty(Z.shape[0])
-    for lo in range(0, Z.shape[0], block):
-        hi = min(lo + block, Z.shape[0])
-        out[lo:hi] = predict(est, Z[lo:hi]) / np.sqrt(sampler.weight(Z[lo:hi]))
-    return out
+    return predict(est, Z) / np.sqrt(sampler.weight(Z))
 
 
 def _tilde_payoff(payoff_fn, sampler, Z):
@@ -209,9 +212,8 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
         est = fit(ts, spec, lam)
         c1 = _tilde_coef(est)
         q11 = _quad_form(spec, est.paths, est.weights, c1) / est.n_train**2
-        G12 = kernels.tilted_gram(spec, est.paths, est.weights,
-                                  reference.paths, reference.weights)
-        q12 = float(c1 @ (G12 @ c_ref)) / (est.n_train * reference.n_train)
+        q12 = _cross_form(spec, est.paths, est.weights, c1, reference.paths,
+                          reference.weights, c_ref) / (est.n_train * reference.n_train)
         h_sq.append(max(q11 - 2.0 * q12 + q_ref, 0.0))
         l2_sq.append(float(np.mean(
             (_tilde_predict(est, sampler, l2_probe) - ref_vals) ** 2)))

@@ -68,6 +68,7 @@ __all__ = [
     "cond_expect",
     "conditional_gram",
     "conditional_gram_dot",
+    "gram_dot",
     "feature_vector",
     "feature_matrix",
     "cond_expect_features",
@@ -78,6 +79,9 @@ __all__ = [
 
 # Exponents above this raise instead of overflowing to inf.
 EXP_GUARD = 700.0
+
+# Rows per block of a kernel-times-vector product: memory O(BLOCK x columns).
+BLOCK = 2048
 
 _POLY_BETA_CAP = 4
 _POLY_DIM_CAP = 8
@@ -525,31 +529,36 @@ def _cond_inputs(spec, prefixes, Y, t):
     return pre, Y
 
 
-def _gauss_exp_factors(spec, pre, Y, t):
-    """``exp`` of the kernel exponent (N, M) and the tail factor (M,).
+def _gauss_exp_columns(spec, Y, t):
+    """Column side of the fused exponent: augmented columns and the log tail.
 
     The exponent ``(2a+b)<x, y> - a|x|^2 - a|y|^2`` over the first ``t``
-    steps comes out of one matrix product, the two norm terms riding along
-    as two extra columns.  Entry ``(i, j)`` of the conditional Gram is
-    ``exp(e_ij + log tail_j)``, so the guard covers that sum as well as each
-    part.  The block's largest exponent plus the largest log tail bounds
-    every column's sum; the exact per-column maximum is taken only when that
-    bound passes the guard.
+    steps is one matrix product of :func:`_gauss_exp_block`'s row side with
+    these columns, the two norm terms riding along as two extra columns.
+    """
+    Ys = Y[:, :, :t].reshape(Y.shape[0], -1)
+    ny = np.einsum("ij,ij->i", Ys, Ys)
+    return (np.column_stack([Ys, np.ones_like(ny), -spec.alpha * ny]),
+            _log_tail(spec, Y, t))
+
+
+def _gauss_exp_block(spec, pre, cols, log_tail, t):
+    """``exp`` of the kernel exponent for a block of prefixes, (N, M).
+
+    Entry ``(i, j)`` of the conditional Gram is ``exp(e_ij + log tail_j)``,
+    so the guard covers that sum as well as each part.  The block's largest
+    exponent plus the largest log tail bounds every column's sum; the exact
+    per-column maximum is taken only when that bound passes the guard.
     """
     a, c = spec.alpha, 2.0 * spec.alpha + spec.beta
     Xs = pre[:, :, :t].reshape(pre.shape[0], -1)
-    Ys = Y[:, :, :t].reshape(Y.shape[0], -1)
     nx = np.einsum("ij,ij->i", Xs, Xs)
-    ny = np.einsum("ij,ij->i", Ys, Ys)
-    Xa = np.column_stack([c * Xs, -a * nx, np.ones_like(nx)])
-    Ya = np.column_stack([Ys, np.ones_like(ny), -a * ny])
-    e = Xa @ Ya.T
-    log_tail = _log_tail(spec, Y, t)
+    e = np.column_stack([c * Xs, -a * nx, np.ones_like(nx)]) @ cols.T
     m = np.max(e) if e.size else 0.0
     _check_exponent(m)
     if e.size and m + np.max(log_tail) > EXP_GUARD:
         _check_exponent(np.max(np.max(e, axis=0) + log_tail))
-    return np.exp(e, out=e), _guarded_exp(log_tail, out=log_tail)
+    return np.exp(e, out=e)
 
 
 def conditional_gram(spec, prefixes, Y, t):
@@ -564,7 +573,9 @@ def conditional_gram(spec, prefixes, Y, t):
     pre, Y = _cond_inputs(spec, prefixes, Y, t)
 
     if isinstance(spec, GaussExpKernel):
-        K, tail = _gauss_exp_factors(spec, pre, Y, t)
+        cols, log_tail = _gauss_exp_columns(spec, Y, t)
+        tail = _guarded_exp(log_tail)
+        K = _gauss_exp_block(spec, pre, cols, log_tail, t)
         K *= tail[None, :]
         return K
 
@@ -598,20 +609,51 @@ def conditional_gram(spec, prefixes, Y, t):
     raise InputError(f"unknown kernel spec {type(spec).__name__}")
 
 
-def conditional_gram_dot(spec, prefixes, Y, t, coef):
+def _by_row_blocks(fn, X, block):
+    """``fn(X[lo:hi])`` for consecutive blocks of ``block`` rows, as one (N,) vector."""
+    out = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], block):
+        out[lo:lo + block] = fn(X[lo:lo + block])
+    return out
+
+
+def conditional_gram_dot(spec, prefixes, Y, t, coef, block=BLOCK):
     """``conditional_gram(spec, prefixes, Y, t) @ coef`` as an (N,) vector.
 
-    For the Gaussian-exponentiated kernel the tail factor of each column
-    moves into the coefficient vector, so an (N, M) block costs one matrix
-    product, the guard's max, one ``exp`` and one matrix-vector product.  The
-    overflow guards are the same as :func:`conditional_gram`'s.  Other kernel
-    families go through :func:`conditional_gram`.
+    The rows are evaluated in blocks of ``block`` prefixes, so memory is
+    O(block x M) and no (N, M) matrix is built.  For the
+    Gaussian-exponentiated kernel the column side of the exponent and the
+    tail factor are computed once, the tail factor moves into the
+    coefficient vector, and each block costs one matrix product, the
+    guard's max, one ``exp`` and one matrix-vector product.  The overflow
+    guards are the same as :func:`conditional_gram`'s.  Other kernel
+    families multiply each block of :func:`conditional_gram` by ``coef``.
     """
     pre, Y = _cond_inputs(spec, prefixes, Y, t)
     if isinstance(spec, GaussExpKernel):
-        K, tail = _gauss_exp_factors(spec, pre, Y, t)
-        return K @ (tail * coef)
-    return conditional_gram(spec, pre, Y, t) @ coef
+        cols, log_tail = _gauss_exp_columns(spec, Y, t)
+        w = _guarded_exp(log_tail) * coef
+        return _by_row_blocks(
+            lambda rows: _gauss_exp_block(spec, rows, cols, log_tail, t) @ w,
+            pre, block)
+    return _by_row_blocks(
+        lambda rows: conditional_gram(spec, rows, Y, t) @ coef, pre, block)
+
+
+def gram_dot(spec, X, Y, coef, block=BLOCK):
+    """``gram(spec, X, Y) @ coef`` as an (N,) vector, in blocks of ``block`` rows.
+
+    Memory is O(block x M): no (N, M) Gram is built.  For the
+    Gaussian-exponentiated kernel this is :func:`conditional_gram_dot` at
+    ``t = T``, where the tail factor is exactly 1.  Other families multiply
+    each block of :func:`gram` by ``coef`` (:func:`conditional_gram` would
+    limit a GaussPolyKernel to its feature enumeration).
+    """
+    X = as_paths(X, spec.d, spec.T)
+    if isinstance(spec, GaussExpKernel):
+        return conditional_gram_dot(spec, X, Y, spec.T, coef, block)
+    Y = as_paths(Y, spec.d, spec.T)
+    return _by_row_blocks(lambda rows: gram(spec, rows, Y) @ coef, X, block)
 
 
 # ---------------------------------------------------------------------------

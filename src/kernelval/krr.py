@@ -256,14 +256,20 @@ def fit(ts, spec, lam, mode="dual-unsorted", payoff_id=None):
 
 
 def predict(est, x):
-    """Fitted payoff value(s) at new paths; scalar in, scalar out."""
+    """Fitted payoff value(s) at new paths; scalar in, scalar out.
+
+    A dual fit evaluates the kernel-times-vector ``k(x, paths) @ eval_coef
+    / n_train`` with :func:`kernels.gram_dot`, in blocks of
+    ``kernels.BLOCK`` rows: memory is O(block x n_train), and no
+    N x n_train Gram is built.  A primal fit is ``phi(x) @ primal_coef``.
+    """
     a = np.asarray(x, dtype=float)
     single = a.ndim == 1 or (a.ndim == 2 and a.shape == (est.kernel.d, est.kernel.T))
     X = kernels.as_paths(a, est.kernel.d, est.kernel.T)
     if est.mode == "primal":
         vals = kernels.feature_matrix(est.kernel, X) @ est.primal_coef
     else:
-        vals = kernels.gram(est.kernel, X, est.paths) @ est.eval_coef / est.n_train
+        vals = kernels.gram_dot(est.kernel, X, est.paths, est.eval_coef) / est.n_train
     return float(vals[0]) if single else vals
 
 

@@ -68,15 +68,12 @@ class ErrorReport:
 
 def _dual_series(est, X, block):
     spec = est.kernel
-    n, out = X.shape[0], np.empty((X.shape[0], spec.T + 1))
+    out = np.empty((X.shape[0], spec.T + 1))
     G0 = kernels.conditional_gram(spec, np.zeros((1, spec.d, 0)), est.paths, 0)
     out[:, 0] = G0[0] @ est.eval_coef / est.n_train
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        chunk = X[lo:hi]
-        for t in range(1, spec.T + 1):
-            out[lo:hi, t] = kernels.conditional_gram_dot(
-                spec, chunk[:, :, :t], est.paths, t, est.eval_coef) / est.n_train
+    for t in range(1, spec.T + 1):
+        out[:, t] = kernels.conditional_gram_dot(
+            spec, X[:, :, :t], est.paths, t, est.eval_coef, block) / est.n_train
     return out
 
 
@@ -92,7 +89,7 @@ def _primal_series(est, X, block):
     return out
 
 
-def value_series_many(est, X, block=2048):
+def value_series_many(est, X, block=kernels.BLOCK):
     """Vhat_t for a batch of paths; returns shape (N, T+1)."""
     X = kernels.as_paths(X, est.kernel.d, est.kernel.T)
     if est.mode == "primal":
@@ -160,7 +157,7 @@ def payoff_l2_error(est, cfg, payoff_id, n_val, seed=None, stream=("validation",
     return payoff_errors(est, X, f(X))["rel"]
 
 
-def value_process_error(est, gt, test_paths, block=2048):
+def value_process_error(est, gt, test_paths, block=kernels.BLOCK):
     """Mean |V_t - Vhat_t| / V_0 per time step over the test paths."""
     X = kernels.as_paths(test_paths, est.kernel.d, est.kernel.T)
     truth = gt.v_series(X)
@@ -172,7 +169,8 @@ def value_process_error(est, gt, test_paths, block=2048):
     return np.mean(np.abs(truth - approx), axis=0) / v0
 
 
-def martingale_gap(est, n=100_000, seed=0, stream=("martingale",), block=2048):
+def martingale_gap(est, n=100_000, seed=0, stream=("martingale",),
+                   block=kernels.BLOCK):
     """Tower check at the root: MC mean of Vhat_1 against the exact Vhat_0.
 
     Returns (v0, mc_mean, se); a correct conditional-expectation stack keeps
@@ -182,15 +180,11 @@ def martingale_gap(est, n=100_000, seed=0, stream=("martingale",), block=2048):
     rng = derive_rng(seed, *stream)
     x1 = rng.standard_normal((n, spec.d, 1))
     v0 = value_at_zero(est)
-    vals = np.empty(n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        if est.mode == "primal":
-            F = kernels.conditional_feature_matrix(spec, x1[lo:hi], 1)
-            vals[lo:hi] = F @ est.primal_coef
-        else:
-            vals[lo:hi] = kernels.conditional_gram_dot(
-                spec, x1[lo:hi], est.paths, 1, est.eval_coef) / est.n_train
+    if est.mode == "primal":
+        vals = kernels.conditional_feature_matrix(spec, x1, 1) @ est.primal_coef
+    else:
+        vals = kernels.conditional_gram_dot(
+            spec, x1, est.paths, 1, est.eval_coef, block) / est.n_train
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
     return v0, float(np.mean(vals)), se
 

@@ -8,13 +8,14 @@ production code paths.
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.linalg import hadamard
 
 from kernelval import kernels
 from kernelval.kernels import EXP_GUARD, FeatureMapKernel, GaussExpKernel, MonomialFeature
-from kernelval.sampling import TrainingSet
+from kernelval.sampling import MeasureSpec, TrainingSet, build_training_set
 
 
 def norm_cdf(x):
@@ -167,6 +168,43 @@ def unfused_value_series(est, X):
         terms = unfused_conditional_gram(est.kernel, X, est.paths, t) * est.eval_coef
         cols.append([math.fsum(row) / est.n_train for row in terms])
     return np.array(cols).T
+
+
+def gram_predict(est, X):
+    """Dual-mode prediction through the full Gram: ``gram(spec, X, paths) @ eval_coef / n``.
+
+    The unblocked prediction, with the kernel exponent built term by term
+    and each row of ``K * coef`` summed exactly (``math.fsum``) for the
+    reason given in :func:`unfused_value_series`.
+    """
+    terms = kernels.gram(est.kernel, X, est.paths) * est.eval_coef
+    return np.array([math.fsum(row) for row in terms]) / est.n_train
+
+
+def training_set_with_duplicates(d, T, gamma, n=40, n_dup=15):
+    """Tilted sample of n paths plus exact copies of its first n_dup."""
+    f = lambda X: np.maximum(1.0 - np.exp(0.2 * X.sum(axis=(1, 2)) - 0.02 * d * T), 0.0)
+    ts = build_training_set(MeasureSpec(gamma=gamma, d=d, T=T, seed=12), f, n,
+                            "synthetic", stream=("fused",))
+    keep = np.r_[np.arange(n), np.arange(n_dup)]
+    return TrainingSet(paths=ts.paths[keep], payoff_values=ts.payoff_values[keep],
+                       weights=ts.weights[keep], payoff_id="synthetic",
+                       gamma=gamma, n_payoff_evals=n + n_dup)
+
+
+def max_rel_gap(a, b):
+    """Max-norm relative gap ``max |a - b| / max |b|``."""
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """Peak bytes allocated while ``fn`` runs, NumPy buffers included (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def csv_writer_training_set(ts):

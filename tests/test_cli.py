@@ -209,6 +209,22 @@ def test_fit_then_value_roundtrip(tiny_cfg, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_value_keeps_the_fit_record_in_its_manifest(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "fv"
+    assert _run("fit", "--config", str(tiny_cfg), "--out", str(out)) == 0
+    fit_doc = json.loads((out / "manifest.json").read_text())
+    for _ in range(2):  # a second value run keeps the same record, not nested
+        assert _run("value", "--config", str(tiny_cfg), "--out", str(out)) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["command"] == "value"
+        assert man["outputs"] == ["value_european_put.csv"]
+        assert man["fit"] == fit_doc
+    assert fit_doc["outputs"] == ["estimator_european_put.json",
+                                  "train_european_put.csv"]
+    assert fit_doc["payoff_evaluations"] == {"european_put": 60}
+    capsys.readouterr()
+
+
 def test_value_without_fit_exit_1(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "nofit"
     assert _run("value", "--config", str(tiny_cfg), "--out", str(out)) == 1

@@ -7,19 +7,20 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelval.diagnostics import (_quad_form, clt_experiment,
+from kernelval.diagnostics import (_cross_form, _quad_form, clt_experiment,
                                    concentration_check, feature_gram_exact,
                                    feature_payoff_moments, mse_bound_check,
                                    normal_expectation_2step, population_fit,
                                    reference_estimator, robustness_check,
                                    tilted_l2_norm)
 from kernelval.errors import InputError
-from kernelval.kernels import (FeatureMapKernel, GaussExpKernel, feature_matrix,
-                               monomial_features, tilted_gram)
+from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
+                               feature_matrix, monomial_features, tilted_gram)
 from kernelval.krr import fit
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, MixtureSampler,
                                 build_training_set)
+from support import peak_bytes
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
@@ -60,6 +61,26 @@ def test_quad_form_in_blocks_matches_tilted_gram(block):
         full = float(c @ K @ c)
         blocked = _quad_form(SPEC, ts.paths, ts.weights, c, block=block)
         assert abs(blocked - full) <= 1e-12 * abs(full)
+    # the mse check's cross form against a second fit on other paths
+    ts3 = build_training_set(SAMPLER, f, 30, stream=("hn", 3))
+    e3 = fit(ts3, SPEC, 1e-4)
+    full = float(e1.dual_coef @ tilted_gram(SPEC, ts.paths, ts.weights, ts3.paths,
+                                            ts3.weights) @ e3.dual_coef)
+    blocked = _cross_form(SPEC, ts.paths, ts.weights, e1.dual_coef, ts3.paths,
+                          ts3.weights, e3.dual_coef, block=block)
+    assert abs(blocked - full) <= 1e-12 * abs(full)
+
+
+def test_quadratic_forms_hold_one_block_not_the_gram():
+    rng = np.random.default_rng(19)
+    n = 3000
+    P, Q = rng.standard_normal((2, n, 1, 2))
+    wp, wq = rng.uniform(0.5, 2.0, (2, n))
+    c, v = rng.standard_normal((2, n))
+    # an n x n Gram with its exponent temporary is 2.9 blocks of BLOCK rows
+    limit = 2 * BLOCK * n * 8
+    assert peak_bytes(_quad_form, SPEC, P, wp, c) < limit
+    assert peak_bytes(_cross_form, SPEC, P, wp, c, Q, wq, v) < limit
 
 
 def test_normal_expectation_oracles():

@@ -2,26 +2,32 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kernelval import krr
+from kernelval.cli import load_config
 from kernelval.errors import CapabilityError, DataError, InputError, SolverError
-from kernelval.kernels import (FeatureMapKernel, GaussExpKernel, feature_matrix,
-                               gram, monomial_features)
-from kernelval.krr import (MAX_DUAL_SIZE, estimator_from_json,
+from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
+                               GaussPolyKernel, feature_matrix, gram,
+                               monomial_features)
+from kernelval.krr import (MAX_DUAL_SIZE, Estimator, estimator_from_json,
                            estimator_to_json, fit, fit_path, load_estimator,
                            normal_equation_residual, predict,
                            regularization_path)
 from kernelval.market import BSConfig, payoff_function
-from kernelval.sampling import MeasureSpec, TrainingSet, build_training_set
-from support import (linear_rate_problem, loglog_slope, ridge_gradient_descent,
-                     sqrt_rate_problem)
+from kernelval.sampling import (MeasureSpec, TrainingSet, build_training_set,
+                                draw_paths)
+from support import (gram_predict, linear_rate_problem, loglog_slope,
+                     max_rel_gap, peak_bytes, ridge_gradient_descent,
+                     sqrt_rate_problem, training_set_with_duplicates)
 
 SPEC = GaussExpKernel(alpha=2.0, beta=0.3, d=1, T=2, gamma=0.45)
 MEASURE = MeasureSpec(gamma=0.45, d=1, T=2, seed=314)
 PAYOFF = payoff_function(BSConfig(), "european_put")
+CONFIG_PATH = str(Path(__file__).resolve().parent.parent / "configs" / "bs2.cfg")
 
 
 def _ts(n, seed=314, stream=("krr",)):
@@ -206,6 +212,78 @@ def test_overflowing_gram_fails_every_lambda():
     assert all(isinstance(r, OverflowError) for r in path)
     with pytest.raises(OverflowError):
         fit(ts, SPEC, 1e-3)
+
+
+@pytest.mark.parametrize("mode", ["dual-unsorted", "dual-sorted"])
+@pytest.mark.parametrize("d,T", [(1, 2), (2, 3)])
+def test_dual_predict_matches_the_gram_oracle(d, T, mode):
+    config = load_config(path=CONFIG_PATH)
+    ts = training_set_with_duplicates(d, T, 0.45)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=d, T=T, seed=16), BLOCK + 1)
+    pairs = [(a, b) for a in config.alphas for b in config.betas if a or b]
+    assert len(pairs) == 15
+    for a, b in pairs:
+        est = fit(ts, GaussExpKernel(alpha=a, beta=b, d=d, T=T, gamma=0.45),
+                  1e-5, mode=mode)
+        ref = gram_predict(est, X)
+        # one row, one block less one row, exactly one block, one block plus one
+        for n in (1, BLOCK - 1, BLOCK, BLOCK + 1):
+            got = predict(est, X[:n])
+            assert got.shape == (n,)
+            assert max_rel_gap(got, ref[:n]) <= 1e-12, (a, b, n)
+        one = predict(est, X[0])
+        assert isinstance(one, float)
+        assert abs(one - ref[0]) <= 1e-12 * abs(ref[0]), (a, b)
+
+
+def test_predict_overflows_where_the_gram_does():
+    # the training paths of the exponent-plus-log-tail guard test: at x =
+    # (80, 37.37) the kernel exponent against (40, 88) is
+    # 1.45 * 6488.6 - 0.5 * 7796.5 - 0.5 * 9344 = 838, the e^838 entry
+    spec = GaussExpKernel(alpha=0.5, beta=0.45, d=1, T=2)
+    Y = np.array([[[1.0, 92.0]], [[-3.0, 90.5]], [[40.0, 88.0]]])
+    est = Estimator(mode="dual-unsorted", kernel=spec, lam=0.0, n_train=3,
+                    paths=Y, eval_coef=np.ones(3))
+    x = np.array([[[80.0, 37.37]]])
+    with pytest.raises(OverflowError):
+        predict(est, x)
+    with pytest.raises(OverflowError):
+        gram_predict(est, x)
+    # the exponent is 9408 s - 3898 s^2 - 4672 at x scaled by s: above the
+    # guard's 700 for s in (0.93, 1.49)
+    seen = set()
+    for scale in (0.8, 0.9, 0.95, 1.2, 1.45, 1.5, 1.6):
+        xs = scale * x
+        try:
+            ref = gram_predict(est, xs)
+        except OverflowError:
+            seen.add(True)
+            with pytest.raises(OverflowError):
+                predict(est, xs)
+        else:
+            seen.add(False)
+            assert max_rel_gap(predict(est, xs), ref) <= 1e-12, scale
+    assert seen == {True, False}
+
+
+def test_gauss_poly_dual_predicts_beyond_the_feature_enumeration():
+    # beta = 5 is past conditional_gram's enumeration cap; prediction only
+    # needs the kernel itself
+    spec = GaussPolyKernel(alpha=0.5, beta=5, d=1, T=2, gamma=0.45)
+    est = fit(training_set_with_duplicates(1, 2, 0.45), spec, 1e-4)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=17), BLOCK + 1)
+    assert max_rel_gap(predict(est, X), gram_predict(est, X)) <= 1e-12
+
+
+def test_predict_memory_is_one_block_not_the_gram():
+    rng = np.random.default_rng(18)
+    n, N = 1000, 20_000
+    est = Estimator(mode="dual-unsorted", kernel=SPEC, lam=1e-5, n_train=n,
+                    paths=rng.standard_normal((n, 1, 2)),
+                    eval_coef=rng.standard_normal(n))
+    X = rng.standard_normal((N, 1, 2))
+    # the full N x n Gram (160 MB) is 9.8 blocks; one block is 16.4 MB
+    assert peak_bytes(predict, est, X) < 2 * BLOCK * n * 8
 
 
 def test_gram_size_guard(monkeypatch):

@@ -10,18 +10,19 @@ import pytest
 
 from kernelval.cli import load_config
 from kernelval.errors import DataError, InputError
-from kernelval.kernels import (FeatureMapKernel, GaussExpKernel, GaussPolyKernel,
-                               conditional_gram, monomial_features)
+from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
+                               GaussPolyKernel, conditional_gram,
+                               conditional_gram_dot, monomial_features)
 from kernelval.krr import Estimator, fit, predict
 from kernelval.market import BSConfig, GroundTruth, payoff_function
-from kernelval.sampling import (MeasureSpec, TrainingSet, build_training_set,
-                                draw_paths)
+from kernelval.sampling import MeasureSpec, build_training_set, draw_paths
 from kernelval.valuation import (ErrorReport, doob_check, error_reports_to_csv,
                                  martingale_gap, payoff_errors, payoff_l2_error,
                                  repeat_experiment, trajectory_csv,
                                  value_at_zero, value_process_error,
                                  value_series_many)
-from support import unfused_value_series
+from support import (max_rel_gap, training_set_with_duplicates,
+                     unfused_value_series)
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
@@ -68,19 +69,22 @@ def test_series_many_matches_single():
     assert np.allclose(batch, small_block, rtol=1e-12, atol=1e-15)
 
 
-def _max_rel_gap(a, b):
-    return np.max(np.abs(a - b)) / np.max(np.abs(b))
-
-
-def _training_set_with_duplicates(d, T, gamma, n=40, n_dup=15):
-    """Tilted sample of n paths plus exact copies of its first n_dup."""
-    f = lambda X: np.maximum(1.0 - np.exp(0.2 * X.sum(axis=(1, 2)) - 0.02 * d * T), 0.0)
-    ts = build_training_set(MeasureSpec(gamma=gamma, d=d, T=T, seed=12), f, n,
-                            "synthetic", stream=("fused",))
-    keep = np.r_[np.arange(n), np.arange(n_dup)]
-    return TrainingSet(paths=ts.paths[keep], payoff_values=ts.payoff_values[keep],
-                       weights=ts.weights[keep], payoff_id="synthetic",
-                       gamma=gamma, n_payoff_evals=n + n_dup)
+@pytest.mark.parametrize("spec", [
+    SPEC, GaussPolyKernel(alpha=0.5, beta=2, d=1, T=2, gamma=0.45),
+], ids=["gauss-exp", "gauss-poly"])
+def test_series_equals_conditional_gram_dot_block_by_block(spec):
+    # the series is the product of each block of BLOCK paths, one call per
+    # block and time step, bit for bit: blocking inside the product moves
+    # no block boundary
+    est = fit(training_set_with_duplicates(1, 2, 0.45), spec, 1e-5)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=15), 2 * BLOCK + 3)
+    series = value_series_many(est, X)
+    for lo in range(0, X.shape[0], BLOCK):
+        chunk = X[lo:lo + BLOCK]
+        for t in (1, 2):
+            ref = conditional_gram_dot(spec, chunk[:, :, :t], est.paths, t,
+                                       est.eval_coef) / est.n_train
+            assert np.array_equal(series[lo:lo + BLOCK, t], ref), (lo, t)
 
 
 @pytest.mark.parametrize("mode", ["dual-unsorted", "dual-sorted"])
@@ -88,7 +92,7 @@ def _training_set_with_duplicates(d, T, gamma, n=40, n_dup=15):
 @pytest.mark.parametrize("d,T", [(1, 2), (2, 3)])
 def test_series_matches_unfused_evaluator_on_the_grid(d, T, gamma, mode):
     config = load_config(path=CONFIG_PATH)
-    ts = _training_set_with_duplicates(d, T, gamma)
+    ts = training_set_with_duplicates(d, T, gamma)
     X = draw_paths(MeasureSpec(gamma=0.0, d=d, T=T, seed=13), 30)
     pairs = [(a, b) for a in config.alphas for b in config.betas if a or b]
     assert len(pairs) == 15
@@ -97,7 +101,7 @@ def test_series_matches_unfused_evaluator_on_the_grid(d, T, gamma, mode):
                   1e-5, mode=mode)
         new, ref = value_series_many(est, X), unfused_value_series(est, X)
         for t in range(T + 1):
-            assert _max_rel_gap(new[:, t], ref[:, t]) <= 1e-12, (a, b, t)
+            assert max_rel_gap(new[:, t], ref[:, t]) <= 1e-12, (a, b, t)
 
 
 @pytest.mark.parametrize("spec", [
@@ -105,13 +109,13 @@ def test_series_matches_unfused_evaluator_on_the_grid(d, T, gamma, mode):
     FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2, gamma=0.45),
 ], ids=["gauss-poly", "feature-map"])
 def test_series_of_other_kernel_families_unchanged(spec):
-    est = fit(_training_set_with_duplicates(1, 2, 0.45), spec, 1e-4)
+    est = fit(training_set_with_duplicates(1, 2, 0.45), spec, 1e-4)
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=14), 30)
     new = value_series_many(est, X)
     for t in (1, 2):
         direct = conditional_gram(spec, X[:, :, :t], est.paths, t) @ est.eval_coef
         assert np.array_equal(new[:, t], direct / est.n_train)
-    assert _max_rel_gap(new, unfused_value_series(est, X)) <= 1e-12
+    assert max_rel_gap(new, unfused_value_series(est, X)) <= 1e-12
 
 
 def _raises_overflow(fn, *args):
