@@ -9,6 +9,7 @@ baseline, and empirical checks of the estimator's statistical error bounds.
 
 __version__ = "0.1.0"
 
+from . import blas  # noqa: F401  pins every loaded OpenBLAS to one thread
 from .errors import (CapabilityError, DataError, InputError, KernelvalError,
                      SolverError)
 from .kernels import (FeatureMapKernel, GaussExpKernel, GaussPolyKernel,

@@ -4,8 +4,8 @@ Reads a sectioned ``key = value`` configuration, runs the two-step market
 experiments (hyperparameter grid search, repeated-fit error tables, figure
 data, nested Monte Carlo baseline, bound diagnostics) and writes CSV/JSON
 artifacts plus a manifest.  All randomness is derived from the master seed
-through named streams, so re-runs are bit-identical regardless of the worker
-thread count.
+through named streams, and BLAS runs on one thread (:mod:`kernelval.blas`),
+so re-runs are bit-identical regardless of the worker or BLAS thread count.
 
 Exit codes: 0 success, 1 input/configuration error, 2 numerical failure.
 """
@@ -20,12 +20,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, diagnostics, krr, valuation
+from . import __version__, blas, diagnostics, krr, valuation
 from .errors import (CapabilityError, DataError, InputError, KernelvalError,
                      SolverError)
 from .kernels import FeatureMapKernel, GaussExpKernel, monomial_features
@@ -69,6 +70,14 @@ _DIAG_DEFAULTS = {
     "clt_n": 2000,
     "clt_repeats": 200,
 }
+
+
+def _usable_cores():
+    """CPUs this process may run on: the default worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _floats(text):
@@ -139,7 +148,7 @@ class ExperimentConfig:
     fit_lambda: float = 1e-5
     master_seed: int = 2024
     out_dir: str = "out"
-    threads: int = 1
+    threads: int = field(default_factory=_usable_cores)
     diag: dict = field(default_factory=lambda: dict(_DIAG_DEFAULTS))
 
     def __post_init__(self):
@@ -297,9 +306,25 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
+# marks the threads of the one live pool; see _pool_map
+_POOL_WORKER = threading.local()
+
+
+def _mark_pool_worker():
+    _POOL_WORKER.active = True
+
+
 def _pool_map(fn, items, threads):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    """``[fn(it) for it in items]`` on up to ``threads`` worker threads.
+
+    Only the outermost map gets a pool.  A map called from inside a pool
+    worker (the per-pair map of ``grid_search`` under the per-payoff map of
+    ``run_table2``) runs inline, so the process never runs more than
+    ``threads`` workers.
+    """
+    if threads > 1 and len(items) > 1 and not getattr(_POOL_WORKER, "active", False):
+        with ThreadPoolExecutor(max_workers=threads,
+                                initializer=_mark_pool_worker) as pool:
             return list(pool.map(fn, items))
     return [fn(it) for it in items]
 
@@ -576,7 +601,8 @@ def _write_outputs(config, command, config_path, files, payoff_evals,
     """Write one command's artifacts, then its manifest, into ``config.out_dir``.
 
     ``files`` maps each output file name to its text.  ``manifest.json``
-    records inputs, seeds, payoff budgets and the sorted output names, plus
+    records inputs, seeds, payoff budgets, the BLAS setup
+    (:data:`kernelval.blas.SETUP`) and the sorted output names, plus
     ``extra``.  Thread count and output directory are deliberately left out
     of the recorded config: outputs must not depend on them.
     """
@@ -586,6 +612,7 @@ def _write_outputs(config, command, config_path, files, payoff_evals,
         "command": command,
         "package_version": __version__,
         "git_commit": _git_commit(),
+        "blas": blas.SETUP,
         "config_path": config_path,
         "config_sha256": _config_digest(config_path),
         "master_seed": config.master_seed,
@@ -825,7 +852,8 @@ def build_parser():
         p.add_argument("--out", metavar="DIR", dest="out_dir",
                        help="output directory")
         p.add_argument("--threads", type=int, metavar="N",
-                       help="worker threads (outputs are thread-count invariant)")
+                       help="worker threads; default: the usable CPU count "
+                            "(outputs are thread-count invariant)")
         p.add_argument("--n-train", type=int, metavar="N", dest="n_train",
                        help="override the training sample size")
         p.add_argument("--n-inner-gt", type=int, metavar="N", dest="n_inner_gt",

@@ -145,6 +145,16 @@ def _quad_form(spec, P, w, c, block=kernels.BLOCK):
     return _cross_form(spec, P, w, c, P, w, c, block)
 
 
+def _offdiag_form(spec, P, w, c, block=kernels.BLOCK):
+    """``sum_{i != j} c_i c_j k~(P_i, P_j)``, the U-statistic's double sum.
+
+    :func:`_quad_form` minus the diagonal terms ``c_i^2 kappa~(P_i)^2``:
+    memory O(block x |P|), no |P| x |P| Gram.
+    """
+    return (_quad_form(spec, P, w, c, block)
+            - float(c**2 @ kernels.tilted_diag(spec, P, w)))
+
+
 def tilted_l2_norm(spec):
     """||kappa~||_{2, mu~} in closed form (Gaussian-tilted exponential family)."""
     if not isinstance(spec, GaussExpKernel):
@@ -190,10 +200,7 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
 
     # ||J~* r||^2 = E[r(Z) r(Z') k~(Z, Z')] over independent Z, Z'
     sub = probe[:n_jstar]
-    rs = resid[:n_jstar]
-    w_sub = sampler.weight(sub)
-    Ksub = kernels.tilted_gram(spec, sub, w_sub, sub, w_sub)
-    total = float(rs @ Ksub @ rs) - float(rs**2 @ np.diag(Ksub))
+    total = _offdiag_form(spec, sub, sampler.weight(sub), resid[:n_jstar])
     jstar_sq = max(total / (n_jstar * (n_jstar - 1)), 0.0)
 
     bound = math.sqrt(max(num_l2 - jstar_sq, 0.0) / n) / lam

@@ -276,11 +276,11 @@ def error_reports_to_csv(reports):
     return buf.getvalue()
 
 
-def trajectory_csv(est, gt, test_paths, block=2048):
+def trajectory_csv(est, gt, test_paths):
     """Per-path relative value gaps: rows `trajectory_id, t, (V_t - Vhat_t)/V0`."""
     X = kernels.as_paths(test_paths, est.kernel.d, est.kernel.T)
     truth = gt.v_series(X)
-    approx = value_series_many(est, X, block=block)
+    approx = value_series_many(est, X)
     rel = (truth - approx) / truth[0, 0]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

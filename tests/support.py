@@ -181,6 +181,16 @@ def gram_predict(est, X):
     return np.array([math.fsum(row) for row in terms]) / est.n_train
 
 
+def gram_offdiag_form(spec, P, w, c):
+    """``sum_{i != j} c_i c_j k~(P_i, P_j)`` through the full tilted Gram.
+
+    The mse check's original U-statistic sum: ``c @ K~ @ c`` minus the
+    diagonal of ``K~`` weighted by ``c**2``.
+    """
+    K = kernels.tilted_gram(spec, P, w, P, w)
+    return float(c @ K @ c) - float(c**2 @ np.diag(K))
+
+
 def training_set_with_duplicates(d, T, gamma, n=40, n_dup=15):
     """Tilted sample of n paths plus exact copies of its first n_dup."""
     f = lambda X: np.maximum(1.0 - np.exp(0.2 * X.sum(axis=(1, 2)) - 0.02 * d * T), 0.0)

@@ -12,11 +12,14 @@ deviations.
 
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kernelval
 from kernelval.cli import load_config, main, run_diagnostics, run_table2
 from kernelval.kernels import (FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, cond_expect, gram,
@@ -30,6 +33,7 @@ from support import (ATM_CALL_2STEP, linear_rate_problem, loglog_slope,
                      sqrt_rate_problem)
 
 CONFIG_PATH = str(Path(__file__).resolve().parent.parent / "configs" / "bs2.cfg")
+SRC = str(Path(kernelval.__file__).resolve().parent.parent)
 
 # Published benchmark: mean (std) relative errors in percent at t = 0, 1, 2.
 PUBLISHED_KERNEL = {
@@ -326,3 +330,62 @@ def test_criterion_9_thread_count_determinism(tmp_path):
     line = _report(9, "bit-identical outputs across thread counts", ok,
                    f"{len(outs['t1'])} files compared")
     assert ok, line
+
+
+def _python(code, *args, blas_threads):
+    """Run ``code`` in a fresh interpreter with OPENBLAS_NUM_THREADS set."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # criterion 9 varies the worker pool inside one process; this varies the
+    # BLAS thread count the process starts with
+    outs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"blas{threads}"
+        run = _python("import sys; from kernelval.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))",
+                      "table2", "--config", CONFIG_PATH, "--payoff", "european_put",
+                      "--n-train", "300", "--out", str(out), blas_threads=threads)
+        assert run.returncode == 0, run.stderr
+        outs[threads] = {name: (out / name).read_bytes()
+                         for name in sorted(os.listdir(out))}
+    assert "manifest.json" in outs[1]
+    assert sorted(outs[1]) == sorted(outs[2])
+    differ = [name for name in outs[1] if outs[1][name] != outs[2][name]]
+    assert differ == [], f"bytes differ between 1 and 2 BLAS threads: {differ}"
+
+
+OPENBLAS_THREADS = """
+import ctypes, os
+import kernelval
+for path in sorted({line.split()[-1] for line in open("/proc/self/maps")}):
+    if "openblas" not in os.path.basename(path).lower() or ".so" not in path:
+        continue
+    lib = ctypes.CDLL(path)
+    for sym in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                "scipy_openblas_get_num_threads",
+                "scipy_openblas_get_num_threads64_"):
+        fn = getattr(lib, sym, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            print(os.path.basename(path), fn())
+            break
+    else:
+        print(os.path.basename(path), "no thread-count symbol")
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/self/maps")
+def test_import_pins_every_openblas_to_one_thread():
+    run = _python(OPENBLAS_THREADS, blas_threads=2)
+    assert run.returncode == 0, run.stderr
+    libs = dict(line.rsplit(" ", 1) for line in run.stdout.splitlines())
+    if not libs:
+        pytest.skip("no OpenBLAS loaded (another BLAS library)")
+    assert libs == {name: "1" for name in libs}

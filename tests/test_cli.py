@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -115,7 +116,8 @@ def test_grid_search_equals_per_point_fits():
 
 
 def test_grid_search_builds_one_gram_per_pair(monkeypatch):
-    cfg = load_config(text=FAILING)
+    # one worker, so that the pairs are fitted, and recorded, in grid order
+    cfg = load_config(text=FAILING, overrides={"threads": 1})
     square = []
     gram = kernels.gram
 
@@ -247,6 +249,9 @@ def test_table2_outputs_and_manifest(tiny_cfg, tmp_path, capsys):
     assert man["command"] == "table2"
     assert man["master_seed"] == 77
     assert "threads" not in man["config"]
+    assert man["blas"]["threads"] in (1, "unpinned")
+    for lib in man["blas"]["openblas"]:
+        assert set(lib) == {"library", "version", "threads"}
     assert any(o.endswith("table2.csv") for o in man["outputs"])
     capsys.readouterr()
 
@@ -263,6 +268,29 @@ def test_reruns_are_bit_identical_and_thread_invariant(tiny_cfg, tmp_path,
     assert outs["a"] == outs["b"]
     assert outs["a"] == outs["c"]
     capsys.readouterr()
+
+
+def test_nested_maps_share_one_pool(tiny_cfg, monkeypatch):
+    # run_table2 maps payoffs over the pool and each grid_search maps its
+    # (alpha, beta) pairs: the inner maps must run inline in the pool's workers
+    alive = []
+    fit_path = krr.fit_path
+
+    def spy(*args, **kwargs):
+        alive.append(threading.active_count())
+        return fit_path(*args, **kwargs)
+
+    monkeypatch.setattr(krr, "fit_path", spy)
+    config = load_config(path=str(tiny_cfg),
+                         overrides={"payoffs": ("european_put", "asian_put"),
+                                    "threads": 2})
+    before = threading.active_count()
+    cli.run_table2(config)
+    assert alive and max(alive) <= before + 2
+
+
+def test_default_threads_is_the_usable_cpu_count():
+    assert load_config().threads == len(os.sched_getaffinity(0))
 
 
 def test_seed_override_changes_results(tiny_cfg, tmp_path, capsys):

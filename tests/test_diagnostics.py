@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelval.diagnostics import (_cross_form, _quad_form, clt_experiment,
-                                   concentration_check, feature_gram_exact,
+from kernelval.diagnostics import (_cross_form, _offdiag_form, _quad_form,
+                                   _tilde_payoff, _tilde_predict,
+                                   clt_experiment, concentration_check,
+                                   feature_gram_exact,
                                    feature_payoff_moments, mse_bound_check,
                                    normal_expectation_2step, population_fit,
                                    reference_estimator, robustness_check,
@@ -19,8 +21,8 @@ from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
 from kernelval.krr import fit
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, MixtureSampler,
-                                build_training_set)
-from support import peak_bytes
+                                build_training_set, draw_paths)
+from support import gram_offdiag_form, peak_bytes
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
@@ -77,10 +79,26 @@ def test_quadratic_forms_hold_one_block_not_the_gram():
     P, Q = rng.standard_normal((2, n, 1, 2))
     wp, wq = rng.uniform(0.5, 2.0, (2, n))
     c, v = rng.standard_normal((2, n))
-    # an n x n Gram with its exponent temporary is 2.9 blocks of BLOCK rows
+    # an n x n Gram with its exponent temporary (144 MB) is 23 blocks of BLOCK rows
     limit = 2 * BLOCK * n * 8
     assert peak_bytes(_quad_form, SPEC, P, wp, c) < limit
     assert peak_bytes(_cross_form, SPEC, P, wp, c, Q, wq, v) < limit
+    assert peak_bytes(_offdiag_form, SPEC, P, wp, c) < limit
+
+
+@pytest.mark.parametrize("block", [7, BLOCK])
+def test_offdiag_form_matches_the_gram_oracle(block):
+    # the mse check's J~* sum on its own residuals, where the diagonal is a
+    # large part of the quadratic form, and on random coefficients
+    f = payoff_function(CFG, "european_put")
+    ref = reference_estimator(SAMPLER, f, SPEC, 1e-5, n=100, n_ref=400)
+    P = draw_paths(SAMPLER, 700, stream=("msebound", "probe"))
+    w = SAMPLER.weight(P)
+    resid = _tilde_payoff(f, SAMPLER, P) - _tilde_predict(ref, SAMPLER, P)
+    c = np.random.default_rng(20).standard_normal(P.shape[0])
+    for coef in (resid, c):
+        ref_sum = gram_offdiag_form(SPEC, P, w, coef)
+        assert abs(_offdiag_form(SPEC, P, w, coef, block) - ref_sum) <= 1e-12 * abs(ref_sum)
 
 
 def test_normal_expectation_oracles():

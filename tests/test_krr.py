@@ -282,7 +282,7 @@ def test_predict_memory_is_one_block_not_the_gram():
                     paths=rng.standard_normal((n, 1, 2)),
                     eval_coef=rng.standard_normal(n))
     X = rng.standard_normal((N, 1, 2))
-    # the full N x n Gram (160 MB) is 9.8 blocks; one block is 16.4 MB
+    # the full N x n Gram (160 MB) is 78 blocks; one block is 2 MB
     assert peak_bytes(predict, est, X) < 2 * BLOCK * n * 8
 
 
