@@ -6,7 +6,8 @@ different bits at one and at two BLAS threads.  Importing :mod:`kernelval`
 therefore pins every OpenBLAS loaded into the process to one thread, once,
 through the library's own ``*_set_num_threads`` symbol.  NumPy and SciPy
 each load their own OpenBLAS; this module imports ``scipy.linalg`` before
-it looks, so both are found.  Parallel work goes through the worker pool of :mod:`kernelval.cli`.
+it looks, so both are found.  Parallel work goes through the worker pool
+of :mod:`kernelval.pool`.
 
 Where no OpenBLAS is found (MKL, Accelerate, or no ``/proc/self/maps``),
 nothing is pinned and :data:`SETUP` says ``"unpinned"``.

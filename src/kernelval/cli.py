@@ -20,13 +20,11 @@ import math
 import os
 import subprocess
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, blas, diagnostics, krr, valuation
+from . import __version__, blas, diagnostics, krr, pool, valuation
 from .errors import (CapabilityError, DataError, InputError, KernelvalError,
                      SolverError)
 from .kernels import FeatureMapKernel, GaussExpKernel, monomial_features
@@ -70,14 +68,6 @@ _DIAG_DEFAULTS = {
     "clt_n": 2000,
     "clt_repeats": 200,
 }
-
-
-def _usable_cores():
-    """CPUs this process may run on: the default worker count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _floats(text):
@@ -148,7 +138,7 @@ class ExperimentConfig:
     fit_lambda: float = 1e-5
     master_seed: int = 2024
     out_dir: str = "out"
-    threads: int = field(default_factory=_usable_cores)
+    threads: int = field(default_factory=pool.usable_cores)
     diag: dict = field(default_factory=lambda: dict(_DIAG_DEFAULTS))
 
     def __post_init__(self):
@@ -306,29 +296,6 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
-# marks the threads of the one live pool; see _pool_map
-_POOL_WORKER = threading.local()
-
-
-def _mark_pool_worker():
-    _POOL_WORKER.active = True
-
-
-def _pool_map(fn, items, threads):
-    """``[fn(it) for it in items]`` on up to ``threads`` worker threads.
-
-    Only the outermost map gets a pool.  A map called from inside a pool
-    worker (the per-pair map of ``grid_search`` under the per-payoff map of
-    ``run_table2``) runs inline, so the process never runs more than
-    ``threads`` workers.
-    """
-    if threads > 1 and len(items) > 1 and not getattr(_POOL_WORKER, "active", False):
-        with ThreadPoolExecutor(max_workers=threads,
-                                initializer=_mark_pool_worker) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def _training_set(config, payoff_id, stage):
     """The ``n_train`` sample of one payoff on the ``(stage, payoff, "train")`` stream.
 
@@ -378,7 +345,7 @@ def grid_search(config, payoff_id):
             rows.append(((a, b, l), err, None, est))
         return rows
 
-    scored = [row for rows in _pool_map(score, list(pairs.items()), config.threads)
+    scored = [row for rows in pool.pool_map(score, pairs.items(), config.threads)
               for row in rows]
     surface = tuple((*point, err) for point, err, _, _ in scored)
     failures = tuple((point, msg) for point, _, msg, _ in scored if msg is not None)
@@ -487,7 +454,7 @@ def run_table2(config, payoff_ids=None):
             "fits": fits,
         }
 
-    return dict(_pool_map(one, payoff_ids, config.threads))
+    return dict(pool.pool_map(one, payoff_ids, config.threads))
 
 
 def run_figures(config, payoff_ids=None):
@@ -524,7 +491,7 @@ def run_figures(config, payoff_ids=None):
             "lambda_interior": interior,
         }
 
-    out = dict(_pool_map(one, payoff_ids, config.threads))
+    out = dict(pool.pool_map(one, payoff_ids, config.threads))
     if set(payoff_ids) == set(PAYOFF_IDS):
         interior = sum(1 for doc in out.values() if doc["lambda_interior"])
         if interior < 4:
@@ -877,7 +844,8 @@ def main(argv=None):
         overrides["payoffs"] = (args.payoff,)
     try:
         config = load_config(path=args.config, overrides=overrides)
-        return _COMMANDS[args.command](config, args.config)
+        with pool.using(config.threads):
+            return _COMMANDS[args.command](config, args.config)
     except InputError as exc:
         print(f"kernelval: input error: {exc}", file=sys.stderr)
         return 1

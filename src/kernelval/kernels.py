@@ -82,8 +82,8 @@ EXP_GUARD = 700.0
 
 # Rows per block of a kernel-times-vector product: memory O(BLOCK x columns).
 # At n = 2000 columns a block's exponent is 4 MB and stays in cache, where a
-# single BLAS thread is fastest.  Any power of two from 128 to 2048 rows gives
-# the same bits.
+# single BLAS thread is fastest.  The block boundaries fix the bits: another
+# block size can move a row's last bit (128 against 256 rows does).
 BLOCK = 256
 
 _POLY_BETA_CAP = 4

@@ -1,0 +1,73 @@
+"""The one worker pool.  Items of a threaded map run with a count of 1, so
+the maps they call run inline: a process runs at most the threads its
+outermost caller chose (``--threads``, else the usable CPU count)."""
+
+import contextlib
+import os
+import threading
+
+__all__ = ["usable_cores", "workers", "using", "pool_map"]
+
+# per thread: the count `using` set for the maps started on that thread
+_STATE = threading.local()
+
+
+def usable_cores():
+    """CPUs this process may run on: the default worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def workers(threads=None):
+    """Threads for a map here: the :func:`using` count, ``threads``, or all CPUs."""
+    return getattr(_STATE, "threads", None) or threads or usable_cores()
+
+
+@contextlib.contextmanager
+def using(threads):
+    """Maps started on this thread inside the block use up to ``threads``."""
+    saved, _STATE.threads = getattr(_STATE, "threads", None), threads
+    try:
+        yield
+    finally:
+        _STATE.threads = saved
+
+
+def pool_map(fn, items, threads=None):
+    """``[fn(it) for it in items]`` on up to ``workers(threads)`` threads,
+    the caller among them, each taking the next item.  After a failure no
+    item starts; the lowest-index exception is raised once all have stopped.
+    """
+    items = list(items)
+    n = min(workers(threads), len(items))
+    if n < 2:
+        with using(workers(threads)):
+            return [fn(it) for it in items]
+    results, errors = [None] * len(items), {}
+    todo, lock = iter(range(len(items))), threading.Lock()
+
+    def run():
+        with using(1):
+            while not errors:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:  # re-raised below
+                    errors[i] = exc
+
+    helpers = [threading.Thread(target=run) for _ in range(n - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        run()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

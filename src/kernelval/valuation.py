@@ -4,9 +4,9 @@ A fitted estimator represents a payoff function ``f_X``; its value process is
 ``Vhat_t = E[f_X(X) | X_1..X_t]``.  Because the kernel factorizes over time
 steps, the conditional expectation of every kernel section is available in
 closed form, so ``Vhat_t`` needs no inner simulation at all.  ``Vhat_0`` is
-the same for every path and is computed once per call; each later time
-step costs one conditional-Gram-times-coefficients product per block of
-paths (see :func:`kernels.conditional_gram_dot`).
+the same for every path and is computed once per chunk of paths; each later
+time step costs one conditional-Gram-times-coefficients product per block
+of paths (see :func:`kernels.conditional_gram_dot`).
 
 Error metrics mirror the experiment layout: relative L2 payoff error on a
 fresh validation sample, per-time relative L1 value-process error against a
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, pool
 from .errors import DataError, InputError
 from .sampling import MeasureSpec, build_training_set, derive_rng, draw_paths
 
@@ -66,35 +66,39 @@ class ErrorReport:
             raise DataError("error report entries must be nonnegative")
 
 
-def _dual_series(est, X, block):
+def _dual_series(est, X, block, out):
     spec = est.kernel
-    out = np.empty((X.shape[0], spec.T + 1))
     G0 = kernels.conditional_gram(spec, np.zeros((1, spec.d, 0)), est.paths, 0)
     out[:, 0] = G0[0] @ est.eval_coef / est.n_train
     for t in range(1, spec.T + 1):
         out[:, t] = kernels.conditional_gram_dot(
             spec, X[:, :, :t], est.paths, t, est.eval_coef, block) / est.n_train
-    return out
 
 
-def _primal_series(est, X, block):
+def _primal_series(est, X, block, out):
     spec = est.kernel
-    n, out = X.shape[0], np.empty((X.shape[0], spec.T + 1))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        chunk = X[lo:hi]
+    for lo in range(0, X.shape[0], block):
+        chunk = X[lo:lo + block]
         for t in range(spec.T + 1):
             F = kernels.conditional_feature_matrix(spec, chunk[:, :, :t], t)
-            out[lo:hi, t] = F @ est.primal_coef
-    return out
+            out[lo:lo + block, t] = F @ est.primal_coef
 
 
 def value_series_many(est, X, block=kernels.BLOCK):
-    """Vhat_t for a batch of paths; returns shape (N, T+1)."""
+    """Vhat_t for a batch of paths; returns shape (N, T+1).
+
+    Each :mod:`kernelval.pool` worker fills one chunk of whole ``block``-row
+    blocks, so the bits do not depend on the worker count.
+    """
     X = kernels.as_paths(X, est.kernel.d, est.kernel.T)
-    if est.mode == "primal":
-        return _primal_series(est, X, block)
-    return _dual_series(est, X, block)
+    series = _primal_series if est.mode == "primal" else _dual_series
+    out = np.empty((len(X), est.kernel.T + 1))
+    n_blocks = -(-len(X) // block)
+    k = max(1, min(pool.workers(), n_blocks))
+    cuts = [i * n_blocks // k * block for i in range(k)] + [len(X)]
+    pool.pool_map(lambda s: series(est, X[s], block, out[s]),
+                  [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+    return out
 
 
 def value_at_zero(est, order="forward"):

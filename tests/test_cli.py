@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from kernelval import cli, kernels, krr
+from kernelval import cli, kernels, krr, pool, valuation
 from kernelval.cli import grid_search, load_config, main
 from kernelval.errors import InputError, SolverError
 from kernelval.market import payoff_function
@@ -85,6 +85,9 @@ def _run(*argv):
 
 # lambda = 0 is refused in the middle of two of the three ridge paths
 FAILING = TINY.replace("lambdas = 1e-5, 1e-3", "lambdas = 1e-3, 0, 1e-5")
+
+# test paths in four row blocks, so that value_series_many can split them
+FOUR_BLOCKS = TINY.replace("n_test = 40", f"n_test = {3 * kernels.BLOCK + 5}")
 
 
 def test_grid_search_equals_per_point_fits():
@@ -271,22 +274,68 @@ def test_reruns_are_bit_identical_and_thread_invariant(tiny_cfg, tmp_path,
 
 
 def test_nested_maps_share_one_pool(tiny_cfg, monkeypatch):
-    # run_table2 maps payoffs over the pool and each grid_search maps its
-    # (alpha, beta) pairs: the inner maps must run inline in the pool's workers
-    alive = []
-    fit_path = krr.fit_path
+    # run_table2 maps payoffs over the pool, each grid_search maps its
+    # (alpha, beta) pairs and value_series_many its row chunks: the inner
+    # maps must run inline in the pool's workers
+    alive, inner = [], []
+    fit_path, series = krr.fit_path, valuation.value_series_many
 
     def spy(*args, **kwargs):
         alive.append(threading.active_count())
         return fit_path(*args, **kwargs)
 
+    def series_spy(*args, **kwargs):
+        inner.append(pool.workers())
+        alive.append(threading.active_count())
+        return series(*args, **kwargs)
+
     monkeypatch.setattr(krr, "fit_path", spy)
+    monkeypatch.setattr(valuation, "value_series_many", series_spy)
+    # test sample of four row blocks, so an outermost map would split it
     config = load_config(path=str(tiny_cfg),
                          overrides={"payoffs": ("european_put", "asian_put"),
-                                    "threads": 2})
+                                    "threads": 2, "n_test": 3 * kernels.BLOCK + 5})
     before = threading.active_count()
     cli.run_table2(config)
+    assert inner and set(inner) == {1}
     assert alive and max(alive) <= before + 2
+
+
+def test_value_honours_threads(tiny_cfg, tmp_path, monkeypatch, capsys):
+    # split at --threads 2, inline at --threads 1
+    tiny_cfg.write_text(FOUR_BLOCKS)
+    out = tmp_path / "v"
+    assert _run("fit", "--config", str(tiny_cfg), "--out", str(out)) == 0
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: starts.append(1) or start(self))
+    assert _run("value", "--config", str(tiny_cfg), "--out", str(out),
+                "--threads", "1") == 0
+    assert starts == []
+    one = (out / "value_european_put.csv").read_bytes()
+    assert _run("value", "--config", str(tiny_cfg), "--out", str(out),
+                "--threads", "2") == 0
+    assert starts == [1]
+    assert (out / "value_european_put.csv").read_bytes() == one
+    capsys.readouterr()
+
+
+def test_split_value_process_is_thread_invariant(tiny_cfg, tmp_path, capsys):
+    # figures' trajectories evaluate the value process on the test paths;
+    # with more than two row blocks of them the pool splits the evaluation
+    tiny_cfg.write_text(FOUR_BLOCKS)
+    outs = {}
+    for threads in ("1", "2", "3"):
+        out = tmp_path / threads
+        assert _run("figures", "--config", str(tiny_cfg), "--out", str(out),
+                    "--threads", threads) == 0
+        outs[threads] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+        manifest = json.loads(outs[threads].pop("manifest.json"))
+        manifest.pop("git_commit")
+        outs[threads]["manifest.json"] = manifest
+    assert "fig3_european_put.csv" in outs["1"]
+    assert outs["1"] == outs["2"] == outs["3"]
+    capsys.readouterr()
 
 
 def test_default_threads_is_the_usable_cpu_count():

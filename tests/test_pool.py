@@ -1,0 +1,58 @@
+"""The worker pool: order, nesting, failures and thread lifetime."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from kernelval import pool
+
+
+def test_results_come_in_item_order_and_every_item_runs_once():
+    # more threads than cores and a short switch interval, so a lost update
+    # of the shared item counter would show as a missing or repeated item
+    calls, out = [], {}
+
+    def job():
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out["r"] = pool.pool_map(lambda i: calls.append(i) or i * i,
+                                     range(2000), 8)
+        finally:
+            sys.setswitchinterval(saved)
+
+    t = threading.Thread(target=job)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    assert out["r"] == [i * i for i in range(2000)]
+    assert sorted(calls) == list(range(2000))
+
+
+def test_maps_inside_items_run_inline_and_inherit_inline_counts():
+    seen = pool.pool_map(lambda _: pool.workers(4), range(3), 3)
+    assert seen == [1, 1, 1]
+    assert pool.pool_map(lambda _: pool.workers(), range(3), 1) == [1, 1, 1]
+    with pool.using(2):
+        assert pool.workers(5) == 2
+        assert pool.pool_map(lambda _: pool.workers(), [0]) == [2]
+    assert pool.workers() == pool.usable_cores()
+
+
+def test_lowest_index_failure_propagates_and_no_thread_survives():
+    def item(i):
+        if i == 1:
+            time.sleep(0.2)  # fails after item 3 has failed
+            raise ValueError("one")
+        if i == 3:
+            raise ValueError("three")
+        return i
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="one"):
+        pool.pool_map(item, range(6), 3)
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="three"):
+        pool.pool_map(item, [0, 3], 1)

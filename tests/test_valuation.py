@@ -3,11 +3,13 @@
 import csv
 import io
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kernelval import pool
 from kernelval.cli import load_config
 from kernelval.errors import DataError, InputError
 from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
@@ -85,6 +87,59 @@ def test_series_equals_conditional_gram_dot_block_by_block(spec):
             ref = conditional_gram_dot(spec, chunk[:, :, :t], est.paths, t,
                                        est.eval_coef) / est.n_train
             assert np.array_equal(series[lo:lo + BLOCK, t], ref), (lo, t)
+
+
+def _series_estimator(kind):
+    ts = training_set_with_duplicates(1, 2, 0.45)
+    if kind == "primal":
+        spec = FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2)
+        return fit(ts, spec, 1e-4, mode="primal")
+    if kind == "gauss-poly":
+        return fit(ts, GaussPolyKernel(alpha=0.5, beta=2, d=1, T=2, gamma=0.45), 1e-5)
+    return fit(ts, SPEC, 1e-5, mode=kind)
+
+
+@pytest.mark.parametrize("kind", ["dual-unsorted", "dual-sorted", "gauss-poly",
+                                  "primal"])
+@pytest.mark.parametrize("n", [3 * BLOCK + 5, BLOCK - 3])
+def test_series_is_bitwise_equal_at_any_worker_count(kind, n, monkeypatch):
+    # chunks start on block boundaries, so each block holds the same rows
+    est = _series_estimator(kind)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=16), n)
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: starts.append(1) or start(self))
+    series = {}
+    for workers in (1, 2, 3):
+        with pool.using(workers):
+            series[workers] = value_series_many(est, X)
+    assert np.array_equal(series[1], series[2])
+    assert np.array_equal(series[1], series[3])
+    # 1 + 2 helper threads for the four blocks; none for a single block
+    assert len(starts) == (3 if n > BLOCK else 0)
+
+
+def test_overflow_in_a_later_chunk_propagates_and_no_thread_survives():
+    # the e^838 entry of the exponent-plus-log-tail guard tests: a prefix
+    # x_1 = 80 against the training path (40, 88); at x_1 = 70 the kernel
+    # exponent alone is 810
+    spec = GaussExpKernel(alpha=0.5, beta=0.45, d=1, T=2)
+    Y = np.array([[[1.0, 92.0]], [[-3.0, 90.5]], [[40.0, 88.0]]])
+    est = Estimator(mode="dual-unsorted", kernel=spec, lam=0.0, n_train=3,
+                    paths=Y, eval_coef=np.ones(3))
+    X = np.zeros((3 * BLOCK + 5, 1, 2))
+    X[2 * BLOCK + 100, 0, 0] = 80.0  # second of two chunks: rows 512 on
+    before = threading.active_count()
+    with pool.using(2):
+        with pytest.raises(OverflowError, match="838"):
+            value_series_many(est, X)
+        assert threading.active_count() == before
+        # both chunks fail: the first chunk's exception is raised
+        X[100, 0, 0] = 70.0
+        with pytest.raises(OverflowError, match="810"):
+            value_series_many(est, X)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("mode", ["dual-unsorted", "dual-sorted"])
