@@ -442,7 +442,7 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
     f = payoff_function(cfg, payoff_id)
     h_pop, G, _ = population_fit(spec, f, lam)
     z = kernels.as_path(probe_z, spec.d, spec.T)
-    phi_z = kernels.feature_vector(spec, z)
+    phi_z = kernels.feature_matrix(spec, z[None])[0]
     wz = float(sampler.weight(z))
     f_pop_z = float(phi_z @ h_pop) / math.sqrt(wz)
 

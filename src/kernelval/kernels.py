@@ -8,7 +8,7 @@ the nominal measure.  Every kernel here factorizes over time steps as
 
 which makes the conditional expectation of ``k(X, y)`` given the first ``t``
 steps a finite product: revealed steps contribute the per-step kernel factor,
-unrevealed steps contribute a one-step Gaussian average (``u_factor``).  That
+unrevealed steps contribute a one-step Gaussian average.  That
 single identity is what turns a fitted kernel regressor into a closed-form
 value process.
 
@@ -60,18 +60,13 @@ __all__ = [
     "as_path",
     "as_paths",
     "gram",
-    "diag",
     "tilted_gram",
     "tilted_diag",
-    "u_factor",
-    "tail_factor",
     "cond_expect",
     "conditional_gram",
     "conditional_gram_dot",
     "gram_dot",
-    "feature_vector",
     "feature_matrix",
-    "cond_expect_features",
     "conditional_feature_matrix",
     "gauss_moment",
     "EXP_GUARD",
@@ -332,58 +327,101 @@ def gauss_poly_features(spec):
 
 
 # ---------------------------------------------------------------------------
-# plain evaluation
+# plain and conditional evaluation
 # ---------------------------------------------------------------------------
 
 
-def _slice_products(X, Y, steps):
-    """Inner products and squared norms over a step slice.
+def _gauss_exp_columns(a, Y, t):
+    """Column side of the fused exponent over the first ``t`` steps.
 
-    X: (N, d, T'), Y: (M, d, T'') with the slice applied by the caller.
-    Returns (P, nx, ny) with P[i, j] = <X_i, Y_j> over the slice.
+    The exponent ``c<x, y> - a|x|^2 - a|y|^2`` is one matrix product of
+    :func:`_gauss_exp_block`'s row side with these columns, the two norm
+    terms riding along as two extra columns.
     """
-    if steps == 0:
-        n, m = X.shape[0], Y.shape[0]
-        return np.zeros((n, m)), np.zeros(n), np.zeros(m)
-    Xs = X[:, :, :steps].reshape(X.shape[0], -1)
-    Ys = Y[:, :, :steps].reshape(Y.shape[0], -1)
-    P = Xs @ Ys.T
-    return P, np.einsum("ij,ij->i", Xs, Xs), np.einsum("ij,ij->i", Ys, Ys)
+    Ys = Y[:, :, :t].reshape(Y.shape[0], -1)
+    ny = np.einsum("ij,ij->i", Ys, Ys)
+    return np.column_stack([Ys, np.ones_like(ny), -a * ny])
+
+
+def _gauss_exp_block(a, c, pre, cols, t, log_tail=None):
+    """``exp(c<x, y> - a|x|^2 - a|y|^2)`` for a block of prefixes, (N, M).
+
+    ``c`` is ``2a + b`` for the Gaussian-exponentiated kernel and ``2a`` for
+    the Gaussian-polynomial kernel's Gaussian factor.  An entry later
+    multiplied by ``exp(log_tail_j)`` has the guard cover that sum too: the
+    block's largest exponent plus the largest log tail bounds every column's
+    sum, and the exact per-column maximum is taken only when it passes.
+    """
+    Xs = pre[:, :, :t].reshape(pre.shape[0], -1)
+    nx = np.einsum("ij,ij->i", Xs, Xs)
+    e = np.column_stack([c * Xs, -a * nx, np.ones_like(nx)]) @ cols.T
+    m = np.max(e) if e.size else 0.0
+    _check_exponent(m)
+    if log_tail is not None and e.size and m + np.max(log_tail) > EXP_GUARD:
+        _check_exponent(np.max(np.max(e, axis=0) + log_tail))
+    return np.exp(e, out=e)
+
+
+def _gauss_poly_factor(spec, pre, Y, t):
+    """Gaussian factor ``exp(-alpha |x - y|^2)`` of a GaussPolyKernel over ``t`` steps."""
+    a = spec.alpha
+    return _gauss_exp_block(a, 2.0 * a, pre, _gauss_exp_columns(a, Y, t), t)
+
+
+def _log_tail(spec, Y, t):
+    """``log prod_{s > t} U(Y_s)`` per path for a GaussExpKernel; 0 at ``t = T``."""
+    n2 = np.einsum("mcs,mcs->m", Y[:, :, t:], Y[:, :, t:])
+    e = spec.u_coefficient() * n2
+    e += -0.5 * spec.d * (spec.T - t) * math.log1p(2.0 * spec.alpha)
+    return e
 
 
 def gram(spec, X, Y=None):
-    """Kernel matrix ``k(X_i, Y_j)`` for path batches; ``Y=None`` means ``Y=X``."""
+    """Kernel matrix ``k(X_i, Y_j)`` for path batches; ``Y=None`` means ``Y=X``.
+
+    With every step revealed this is the conditional Gram at ``t = T``.  A
+    GaussPolyKernel multiplies its Gaussian factor by ``(1 + x.y)^beta``
+    directly, so it is not limited to its feature enumeration.
+    """
     X = as_paths(X, spec.d, spec.T)
     Y = X if Y is None else as_paths(Y, spec.d, spec.T)
-    P, nx, ny = _slice_products(X, Y, spec.T)
-    if isinstance(spec, GaussExpKernel):
-        e = (2.0 * spec.alpha + spec.beta) * P
-        e -= spec.alpha * nx[:, None]
-        e -= spec.alpha * ny[None, :]
-        return _guarded_exp(e, out=e)
     if isinstance(spec, GaussPolyKernel):
-        e = 2.0 * spec.alpha * P
-        e -= spec.alpha * nx[:, None]
-        e -= spec.alpha * ny[None, :]
-        return _guarded_exp(e, out=e) * (1.0 + P) ** spec.beta
-    if isinstance(spec, FeatureMapKernel):
-        return feature_matrix(spec, X) @ feature_matrix(spec, Y).T
-    raise InputError(f"unknown kernel spec {type(spec).__name__}")
+        P = X.reshape(X.shape[0], -1) @ Y.reshape(Y.shape[0], -1).T
+        return _gauss_poly_factor(spec, X, Y, spec.T) * (1.0 + P) ** spec.beta
+    return _conditional_gram(spec, X, Y, spec.T)
 
 
-def diag(spec, x):
-    """``k(x, x)`` via the diagonal shortcut (no distance computation)."""
-    x = as_path(x, spec.d, spec.T)
-    n2 = float(np.sum(x * x))
+def _conditional_gram(spec, pre, Y, t):
+    """:func:`conditional_gram` on validated ``(prefixes, Y)`` arrays."""
     if isinstance(spec, GaussExpKernel):
-        e = spec.beta * n2
-        _check_exponent(e)
-        return math.exp(e)
-    if isinstance(spec, GaussPolyKernel):
-        return (1.0 + n2) ** spec.beta
+        a = spec.alpha
+        log_tail = _log_tail(spec, Y, t)
+        K = _gauss_exp_block(a, 2.0 * a + spec.beta, pre,
+                             _gauss_exp_columns(a, Y, t), t, log_tail)
+        K *= _guarded_exp(log_tail)[None, :]
+        return K
+
     if isinstance(spec, FeatureMapKernel):
-        v = feature_vector(spec, x)
-        return float(v @ v)
+        return _feature_products(spec, pre, t) @ _feature_products(spec, Y, spec.T).T
+
+    if isinstance(spec, GaussPolyKernel):
+        feats = gauss_poly_features(spec)
+        # Gaussian factor over revealed steps factors out of the feature sum.
+        n, m = pre.shape[0], Y.shape[0]
+        A = np.ones((n, len(feats)))
+        B = np.ones((m, len(feats)))
+        for i, f in enumerate(feats):
+            av = np.ones(n)
+            bv = np.ones(m)
+            for s in range(t):
+                av *= f.step_values(s, pre[:, :, s])
+                bv *= f.step_values(s, Y[:, :, s])
+            for s in range(t, spec.T):
+                bv *= _gauss_poly_u(spec, f, s, Y[:, :, s])
+            A[:, i] = av
+            B[:, i] = bv
+        return _gauss_poly_factor(spec, pre, Y, t) * (A @ B.T)
+
     raise InputError(f"unknown kernel spec {type(spec).__name__}")
 
 
@@ -408,15 +446,16 @@ def tilted_gram(spec, X, wx, Y=None, wy=None):
 def tilted_diag(spec, X, w):
     """Squared tilted diagonal ``kappa~(x)^2 = k(x, x) / w(x)``, shape (N,)."""
     X = as_paths(X, spec.d, spec.T)
-    if isinstance(spec, GaussExpKernel):
-        e = spec.beta * np.einsum("ncs,ncs->n", X, X)
-        dg = _guarded_exp(e, out=e)
-    elif isinstance(spec, FeatureMapKernel):
+    if isinstance(spec, FeatureMapKernel):
         phi = feature_matrix(spec, X)
-        dg = np.einsum("nm,nm->n", phi, phi)
-    else:
-        dg = np.array([diag(spec, x) for x in X])
-    return dg / w
+        return np.einsum("nm,nm->n", phi, phi) / w
+    n2 = np.einsum("ncs,ncs->n", X, X)
+    if isinstance(spec, GaussExpKernel):
+        e = spec.beta * n2
+        return _guarded_exp(e, out=e) / w
+    if isinstance(spec, GaussPolyKernel):
+        return (1.0 + n2) ** spec.beta / w
+    raise InputError(f"unknown kernel spec {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,35 +481,8 @@ def _expected_monomial_shifted(powers, shift, scale):
     return out
 
 
-def u_factor(spec, i, t, y):
-    """One-step expectation factor ``U_{i,t}(y) = E[k_{i,t}(X_t, y)]``.
-
-    ``y`` is a step value of shape ``(d,)`` (or scalar when d == 1).  For the
-    Gaussian-exponentiated kernel there is a single summand and ``i`` is
-    ignored.  For expansion-based kernels the feature's scalar coefficient is
-    attached to the step ``t == 0`` factor.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (spec.d,):
-        raise InputError(f"expected step value of shape ({spec.d},), got {y.shape}")
-    if not 0 <= t < spec.T:
-        raise InputError(f"step index t must lie in [0, {spec.T}), got {t}")
-    n2 = float(y @ y)
-    if isinstance(spec, GaussExpKernel):
-        e = spec.u_coefficient() * n2
-        _check_exponent(e)
-        return (1.0 + 2.0 * spec.alpha) ** (-0.5 * spec.d) * math.exp(e)
-    if isinstance(spec, GaussPolyKernel):
-        feats = gauss_poly_features(spec)
-        return _gauss_poly_u(spec, feats[i], t, y[None])[0]
-    if isinstance(spec, FeatureMapKernel):
-        f = spec.features[i]
-        return float(f.step_mean(t) * f.step_values(t, y[None])[0])
-    raise InputError(f"unknown kernel spec {type(spec).__name__}")
-
-
 def _gauss_poly_u(spec, feat, t, Y):
-    """Vectorized U_{i,t} for a GaussPolyKernel feature; Y has shape (M, d)."""
+    """``U_{i,t}(y) = E[k_{i,t}(X_t, y)]`` for a GaussPolyKernel feature; Y is (M, d)."""
     a = spec.alpha
     n2 = np.einsum("mc,mc->m", Y, Y)
     damp = np.exp(-(a / (1.0 + 2.0 * a)) * n2)
@@ -484,26 +496,6 @@ def _gauss_poly_u(spec, feat, t, Y):
     return vals
 
 
-def tail_factor(spec, Y, t):
-    """``prod_{s > t} U(Y_s)`` per path for the Gaussian-exponentiated kernel.
-
-    Y: (M, d, T); returns (M,).  Only defined for the single-summand family;
-    expansion-based kernels go through :func:`conditional_gram`.
-    """
-    if not isinstance(spec, GaussExpKernel):
-        raise InputError("tail_factor applies to GaussExpKernel only")
-    e = _log_tail(spec, as_paths(Y, spec.d, spec.T), t)
-    return _guarded_exp(e, out=e)
-
-
-def _log_tail(spec, Y, t):
-    """``log tail_factor``: zero at ``t = T``, where no step is left."""
-    n2 = np.einsum("mcs,mcs->m", Y[:, :, t:], Y[:, :, t:])
-    e = spec.u_coefficient() * n2
-    e += -0.5 * spec.d * (spec.T - t) * math.log1p(2.0 * spec.alpha)
-    return e
-
-
 def cond_expect(spec, prefix, y, t):
     """``E[k(X, y) | X_1..X_t = prefix]`` as a scalar.
 
@@ -514,7 +506,7 @@ def cond_expect(spec, prefix, y, t):
     if not 0 <= t <= spec.T:
         raise InputError(f"t must lie in [0, {spec.T}], got {t}")
     pre = np.asarray(prefix, dtype=float).reshape(spec.d, t) if t else np.zeros((spec.d, 0))
-    return float(conditional_gram(spec, pre[None], y[None], t)[0, 0])
+    return float(_conditional_gram(spec, pre[None], y[None], t)[0, 0])
 
 
 def _cond_inputs(spec, prefixes, Y, t):
@@ -532,38 +524,6 @@ def _cond_inputs(spec, prefixes, Y, t):
     return pre, Y
 
 
-def _gauss_exp_columns(spec, Y, t):
-    """Column side of the fused exponent: augmented columns and the log tail.
-
-    The exponent ``(2a+b)<x, y> - a|x|^2 - a|y|^2`` over the first ``t``
-    steps is one matrix product of :func:`_gauss_exp_block`'s row side with
-    these columns, the two norm terms riding along as two extra columns.
-    """
-    Ys = Y[:, :, :t].reshape(Y.shape[0], -1)
-    ny = np.einsum("ij,ij->i", Ys, Ys)
-    return (np.column_stack([Ys, np.ones_like(ny), -spec.alpha * ny]),
-            _log_tail(spec, Y, t))
-
-
-def _gauss_exp_block(spec, pre, cols, log_tail, t):
-    """``exp`` of the kernel exponent for a block of prefixes, (N, M).
-
-    Entry ``(i, j)`` of the conditional Gram is ``exp(e_ij + log tail_j)``,
-    so the guard covers that sum as well as each part.  The block's largest
-    exponent plus the largest log tail bounds every column's sum; the exact
-    per-column maximum is taken only when that bound passes the guard.
-    """
-    a, c = spec.alpha, 2.0 * spec.alpha + spec.beta
-    Xs = pre[:, :, :t].reshape(pre.shape[0], -1)
-    nx = np.einsum("ij,ij->i", Xs, Xs)
-    e = np.column_stack([c * Xs, -a * nx, np.ones_like(nx)]) @ cols.T
-    m = np.max(e) if e.size else 0.0
-    _check_exponent(m)
-    if e.size and m + np.max(log_tail) > EXP_GUARD:
-        _check_exponent(np.max(np.max(e, axis=0) + log_tail))
-    return np.exp(e, out=e)
-
-
 def conditional_gram(spec, prefixes, Y, t):
     """Matrix of conditional expectations ``E[k(X, Y_j) | first t steps = prefix_i]``.
 
@@ -574,42 +534,7 @@ def conditional_gram(spec, prefixes, Y, t):
     a coefficient vector, which :func:`conditional_gram_dot` computes.
     """
     pre, Y = _cond_inputs(spec, prefixes, Y, t)
-
-    if isinstance(spec, GaussExpKernel):
-        cols, log_tail = _gauss_exp_columns(spec, Y, t)
-        tail = _guarded_exp(log_tail)
-        K = _gauss_exp_block(spec, pre, cols, log_tail, t)
-        K *= tail[None, :]
-        return K
-
-    if isinstance(spec, FeatureMapKernel):
-        cf = conditional_feature_matrix(spec, pre, t)
-        return cf @ feature_matrix(spec, Y).T
-
-    if isinstance(spec, GaussPolyKernel):
-        feats = gauss_poly_features(spec)
-        # Gaussian factor over revealed steps factors out of the feature sum.
-        P, nx, ny = _slice_products(pre, Y, t)
-        e = 2.0 * spec.alpha * P
-        e -= spec.alpha * nx[:, None]
-        e -= spec.alpha * ny[None, :]
-        base = _guarded_exp(e, out=e)
-        n, m = pre.shape[0], Y.shape[0]
-        A = np.ones((n, len(feats)))
-        B = np.ones((m, len(feats)))
-        for i, f in enumerate(feats):
-            av = np.ones(n)
-            bv = np.ones(m)
-            for s in range(t):
-                av *= f.step_values(s, pre[:, :, s])
-                bv *= f.step_values(s, Y[:, :, s])
-            for s in range(t, spec.T):
-                bv *= _gauss_poly_u(spec, f, s, Y[:, :, s])
-            A[:, i] = av
-            B[:, i] = bv
-        return base * (A @ B.T)
-
-    raise InputError(f"unknown kernel spec {type(spec).__name__}")
+    return _conditional_gram(spec, pre, Y, t)
 
 
 def _by_row_blocks(fn, X, block):
@@ -630,30 +555,30 @@ def conditional_gram_dot(spec, prefixes, Y, t, coef, block=BLOCK):
     coefficient vector, and each block costs one matrix product, the
     guard's max, one ``exp`` and one matrix-vector product.  The overflow
     guards are the same as :func:`conditional_gram`'s.  Other kernel
-    families multiply each block of :func:`conditional_gram` by ``coef``.
+    families multiply each block of the conditional Gram by ``coef``.
     """
     pre, Y = _cond_inputs(spec, prefixes, Y, t)
     if isinstance(spec, GaussExpKernel):
-        cols, log_tail = _gauss_exp_columns(spec, Y, t)
+        a, c = spec.alpha, 2.0 * spec.alpha + spec.beta
+        cols, log_tail = _gauss_exp_columns(a, Y, t), _log_tail(spec, Y, t)
         w = _guarded_exp(log_tail) * coef
         return _by_row_blocks(
-            lambda rows: _gauss_exp_block(spec, rows, cols, log_tail, t) @ w,
+            lambda rows: _gauss_exp_block(a, c, rows, cols, t, log_tail) @ w,
             pre, block)
     return _by_row_blocks(
-        lambda rows: conditional_gram(spec, rows, Y, t) @ coef, pre, block)
+        lambda rows: _conditional_gram(spec, rows, Y, t) @ coef, pre, block)
 
 
 def gram_dot(spec, X, Y, coef, block=BLOCK):
     """``gram(spec, X, Y) @ coef`` as an (N,) vector, in blocks of ``block`` rows.
 
-    Memory is O(block x M): no (N, M) Gram is built.  For the
-    Gaussian-exponentiated kernel this is :func:`conditional_gram_dot` at
-    ``t = T``, where the tail factor is exactly 1.  Other families multiply
-    each block of :func:`gram` by ``coef`` (:func:`conditional_gram` would
-    limit a GaussPolyKernel to its feature enumeration).
+    Memory is O(block x M): no (N, M) Gram is built.  This is
+    :func:`conditional_gram_dot` at ``t = T``, except for a GaussPolyKernel,
+    which multiplies each block of :func:`gram` by ``coef`` so that it is
+    not limited to its feature enumeration.
     """
     X = as_paths(X, spec.d, spec.T)
-    if isinstance(spec, GaussExpKernel):
+    if not isinstance(spec, GaussPolyKernel):
         return conditional_gram_dot(spec, X, Y, spec.T, coef, block)
     Y = as_paths(Y, spec.d, spec.T)
     return _by_row_blocks(lambda rows: gram(spec, rows, Y) @ coef, X, block)
@@ -664,45 +589,12 @@ def gram_dot(spec, X, Y, coef, block=BLOCK):
 # ---------------------------------------------------------------------------
 
 
-def feature_vector(spec, x):
-    """``phi(x)`` for a FeatureMapKernel (shape (m,))."""
-    return feature_matrix(spec, as_path(x, spec.d, spec.T)[None])[0]
+def _feature_products(spec, pre, t):
+    """``E[phi(X) | first t steps = pre_i]``, (N, m).
 
-
-def feature_matrix(spec, X):
-    """Design matrix ``phi_j(X_i)`` of shape (N, m)."""
-    if not isinstance(spec, FeatureMapKernel):
-        raise InputError("feature_matrix requires a FeatureMapKernel")
-    X = as_paths(X, spec.d, spec.T)
-    n = X.shape[0]
-    out = np.empty((n, len(spec.features)))
-    for i, f in enumerate(spec.features):
-        v = np.ones(n)
-        for s in range(spec.T):
-            v = v * f.step_values(s, X[:, :, s])
-        out[:, i] = v
-    return out
-
-
-def cond_expect_features(spec, prefix, t):
-    """``E[phi(X) | first t steps = prefix]`` (shape (m,)).
-
-    Revealed steps contribute their realized factors, future steps their
-    Gaussian means; ``t = 0`` returns the vector of feature means.
+    Revealed steps contribute their realized factors, the others their
+    Gaussian means.
     """
-    pre = np.asarray(prefix, dtype=float).reshape(spec.d, t) if t else np.zeros((spec.d, 0))
-    return conditional_feature_matrix(spec, pre[None], t)[0]
-
-
-def conditional_feature_matrix(spec, prefixes, t):
-    """Batched :func:`cond_expect_features`; prefixes (N, d, >= t) -> (N, m)."""
-    if not isinstance(spec, FeatureMapKernel):
-        raise InputError("conditional_feature_matrix requires a FeatureMapKernel")
-    if not 0 <= t <= spec.T:
-        raise InputError(f"t must lie in [0, {spec.T}], got {t}")
-    pre = np.asarray(prefixes, dtype=float)
-    if pre.ndim == 2:
-        pre = pre[None]
     n = pre.shape[0]
     out = np.empty((n, len(spec.features)))
     for i, f in enumerate(spec.features):
@@ -713,3 +605,25 @@ def conditional_feature_matrix(spec, prefixes, t):
             v = v * f.step_mean(s)
         out[:, i] = v
     return out
+
+
+def feature_matrix(spec, X):
+    """Design matrix ``phi_j(X_i)`` of shape (N, m): every step revealed."""
+    if not isinstance(spec, FeatureMapKernel):
+        raise InputError("feature_matrix requires a FeatureMapKernel")
+    return _feature_products(spec, as_paths(X, spec.d, spec.T), spec.T)
+
+
+def conditional_feature_matrix(spec, prefixes, t):
+    """``E[phi(X) | first t steps = prefix_i]``; prefixes (N, d, >= t) -> (N, m).
+
+    ``t = 0`` gives the vector of feature means in every row.
+    """
+    if not isinstance(spec, FeatureMapKernel):
+        raise InputError("conditional_feature_matrix requires a FeatureMapKernel")
+    if not 0 <= t <= spec.T:
+        raise InputError(f"t must lie in [0, {spec.T}], got {t}")
+    pre = np.asarray(prefixes, dtype=float)
+    if pre.ndim == 2:
+        pre = pre[None]
+    return _feature_products(spec, pre, t)

@@ -97,6 +97,19 @@ def _check_fit_inputs(ts, spec, lambdas):
         raise InputError("sampling weights must be positive and finite")
 
 
+def _extreme_eigenvalues(M):
+    """Smallest and largest eigenvalue of a symmetric matrix (lower triangle read).
+
+    One tridiagonal reduction (LAPACK ``dsytrd``), then bisection for the two
+    ends of the spectrum only.
+    """
+    n = M.shape[0]
+    lwork = int(sla.lapack.dsytrd_lwork(n, lower=1)[0])
+    _, d, e, _, _ = sla.lapack.dsytrd(M, lower=1, lwork=lwork)
+    return [sla.eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0]
+            for i in (0, n - 1)]
+
+
 def _solve_spd(M, rhs, lam, what):
     """Cholesky solve of an SPD system; loud failure, no jitter.
 
@@ -108,9 +121,8 @@ def _solve_spd(M, rhs, lam, what):
     try:
         c, low = sla.cho_factor(M, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        ev = sla.eigvalsh(M, subset_by_index=[0, M.shape[0] - 1]) if M.shape[0] > 1 \
-            else np.array([M[0, 0], M[0, 0]])
-        cond = abs(ev[1] / ev[0]) if ev[0] != 0 else math.inf
+        lo, hi = _extreme_eigenvalues(M)
+        cond = abs(hi / lo) if lo != 0 else math.inf
         raise SolverError(
             f"{what}: Cholesky factorization failed (matrix not positive definite; "
             f"estimated condition number {cond:.3e})",

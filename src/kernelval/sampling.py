@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import CapabilityError, DataError, InputError
+from .errors import DataError, InputError
 from .kernels import FeatureMapKernel, as_paths, gauss_moment
 
 __all__ = [
@@ -50,9 +50,6 @@ __all__ = [
     "training_set_to_csv",
     "content_hash",
 ]
-
-_TABLE_POINTS = 4096
-_TABLE_HALF_WIDTH = 10.0  # in units of the step standard deviation
 
 
 def derive_seed(master_seed, *tags):
@@ -140,17 +137,17 @@ class MixtureSampler:
     squared per-step norms, each component being a product of per-step
     densities ``phi_{i,t}(x)^2`` times the standard normal density.
 
-    Monomial steps are sampled exactly (``x^2`` is Gamma-distributed with a
-    random sign); other steps fall back to inverse-CDF sampling on a
-    4096-point table over ``[-10, 10]`` standard deviations (d == 1 only).
+    Every feature is a :class:`~kernelval.kernels.MonomialFeature`, so each
+    step is sampled exactly: a zero power is standard normal, and for power
+    ``k`` the square ``x^2`` is Gamma(k + 1/2, 2)-distributed with a random
+    sign.
     """
 
-    def __init__(self, spec, seed=0, force_tabulated=False):
+    def __init__(self, spec, seed=0):
         if not isinstance(spec, FeatureMapKernel):
             raise InputError("mixture sampling is defined for feature-map kernels")
         self.spec = spec
         self.seed = seed
-        self.force_tabulated = force_tabulated
         norms = []
         for f in spec.features:
             prod = 1.0
@@ -188,32 +185,15 @@ class MixtureSampler:
             for t in range(self.T):
                 for c in range(self.d):
                     k = f.powers[t][c]
-                    if k == 0 and not self.force_tabulated:
+                    if k == 0:
                         block[:, c, t] = rng.standard_normal(m)
-                    elif not self.force_tabulated:
+                    else:
                         # density prop. to x^(2k) exp(-x^2/2): x^2 ~ Gamma(k+1/2, 2)
                         r = rng.gamma(shape=k + 0.5, scale=2.0, size=m)
                         sign = rng.choice([-1.0, 1.0], size=m)
                         block[:, c, t] = sign * np.sqrt(r)
-                    else:
-                        if self.d != 1:
-                            raise CapabilityError(
-                                "tabulated mixture sampling supports d == 1 only"
-                            )
-                        block[:, c, t] = self._draw_tabulated(k, m, rng)
             out[mask] = block
         return out
-
-    @staticmethod
-    def _draw_tabulated(k, m, rng):
-        grid = np.linspace(-_TABLE_HALF_WIDTH, _TABLE_HALF_WIDTH, _TABLE_POINTS)
-        dens = grid ** (2 * k) * np.exp(-0.5 * grid**2)
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
-        if cdf[-1] <= 0:
-            raise CapabilityError("step density integrates to zero on the table grid")
-        cdf /= cdf[-1]
-        u = rng.random(m)
-        return np.interp(u, cdf, grid)
 
     def weight(self, paths):
         X = as_paths(paths, self.d, self.T)

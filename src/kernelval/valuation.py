@@ -101,23 +101,16 @@ def value_series_many(est, X, block=kernels.BLOCK):
     return out
 
 
-def value_at_zero(est, order="forward"):
-    """Time-0 value as an explicit weighted sum; reduction order selectable.
-
-    The two orders must agree to reduction-roundoff levels; exposing both
-    turns silent accumulation bugs into a checkable identity.
-    """
-    if order not in ("forward", "reverse"):
-        raise InputError(f"unknown reduction order {order!r}")
+def value_at_zero(est):
+    """Time-0 value as an explicit weighted sum, added in index order."""
     spec = est.kernel
+    empty = np.zeros((1, spec.d, 0))
     if est.mode == "primal":
-        means = kernels.cond_expect_features(spec, np.zeros((spec.d, 0)), 0)
+        means = kernels.conditional_feature_matrix(spec, empty, 0)[0]
         terms = means * est.primal_coef
     else:
-        G = kernels.conditional_gram(spec, np.zeros((1, spec.d, 0)), est.paths, 0)
+        G = kernels.conditional_gram(spec, empty, est.paths, 0)
         terms = G[0] * est.eval_coef / est.n_train
-    if order == "reverse":
-        terms = terms[::-1]
     return float(np.add.reduce(terms))
 
 

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from kernelval import kernels
-from kernelval.kernels import EXP_GUARD, FeatureMapKernel, GaussExpKernel, MonomialFeature
+from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
+                               GaussPolyKernel, MonomialFeature)
 from kernelval.sampling import MeasureSpec, TrainingSet, build_training_set
 
 
@@ -130,29 +131,60 @@ def closed_form_tilted_gram(spec, gamma, X, Y):
     return (1.0 - 2.0 * gamma) ** (-0.5 * Xf.shape[1]) * np.exp(e)
 
 
-def unfused_conditional_gram(spec, prefixes, Y, t):
-    """Conditional Gram with the Gaussian-exponentiated exponent built term by term.
+def term_by_term_exponent(X, Y, a, c, t):
+    """``c <x, y> - a|x|^2 - a|y|^2`` over the first ``t`` steps, term by term.
 
-    ``(2a+b) P - a|x|^2 - a|y|^2`` with the norms subtracted by broadcasting,
-    the guard on the block's largest exponent and on each entry's exponent
-    plus log tail, then the tail factor per column: the arithmetic of the
-    unfused evaluator.  Other kernel families go to
-    :func:`kernels.conditional_gram`.
+    The inner products first, then each norm subtracted by broadcasting; the
+    guard raises on the largest entry.
     """
-    if not isinstance(spec, GaussExpKernel):
-        return kernels.conditional_gram(spec, prefixes, Y, t)
-    a, b = spec.alpha, spec.beta
-    Xs = prefixes[:, :, :t].reshape(prefixes.shape[0], -1)
+    Xs = X[:, :, :t].reshape(X.shape[0], -1)
     Ys = Y[:, :, :t].reshape(Y.shape[0], -1)
-    e = (2.0 * a + b) * (Xs @ Ys.T)
+    e = c * (Xs @ Ys.T)
     e -= a * np.einsum("ij,ij->i", Xs, Xs)[:, None]
     e -= a * np.einsum("ij,ij->i", Ys, Ys)[None, :]
     if e.size and e.max() > EXP_GUARD:
         raise OverflowError(f"kernel exponent {e.max():.3g} exceeds {EXP_GUARD:g}")
-    tail = kernels.tail_factor(spec, Y, t)
-    if e.size and (e + np.log(tail)[None, :]).max() > EXP_GUARD:
+    return e
+
+
+def term_by_term_gram(spec, X, Y):
+    """Gram of a Gaussian-exponentiated or Gaussian-polynomial kernel, term by term."""
+    a = spec.alpha
+    if isinstance(spec, GaussExpKernel):
+        return np.exp(term_by_term_exponent(X, Y, a, 2.0 * a + spec.beta, spec.T))
+    assert isinstance(spec, GaussPolyKernel)
+    P = X.reshape(X.shape[0], -1) @ Y.reshape(Y.shape[0], -1).T
+    return np.exp(term_by_term_exponent(X, Y, a, 2.0 * a, spec.T)) * (1.0 + P) ** spec.beta
+
+
+def log_tail(spec, Y, t):
+    """``log prod_{s >= t} U(Y_s)`` for the Gaussian-exponentiated kernel, closed form.
+
+    ``U(y) = E[exp(-a|Z - y|^2 + b Z.y)] = (1+2a)^(-d/2) exp(u |y|^2)`` with
+    ``u = (b^2 + 4ab - 2a) / (4a + 2)``.
+    """
+    a, b = spec.alpha, spec.beta
+    u = (b * b + 4.0 * a * b - 2.0 * a) / (4.0 * a + 2.0)
+    n2 = (Y[:, :, t:] ** 2).sum(axis=(1, 2))
+    return u * n2 - 0.5 * spec.d * (spec.T - t) * math.log(1.0 + 2.0 * a)
+
+
+def unfused_conditional_gram(spec, prefixes, Y, t):
+    """Conditional Gram with the Gaussian-exponentiated exponent built term by term.
+
+    :func:`term_by_term_exponent` plus the closed-form :func:`log_tail` per
+    column, the guard on the block's largest exponent and on each entry's
+    exponent plus log tail: the arithmetic of the unfused evaluator.  Other
+    kernel families go to :func:`kernels.conditional_gram`.
+    """
+    if not isinstance(spec, GaussExpKernel):
+        return kernels.conditional_gram(spec, prefixes, Y, t)
+    a = spec.alpha
+    e = term_by_term_exponent(prefixes, Y, a, 2.0 * a + spec.beta, t)
+    e += log_tail(spec, Y, t)[None, :]
+    if e.size and e.max() > EXP_GUARD:
         raise OverflowError("kernel exponent plus log tail exceeds the guard")
-    return np.exp(e) * tail[None, :]
+    return np.exp(e)
 
 
 def unfused_value_series(est, X):
@@ -171,13 +203,14 @@ def unfused_value_series(est, X):
 
 
 def gram_predict(est, X):
-    """Dual-mode prediction through the full Gram: ``gram(spec, X, paths) @ eval_coef / n``.
+    """Dual-mode prediction through the full Gram: ``K(X, paths) @ eval_coef / n``.
 
-    The unblocked prediction, with the kernel exponent built term by term
+    The unblocked prediction, with the kernel from :func:`term_by_term_gram`
     and each row of ``K * coef`` summed exactly (``math.fsum``) for the
     reason given in :func:`unfused_value_series`.
     """
-    terms = kernels.gram(est.kernel, X, est.paths) * est.eval_coef
+    X = kernels.as_paths(X, est.kernel.d, est.kernel.T)
+    terms = term_by_term_gram(est.kernel, X, est.paths) * est.eval_coef
     return np.array([math.fsum(row) for row in terms]) / est.n_train
 
 

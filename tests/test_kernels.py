@@ -9,13 +9,12 @@ from kernelval.errors import InputError
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, MonomialFeature, cond_expect,
                                conditional_feature_matrix, conditional_gram,
-                               conditional_gram_dot,
-                               diag, feature_matrix, feature_vector,
+                               conditional_gram_dot, feature_matrix,
                                gauss_moment, gauss_poly_features, gram,
-                               monomial_features, tilted_diag, tilted_gram,
-                               u_factor, tail_factor)
+                               monomial_features, tilted_diag, tilted_gram)
 from kernelval.sampling import MeasureSpec, MixtureSampler, draw_paths, rn_weight
-from support import closed_form_tilted_gram, unfused_conditional_gram
+from support import (closed_form_tilted_gram, log_tail, term_by_term_gram,
+                     unfused_conditional_gram)
 
 RNG = np.random.default_rng(20240817)
 
@@ -33,7 +32,6 @@ def test_gauss_moments():
 
 def test_exponential_kernel_point_values():
     spec = GaussExpKernel(alpha=0.0, beta=0.3, d=1, T=1)
-    assert math.isclose(diag(spec, [1.0]), math.exp(0.3), rel_tol=1e-15)
     assert math.isclose(gram(spec, [1.0], [1.0])[0, 0], math.exp(0.3),
                         rel_tol=1e-15)
     spec2 = GaussExpKernel(alpha=1.0, beta=0.0, d=1, T=1)
@@ -44,7 +42,6 @@ def test_exponential_kernel_point_values():
 def test_poly_kernel_point_value():
     spec = GaussPolyKernel(alpha=0.0, beta=2, d=1, T=1)
     assert gram(spec, [1.0], [2.0])[0, 0] == pytest.approx(9.0, rel=1e-15)
-    assert diag(spec, [2.0]) == pytest.approx(25.0, rel=1e-15)
 
 
 def test_kernel_parameter_validation():
@@ -56,6 +53,52 @@ def test_kernel_parameter_validation():
         GaussExpKernel(alpha=-1.0, beta=0.1)
     with pytest.raises(InputError):
         GaussPolyKernel(alpha=0.0, beta=-1)
+
+
+BS2_PAIRS = [(a, b) for a in (0.0, 2.0, 4.0, 6.0) for b in (0.0, 0.15, 0.3, 0.45)
+             if a or b]
+
+
+@pytest.mark.parametrize("d, T", [(1, 2), (2, 3)])
+def test_gram_matches_the_term_by_term_exponent(d, T):
+    assert len(BS2_PAIRS) == 15
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((23, d, T))
+    Y = np.concatenate([X[:5], rng.standard_normal((12, d, T))])
+    raised = set()
+    for a, b in BS2_PAIRS:
+        spec = GaussExpKernel(alpha=a, beta=b, d=d, T=T)
+        assert np.allclose(gram(spec, X, Y), term_by_term_gram(spec, X, Y),
+                           rtol=1e-12, atol=0.0), (a, b)
+        # the guard raises exactly where the term-by-term exponent passes it;
+        # at scale 20 the exponent b|x|^2 of a shared row reaches 700
+        for scale in (5.0, 20.0, 40.0):
+            Xs, Ys = scale * X, scale * Y
+            try:
+                term_by_term_gram(spec, Xs, Ys)
+            except OverflowError:
+                raised.add(True)
+                with pytest.raises(OverflowError):
+                    gram(spec, Xs, Ys)
+            else:
+                raised.add(False)
+                assert np.all(np.isfinite(gram(spec, Xs, Ys))), (a, b, scale)
+    assert raised == {True, False}
+
+
+@pytest.mark.parametrize("spec", [
+    GaussExpKernel(alpha=2.0, beta=0.3, d=2, T=3),
+    FeatureMapKernel(features=monomial_features(2, 3, 2), d=2, T=3),
+])
+def test_gram_is_the_conditional_gram_with_every_step_revealed(spec):
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((9, 2, 3))
+    Y = rng.standard_normal((6, 2, 3))
+    assert np.array_equal(gram(spec, X, Y), conditional_gram(spec, X, Y, 3))
+    assert np.array_equal(gram(spec, X), conditional_gram(spec, X, X, 3))
+    if isinstance(spec, FeatureMapKernel):
+        assert np.array_equal(feature_matrix(spec, X),
+                              conditional_feature_matrix(spec, X, 3))
 
 
 def test_gram_symmetric_psd():
@@ -121,46 +164,23 @@ def test_guarded_exponent_raises_instead_of_inf():
 
 
 def test_u_factor_exponential_closed_forms():
-    spec = GaussExpKernel(alpha=2.0, beta=0.3, d=1, T=2)
-    assert u_factor(spec, 0, 0, [0.0]) == pytest.approx(5 ** -0.5, rel=1e-14)
-    spec0 = GaussExpKernel(alpha=0.0, beta=0.3, d=1, T=2)
+    # one step, nothing revealed: cond_expect is U(y) = E[k(Z, y)]
+    spec = GaussExpKernel(alpha=2.0, beta=0.3, d=1, T=1)
+    assert cond_expect(spec, (), [0.0], 0) == pytest.approx(5 ** -0.5, rel=1e-14)
+    spec0 = GaussExpKernel(alpha=0.0, beta=0.3, d=1, T=1)
     # alpha = 0: U(y) = exp(beta^2 y^2 / 2)
-    assert u_factor(spec0, 0, 1, [1.0]) == pytest.approx(math.exp(0.045),
-                                                         rel=1e-14)
-
-
-def test_u_factor_matches_monte_carlo():
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal(400_000)
-    y = 0.7
-    spec = GaussExpKernel(alpha=2.0, beta=0.3, d=1, T=2)
-    vals = np.exp(-spec.alpha * (z - y) ** 2 + spec.beta * z * y)
-    mc, se = vals.mean(), vals.std() / math.sqrt(z.size)
-    assert abs(u_factor(spec, 0, 0, [y]) - mc) < 3 * se
-
-    # per-summand factors carry phi_i(y) along with the step average
-    poly = GaussPolyKernel(alpha=1.0, beta=2, d=1, T=2)
-    feats = gauss_poly_features(poly)
-    damp = np.exp(-poly.alpha * (z - y) ** 2)
-    for t in (0, 1):
-        for i in (0, len(feats) // 2, len(feats) - 1):
-            f = feats[i]
-            phi_y = f.step_values(t, np.array([[y]]))[0]
-            vals = damp * f.step_values(t, z[:, None]) * phi_y
-            mc, se = vals.mean(), vals.std() / math.sqrt(z.size)
-            assert abs(u_factor(poly, i, t, [y]) - mc) < 3 * se + 1e-12
+    assert cond_expect(spec0, (), [1.0], 0) == pytest.approx(math.exp(0.045),
+                                                             rel=1e-14)
 
 
 def test_tail_factor_is_product_of_step_factors():
+    # E[k(X, y)] over two unrevealed steps is the product of one-step factors
     spec = GaussExpKernel(alpha=1.5, beta=0.2, d=1, T=2)
+    step = GaussExpKernel(alpha=1.5, beta=0.2, d=1, T=1)
     Y = RNG.standard_normal((6, 1, 2))
-    tail0 = tail_factor(spec, Y, 0)
-    manual = np.array([
-        u_factor(spec, 0, 0, Y[i, :, 0]) * u_factor(spec, 0, 1, Y[i, :, 1])
-        for i in range(6)
-    ])
-    assert np.allclose(tail0, manual, rtol=1e-12)
-    assert np.allclose(tail_factor(spec, Y, 2), 1.0)
+    for y in Y:
+        manual = cond_expect(step, (), y[:, :1], 0) * cond_expect(step, (), y[:, 1:], 0)
+        assert cond_expect(spec, (), y, 0) == pytest.approx(manual, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -252,7 +272,7 @@ def test_conditional_gram_maxima_in_different_columns_still_evaluate():
     spec = GaussExpKernel(alpha=0.5, beta=0.45, d=1, T=2)
     pre = np.array([[[80.0]]])
     Y = np.array([[[40.0, 0.0]], [[1.0, 92.0]]])
-    assert 640.0 + np.log(tail_factor(spec, Y, 1)).max() > EXP_GUARD
+    assert 640.0 + log_tail(spec, Y, 1).max() > EXP_GUARD
     K = conditional_gram(spec, pre, Y, 1)
     assert np.all(np.isfinite(K)) and K[0, 0] > 1e270
     got = conditional_gram_dot(spec, pre, Y, 1, np.array([1.0, -1.0]))
@@ -284,7 +304,7 @@ def test_feature_matrix_matches_manual_products():
              MonomialFeature(powers=((1,), (2,)), coef=1.0))
     spec = FeatureMapKernel(features=feats, d=1, T=2)
     x = np.array([[1.5, -2.0]])
-    phi = feature_vector(spec, x)
+    phi = feature_matrix(spec, x[None])[0]
     assert phi[0] == pytest.approx(3.0)
     assert phi[1] == pytest.approx(1.5 * 4.0)
     assert gram(spec, x[None], x[None])[0, 0] == pytest.approx(phi @ phi)
@@ -311,7 +331,10 @@ def test_conditional_feature_matrix_towers_to_step_means():
 
 
 def test_diag_shortcut_matches_gram():
-    spec = GaussExpKernel(alpha=3.0, beta=0.4, d=1, T=2)
-    x = np.array([[0.7, 1.1]])
-    assert diag(spec, x) == pytest.approx(
-        float(gram(spec, x[None], x[None])[0, 0]), rel=1e-13)
+    X = 1.5 * np.random.default_rng(23).standard_normal((9, 1, 2))
+    w = rn_weight(MeasureSpec(gamma=0.45), X)
+    for spec in (GaussExpKernel(alpha=3.0, beta=0.4, d=1, T=2),
+                 GaussPolyKernel(alpha=0.7, beta=3, d=1, T=2),
+                 FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2)):
+        assert np.allclose(tilted_diag(spec, X, w), np.diag(tilted_gram(spec, X, w)),
+                           rtol=1e-13, atol=0.0), spec

@@ -168,6 +168,21 @@ def test_zero_lambda_refused_on_singular_gram():
         fit(_repeated_ts(8, 2), SPEC, 0.0, mode="dual-unsorted")
 
 
+def test_failed_cholesky_reports_the_extreme_eigenvalue_ratio():
+    # eigenvalues 1, 2, 3 and -1e-3 in a rotated basis: |lmax / lmin| = 3000
+    Q = np.linalg.qr(np.random.default_rng(19).standard_normal((4, 4)))[0]
+    M = (Q * [1.0, 2.0, 3.0, -1e-3]) @ Q.T
+    with pytest.raises(SolverError) as exc:
+        krr._solve_spd(M, np.ones(4), 1e-5, "probe")
+    assert exc.value.condition_number == pytest.approx(3.0e3, rel=1e-9)
+    assert str(exc.value) == ("probe: Cholesky factorization failed (matrix not "
+                              "positive definite; estimated condition number "
+                              "3.000e+03)")
+    with pytest.raises(SolverError) as exc:
+        krr._solve_spd(np.array([[-2.0]]), np.ones(1), 1e-5, "probe")
+    assert exc.value.condition_number == 1.0
+
+
 def _assert_same_fit(a, b):
     """Bitwise equality: coefficients, residual, training hash, every field."""
     for name in ("eval_coef", "dual_coef", "primal_coef", "paths", "weights",

@@ -112,19 +112,6 @@ class TestMixtureSampler:
         r = rng.gamma(shape=1.5, scale=2.0, size=300_000)
         assert abs(r.mean() - 3.0) < 3 * r.std() / math.sqrt(r.size)
 
-    def test_tabulated_draw_matches_exact_sampler(self):
-        spec = self._spec()
-        exact = MixtureSampler(spec, seed=5)
-        tab = MixtureSampler(spec, seed=5, force_tabulated=True)
-        n = 120_000
-        xe = exact.draw(n, derive_rng(5, "e"))
-        xt = tab.draw(n, derive_rng(5, "t"))
-        for moment in (2, 4):
-            me = (xe**moment).mean()
-            mt = (xt**moment).mean()
-            se = np.hypot((xe**moment).std(), (xt**moment).std()) / math.sqrt(n)
-            assert abs(me - mt) < 4 * se, (moment, me, mt)
-
     def test_rejects_plain_kernel(self):
         with pytest.raises(InputError):
             MixtureSampler(GaussExpKernel(alpha=1.0, beta=0.1))

@@ -39,15 +39,6 @@ def _fit(n=400, payoff_id="european_put", lam=1e-5, mode="dual-unsorted",
     return fit(ts, spec, lam, mode=mode)
 
 
-def test_value_at_zero_reduction_orders_agree():
-    est = _fit()
-    a = value_at_zero(est, order="forward")
-    b = value_at_zero(est, order="reverse")
-    assert a == pytest.approx(b, abs=1e-12)
-    with pytest.raises(InputError):
-        value_at_zero(est, order="sideways")
-
-
 def test_series_endpoints():
     est = _fit()
     x = np.array([[0.4, -0.2]])
