@@ -503,38 +503,50 @@ def run_figures(config, payoff_ids=None):
 
 
 def run_diagnostics(config):
-    """Bound suite on the configured diagnostic problem; returns reports."""
+    """Bound suite on the configured diagnostic problem; returns reports.
+
+    The reference fit runs first, then the three checks that use it share
+    the pool, longest first, and the CLT experiment runs last.  The reference
+    fit (the n_ref Gram and its factor) and the CLT quadrature grid are the
+    suite's two largest allocations and stay on the calling thread: freed on
+    a pool thread, the grid's vectors stay resident in that thread's heap.
+    Every check draws from its own streams, so reports do not depend on the
+    thread count.
+    """
     d = config.diag
     payoff_id = d["payoff"]
     spec = config.kernel_at(d["alpha"], d["beta"])
     meas = config.measure()
-    lam, n = d["lambda"], d["n"]
+    lam, n, seed = d["lambda"], d["n"], config.master_seed
     reference = diagnostics.reference_estimator(
         meas, payoff_function(config.market, payoff_id), spec, lam,
-        n, d["n_ref"], payoff_id=payoff_id, seed=config.master_seed,
+        n, d["n_ref"], payoff_id=payoff_id, seed=seed,
     )
-    mse = diagnostics.mse_bound_check(
-        config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
-        seed=config.master_seed, reference=reference,
-    )
-    conc = diagnostics.concentration_check(
-        config.market, payoff_id, spec, lam, n, d["conc_repeats"], meas,
-        seed=config.master_seed, reference=reference,
-    )
+    # looked up at call time, so that wrappers set on the module apply
+    checks = {
+        "concentration": lambda: diagnostics.concentration_check(
+            config.market, payoff_id, spec, lam, n, d["conc_repeats"], meas,
+            seed=seed, reference=reference),
+        "mse_bound": lambda: diagnostics.mse_bound_check(
+            config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
+            seed=seed, reference=reference),
+        "robustness": lambda: diagnostics.robustness_check(
+            config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
+            eps=d["eps"], seed=seed),
+    }
+    reports = dict(zip(checks, pool.pool_map(lambda check: check(),
+                                             checks.values(), config.threads)))
     feats = monomial_features(1, config.market.T,
                               max_total_degree=d["clt_degree"])
     fspec = FeatureMapKernel(features=feats, d=1, T=config.market.T)
-    mix = mixture_sampler(fspec, seed=config.master_seed)
+    mix = mixture_sampler(fspec, seed=seed)
     clt = diagnostics.clt_experiment(
         fspec, config.market, payoff_id, d["clt_lambda"], d["clt_n"],
-        d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=config.master_seed,
+        d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=seed,
     )
-    robust = diagnostics.robustness_check(
-        config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
-        eps=d["eps"], seed=config.master_seed,
-    )
-    return {"mse_bound": mse, "concentration": conc, "clt": clt,
-            "robustness": robust}
+    return {"mse_bound": reports["mse_bound"],
+            "concentration": reports["concentration"], "clt": clt,
+            "robustness": reports["robustness"]}
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +765,7 @@ def _diag_evals(d):
         "reference": d["n_ref"],
         "mse_bound": d["n_repeats"] * d["n"] + 100_000,
         "concentration": d["conc_repeats"] * d["n"] + 100_000,
-        "clt": d["clt_repeats"] * d["clt_n"] + 100_000 + 3 * 1025**2,
+        "clt": d["clt_repeats"] * d["clt_n"] + 100_000 + 1025**2,
         "robustness": d["n_repeats"] * d["n"],
     }
 

@@ -30,7 +30,7 @@ import scipy.stats
 from . import kernels
 from .errors import InputError
 from .kernels import FeatureMapKernel, GaussExpKernel
-from .krr import fit, predict
+from .krr import _solve_spd, _unsorted_system, fit, predict
 from .market import _normal_rule, payoff_function
 from .sampling import build_training_set, draw_paths
 
@@ -342,12 +342,17 @@ def normal_expectation_2step(fn, n_nodes=1025, half_width=8.0):
     ``fn`` maps paths (N, 1, 2) to (N,) or (N, k); the grid is a tensor
     trapezoid rule, accurate to ~1e-7 for payoff-style integrands.
     """
+    paths, wts = _normal_grid_2step(n_nodes, half_width)
+    return wts @ np.asarray(fn(paths))
+
+
+def _normal_grid_2step(n_nodes=1025, half_width=8.0):
+    """Nodes (N, 1, 2) and weights (N,) of :func:`normal_expectation_2step`'s
+    rule, ``N = n_nodes**2``."""
     x, w = _normal_rule(n_nodes, half_width)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     paths = np.stack([X1.ravel(), X2.ravel()], axis=1)[:, None, :]
-    vals = np.asarray(fn(paths))
-    wts = (w[:, None] * w[None, :]).ravel()
-    return wts @ vals
+    return paths, (w[:, None] * w[None, :]).ravel()
 
 
 def feature_gram_exact(spec):
@@ -384,6 +389,28 @@ def population_fit(spec, payoff_fn, lam, n_nodes=1025):
     b = feature_payoff_moments(spec, payoff_fn, n_nodes=n_nodes)
     M = G + lam * np.eye(len(b))
     return np.linalg.solve(M, b), G, b
+
+
+def _clt_population(spec, payoff_fn, lam, phi_z, weight):
+    """``h_lambda`` and the exact asymptotic variance in direction ``phi_z``.
+
+    One pass over the quadrature grid: its features ``Phi`` and payoffs ``f``
+    are evaluated once and enter the expressions of :func:`population_fit`,
+    ``b = E_mu[f Phi]``, and of the variance
+    ``Var_mu~[(f~ - f~_lambda) phi~^T u]`` with ``u = (G + lambda)^-1 phi_z``:
+    ``g = (f - Phi h_lambda) Phi u``, variance ``E_mu[g^2 / w] - E_mu[g]^2``.
+    """
+    if spec.d != 1 or spec.T != 2:
+        raise InputError("payoff moments implemented for d = 1, T = 2")
+    paths, wts = _normal_grid_2step()
+    phi = kernels.feature_matrix(spec, paths)
+    f = payoff_fn(paths)
+    M = feature_gram_exact(spec) + lam * np.eye(len(phi_z))
+    h_pop = np.linalg.solve(M, wts @ (f[:, None] * phi))
+    g = (f - phi @ h_pop) * (phi @ np.linalg.solve(M, phi_z))
+    m1 = float(wts @ g)
+    m2 = float(wts @ (g**2 / weight(paths)))
+    return h_pop, m2 - m1 * m1
 
 
 @dataclass(frozen=True)
@@ -440,10 +467,12 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
     if not isinstance(spec, FeatureMapKernel):
         raise InputError("the limit experiment requires a FeatureMapKernel")
     f = payoff_function(cfg, payoff_id)
-    h_pop, G, _ = population_fit(spec, f, lam)
     z = kernels.as_path(probe_z, spec.d, spec.T)
     phi_z = kernels.feature_matrix(spec, z[None])[0]
     wz = float(sampler.weight(z))
+    # exact asymptotic variance <Q k~(., z), k~(., z)> by quadrature
+    h_pop, var_theory = _clt_population(spec, f, lam, phi_z / math.sqrt(wz),
+                                        sampler.weight)
     f_pop_z = float(phi_z @ h_pop) / math.sqrt(wz)
 
     stats = np.empty(n_repeats)
@@ -455,19 +484,6 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
                                    - f_pop_z)
     mean = float(np.mean(stats))
     se = float(np.std(stats, ddof=1)) / math.sqrt(n_repeats) if n_repeats > 1 else 0.0
-
-    # exact asymptotic variance <Q k~(., z), k~(., z)> by quadrature:
-    # Var_mu~[(f~ - f~_lambda) phi~^T u] with u = (G + lambda)^-1 phi~(z)
-    u = np.linalg.solve(G + lam * np.eye(len(phi_z)), phi_z / math.sqrt(wz))
-
-    def g_vals(paths):
-        resid = f(paths) - kernels.feature_matrix(spec, paths) @ h_pop
-        return resid * (kernels.feature_matrix(spec, paths) @ u)
-
-    m1 = float(normal_expectation_2step(g_vals))
-    m2 = float(normal_expectation_2step(
-        lambda p: g_vals(p) ** 2 / sampler.weight(p)))
-    var_theory = m2 - m1 * m1
 
     # tail constant on this configuration, sup over a sampling-measure probe
     probe = draw_paths(sampler, n_probe_sup, stream=("clt", "probe"), seed=seed)
@@ -531,10 +547,15 @@ def robustness_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, eps,
     for r in range(n_repeats):
         ts = build_training_set(sampler, f, n, payoff_id,
                                 stream=("robust", "repeat", r), seed=seed)
-        base = fit(ts, spec, lam)
-        bumped = ts.with_payoffs(ts.payoff_values + eps * bump_fn(ts.paths))
-        pert = fit(bumped, spec, lam)
-        a = _tilde_coef(base) - _tilde_coef(pert)
+        # both payoffs share the paths and weights, hence the dual system and
+        # its Cholesky factor: one factorization, two right-hand sides, the
+        # bumped one scaled as the system's own, f * (1 / sqrt(w))
+        M, rhs, _, _ = _unsorted_system(ts, spec)
+        M[np.diag_indices_from(M)] += lam
+        bumped = ((ts.payoff_values + eps * bump_fn(ts.paths))
+                  * (1.0 / np.sqrt(ts.weights)))
+        g, _ = _solve_spd(M, np.stack([rhs, bumped], axis=1), lam, "dual fit")
+        a = g[:, 0] - g[:, 1]
         drifts[r] = math.sqrt(max(_quad_form(spec, ts.paths, ts.weights, a), 0.0)) / n
     mean_bound = abs(eps) * bump_l2 * kap2 / lam
     mean_drift = float(np.mean(drifts))

@@ -14,8 +14,11 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from kernelval import kernels
+from kernelval.diagnostics import (_quad_form, normal_expectation_2step,
+                                   population_fit)
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, MonomialFeature)
+from kernelval.krr import fit
 from kernelval.sampling import MeasureSpec, TrainingSet, build_training_set
 
 
@@ -222,6 +225,44 @@ def gram_offdiag_form(spec, P, w, c):
     """
     K = kernels.tilted_gram(spec, P, w, P, w)
     return float(c @ K @ c) - float(c**2 @ np.diag(K))
+
+
+def three_pass_clt_population(spec, payoff_fn, lam, phi_z, weight):
+    """``h_lambda`` and the CLT's exact asymptotic variance, grid by grid.
+
+    The original computation: :func:`population_fit` integrates ``f Phi`` on
+    the quadrature grid, then each of the two variance moments evaluates the
+    grid's features (twice) and payoffs again, with
+    ``g = (f - Phi h_lambda) Phi u`` and ``u = (G + lambda)^-1 phi_z``.
+    """
+    h_pop, G, _ = population_fit(spec, payoff_fn, lam)
+    u = np.linalg.solve(G + lam * np.eye(len(phi_z)), phi_z)
+
+    def g_vals(paths):
+        resid = payoff_fn(paths) - kernels.feature_matrix(spec, paths) @ h_pop
+        return resid * (kernels.feature_matrix(spec, paths) @ u)
+
+    m1 = float(normal_expectation_2step(g_vals))
+    m2 = float(normal_expectation_2step(lambda p: g_vals(p) ** 2 / weight(p)))
+    return h_pop, m2 - m1 * m1
+
+
+def two_fit_drifts(payoff_fn, spec, lam, n, n_repeats, sampler, eps, seed, bump_fn):
+    """Robustness drifts from two separate dual fits per repeat.
+
+    The original loop: the base and the bumped payoffs are fitted one after
+    the other, each with its own Gram and Cholesky factor.
+    """
+    drifts = np.empty(n_repeats)
+    for r in range(n_repeats):
+        ts = build_training_set(sampler, payoff_fn, n,
+                                stream=("robust", "repeat", r), seed=seed)
+        base = fit(ts, spec, lam)
+        pert = fit(ts.with_payoffs(ts.payoff_values + eps * bump_fn(ts.paths)),
+                   spec, lam)
+        a = base.dual_coef - pert.dual_coef
+        drifts[r] = math.sqrt(max(_quad_form(spec, ts.paths, ts.weights, a), 0.0)) / n
+    return drifts
 
 
 def training_set_with_duplicates(d, T, gamma, n=40, n_dup=15):

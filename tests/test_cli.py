@@ -401,6 +401,31 @@ def test_diagnostics_small_run(tmp_path, capsys):
     assert names <= set(os.listdir(out))
     doc = json.loads((out / "diag_mse_bound.json").read_text())
     assert doc["violated"] is False
+    # the CLT's quadrature grid reaches the payoff oracle once
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["payoff_evaluations"]["clt"] == 12 * 200 + 100_000 + 1025**2
+
+
+def test_diagnostics_is_thread_invariant(tmp_path, monkeypatch, capsys):
+    # the three checks on the reference fit share the pool at --threads 2
+    p = tmp_path / "diag.cfg"
+    p.write_text(TINY_DIAG)
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: starts.append(1) or start(self))
+    outs = {}
+    for threads, helpers in (("1", 0), ("2", 1)):
+        out = tmp_path / threads
+        del starts[:]
+        assert _run("diagnostics", "--config", str(p), "--out", str(out),
+                    "--threads", threads) == 0
+        assert len(starts) == helpers
+        outs[threads] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    assert sorted(outs["1"]) == ["diag_clt.json", "diag_concentration.json",
+                                 "diag_mse_bound.json", "diag_robustness.json",
+                                 "manifest.json"]
+    assert outs["1"] == outs["2"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kernelval import diagnostics, kernels
 from kernelval.diagnostics import (_cross_form, _offdiag_form, _quad_form,
                                    _tilde_payoff, _tilde_predict,
                                    clt_experiment, concentration_check,
@@ -22,7 +23,8 @@ from kernelval.krr import fit
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, MixtureSampler,
                                 build_training_set, draw_paths)
-from support import gram_offdiag_form, peak_bytes
+from support import (gram_offdiag_form, peak_bytes, three_pass_clt_population,
+                     two_fit_drifts)
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
@@ -268,6 +270,34 @@ class TestCltExperiment:
         assert math.isnan(rep.ad_statistic)
         assert not rep.normality_accepted_1pct
 
+    # the mixture sampler's weight evaluates the features once more
+    @pytest.mark.parametrize("mixture, weight_calls", [(True, 1), (False, 0)])
+    def test_one_grid_pass_equals_the_three_pass_computation(
+            self, monkeypatch, mixture, weight_calls):
+        spec, sampler = self._setup()
+        if not mixture:
+            sampler = MeasureSpec(gamma=0.2, d=1, T=2, seed=0)
+        grid_calls, feature_matrix = [], kernels.feature_matrix
+
+        def counting(spec, paths):
+            grid_calls.append(paths.shape[0] == 1025**2)
+            return feature_matrix(spec, paths)
+
+        monkeypatch.setattr(kernels, "feature_matrix", counting)
+        kw = dict(lam=1e-3, n=150, n_repeats=9, sampler=sampler,
+                  probe_z=(0.3, -0.5), seed=12, n_probe_sup=3_000)
+        rep = clt_experiment(spec, CFG, "european_put", **kw)
+        assert sum(grid_calls) == 1 + weight_calls
+        # the same report with the three-pass oracle in place of the one pass
+        monkeypatch.setattr(diagnostics, "_clt_population", three_pass_clt_population)
+        del grid_calls[:]
+        oracle = clt_experiment(spec, CFG, "european_put", **kw)
+        assert sum(grid_calls) == 5 + weight_calls
+        assert rep.var_theory == oracle.var_theory
+        assert rep.c2 == oracle.c2
+        assert rep.statistics.tobytes() == oracle.statistics.tobytes()
+        assert rep.to_json() == oracle.to_json()
+
     def test_requires_feature_kernel(self):
         with pytest.raises(InputError):
             clt_experiment(SPEC, CFG, "european_put", lam=1e-3, n=100,
@@ -309,6 +339,18 @@ class TestRobustness:
                                 n_repeats=2, sampler=SAMPLER, eps=0.1, seed=11)
         assert rep.bound == pytest.approx(flat.bound, rel=1e-6)
         assert not rep.violated
+
+    @pytest.mark.parametrize("bump", [None, lambda p: p[:, 0, 1] ** 2])
+    def test_one_factor_equals_two_fits(self, bump):
+        # both right-hand sides solved on one factor: the drifts of two
+        # separate fits, bit for bit
+        kw = dict(n=90, n_repeats=3, sampler=SAMPLER, eps=0.03, seed=13)
+        rep = robustness_check(CFG, "european_put", SPEC, 1e-4, bump_fn=bump, **kw)
+        flat = bump or (lambda p: np.ones(p.shape[0]))
+        drifts = two_fit_drifts(payoff_function(CFG, "european_put"), SPEC, 1e-4,
+                                bump_fn=flat, **kw)
+        assert rep.empirical_rms_h == float(np.sqrt(np.mean(drifts**2)))
+        assert f"mean drift {float(np.mean(drifts))!r} " in rep.notes[1]
 
     def test_lambda_zero_rejected(self):
         with pytest.raises(InputError):
