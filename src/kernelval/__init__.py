@@ -20,7 +20,7 @@ from .krr import (Estimator, fit, fit_path, load_estimator,
 from .market import (BSConfig, GroundTruth, PAYOFF_IDS, nested_mc_estimate,
                      payoff, payoff_function, stock_path)
 from .sampling import (MeasureSpec, MixtureSampler, TrainingSet,
-                       build_training_set, draw_paths, mixture_sampler)
+                       build_training_set, draw_paths)
 from .valuation import (ErrorReport, martingale_gap, payoff_l2_error,
                         repeat_experiment, value_at_zero, value_series_many)
 
@@ -36,7 +36,7 @@ __all__ = [
     "BSConfig", "PAYOFF_IDS", "GroundTruth", "nested_mc_estimate", "payoff",
     "payoff_function", "stock_path",
     "MeasureSpec", "MixtureSampler", "TrainingSet", "build_training_set",
-    "draw_paths", "mixture_sampler",
+    "draw_paths",
     "ErrorReport", "value_series_many", "value_at_zero", "martingale_gap",
     "payoff_l2_error", "repeat_experiment",
 ]

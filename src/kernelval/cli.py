@@ -30,8 +30,8 @@ from .errors import (CapabilityError, DataError, InputError, KernelvalError,
 from .kernels import FeatureMapKernel, GaussExpKernel, monomial_features
 from .market import (BSConfig, PAYOFF_IDS, GroundTruth, nested_mc_estimate,
                      payoff_function)
-from .sampling import (MeasureSpec, build_training_set, draw_paths,
-                       mixture_sampler, training_set_to_csv)
+from .sampling import (MeasureSpec, MixtureSampler, build_training_set,
+                       draw_paths, training_set_to_csv)
 from .valuation import (ErrorReport, error_reports_to_csv, repeat_experiment,
                         trajectory_csv)
 
@@ -41,7 +41,6 @@ __all__ = [
     "load_config",
     "grid_search",
     "run_table2",
-    "run_figures",
     "run_nested",
     "run_diagnostics",
     "main",
@@ -148,6 +147,9 @@ class ExperimentConfig:
             )
         if not (self.alphas and self.betas and self.lambdas):
             raise InputError("hyperparameter grid lists must be non-empty")
+        for lam in (*self.lambdas, self.fit_lambda):
+            if not 0 <= lam < math.inf:
+                raise InputError(f"lambda must be finite and nonnegative, got {lam}")
         for name in ("n_train", "n_val", "n_test", "n_repeats", "n_inner_gt",
                      "nested_outer", "nested_inner", "threads"):
             if getattr(self, name) < 1:
@@ -170,8 +172,8 @@ class ExperimentConfig:
             if self.diag[name] < 1:
                 raise InputError(f"diagnostics {name} must be at least 1")
         for name in ("lambda", "clt_lambda"):
-            if not self.diag[name] > 0:
-                raise InputError(f"diagnostics {name} must be positive")
+            if not 0 < self.diag[name] < math.inf:
+                raise InputError(f"diagnostics {name} must be positive and finite")
         if self.diag["payoff"] not in PAYOFF_IDS:
             raise InputError(f"unknown diagnostics payoff {self.diag['payoff']!r}")
 
@@ -425,81 +427,64 @@ def _star_estimator(grid):
     return grid.training_set, grid.estimator
 
 
-def run_table2(config, payoff_ids=None):
+def _study(config, stage):
+    """Grid search and ground truth for each payoff on the pool, then ``stage``.
+
+    The only caller of :func:`grid_search`.  ``stage(config, payoff_id, grid,
+    gt, test_paths)`` returns the payoff's further entries.  Returns
+    ``{payoff: {"grid": GridResult, "gt": GroundTruth, **entries}}``.
+    """
+    test_paths = _shared_test_paths(config)
+
+    def one(payoff_id):
+        gt = _ground_truth(config, payoff_id)
+        grid = grid_search(config, payoff_id)
+        return payoff_id, {"grid": grid, "gt": gt,
+                           **stage(config, payoff_id, grid, gt, test_paths)}
+
+    return dict(pool.pool_map(one, config.payoffs, config.threads))
+
+
+def _table2_stage(config, payoff_id, grid, gt, test_paths):
+    """Repeated-fit kernel rows at the searched point, and nested-MC rows."""
+    kernel_report, fits = repeat_experiment(
+        config.market, payoff_id, config.kernel_at(grid.alpha, grid.beta),
+        grid.lam, config.measure(), config.n_train, test_paths, gt,
+        n_repeats=config.n_repeats, n_val=config.n_val,
+        master_seed=config.master_seed, mode=config.mode,
+    )
+    return {"kernel": kernel_report, "nested": run_nested(config, payoff_id, gt),
+            "fits": fits}
+
+
+def run_table2(config):
     """Grid search + repeated-fit kernel rows + nested-MC rows per payoff.
 
-    Returns ``{payoff: {"grid": GridResult, "kernel": ErrorReport,
-    "nested": ErrorReport}}``; artifact writing is the caller's concern.
+    Returns ``{payoff: {"grid": GridResult, "gt": GroundTruth, "kernel":
+    ErrorReport, "nested": ErrorReport, "fits": [Estimator]}}``; artifact
+    writing is the caller's concern.
     """
-    payoff_ids = tuple(payoff_ids or config.payoffs)
-    test_paths = _shared_test_paths(config)
-
-    def one(payoff_id):
-        gt = _ground_truth(config, payoff_id)
-        grid = grid_search(config, payoff_id)
-        spec = config.kernel_at(grid.alpha, grid.beta)
-        kernel_report, fits = repeat_experiment(
-            config.market, payoff_id, spec, grid.lam, config.measure(),
-            config.n_train, test_paths, gt,
-            n_repeats=config.n_repeats, n_val=config.n_val,
-            master_seed=config.master_seed, mode=config.mode,
-            return_fits=True,
-        )
-        nested_report = run_nested(config, payoff_id, gt)
-        return payoff_id, {
-            "grid": grid,
-            "kernel": kernel_report,
-            "nested": nested_report,
-            "gt": gt,
-            "fits": fits,
-        }
-
-    return dict(pool.pool_map(one, payoff_ids, config.threads))
+    return _study(config, _table2_stage)
 
 
-def run_figures(config, payoff_ids=None):
+def _figures_stage(config, payoff_id, grid, gt, test_paths):
     """Figure data: (alpha, beta) cross-section, lambda sweep, trajectories.
 
-    Returns ``{payoff: {"fig1": csv, "fig2": csv, "fig3": csv,
-    "lambda_interior": bool}}``.  The lambda sweep at the searched
-    (alpha*, beta*) must show an interior minimum for most payoffs; the
-    caller enforces the 4-of-6 rule when all six are run.
+    ``lambda_interior`` says whether the lambda sweep at the searched
+    (alpha*, beta*) has an interior minimum.
     """
-    payoff_ids = tuple(payoff_ids or config.payoffs)
-    test_paths = _shared_test_paths(config)
-
-    def one(payoff_id):
-        grid = grid_search(config, payoff_id)
-        fig1 = ["alpha,beta,rel_l2_error"]
-        for a, b, l, e in grid.surface:
-            if l == grid.lam:
-                fig1.append(f"{a!r},{b!r},{e!r}")
-        sweep = grid.lambda_slice(grid.alpha, grid.beta)
-        fig2 = ["lambda,rel_l2_error"]
-        for l, e in sweep:
-            fig2.append(f"{l!r},{e!r}")
-        errs = [e for _, e in sweep]
-        interior = 0 < int(np.argmin(errs)) < len(errs) - 1
-        gt = _ground_truth(config, payoff_id)
-        _, est = _star_estimator(grid)
-        fig3 = trajectory_csv(est, gt, test_paths)
-        return payoff_id, {
-            "grid": grid,
-            "fig1": "\n".join(fig1) + "\n",
-            "fig2": "\n".join(fig2) + "\n",
-            "fig3": fig3,
-            "lambda_interior": interior,
-        }
-
-    out = dict(pool.pool_map(one, payoff_ids, config.threads))
-    if set(payoff_ids) == set(PAYOFF_IDS):
-        interior = sum(1 for doc in out.values() if doc["lambda_interior"])
-        if interior < 4:
-            raise DataError(
-                f"lambda sweep shows an interior minimum for only {interior} "
-                "of 6 payoffs (expected at least 4)"
-            )
-    return out
+    fig1 = ["alpha,beta,rel_l2_error"] + [
+        f"{a!r},{b!r},{e!r}" for a, b, l, e in grid.surface if l == grid.lam]
+    sweep = grid.lambda_slice(grid.alpha, grid.beta)
+    fig2 = ["lambda,rel_l2_error"] + [f"{l!r},{e!r}" for l, e in sweep]
+    errs = [e for _, e in sweep]
+    _, est = _star_estimator(grid)
+    return {
+        "fig1": "\n".join(fig1) + "\n",
+        "fig2": "\n".join(fig2) + "\n",
+        "fig3": trajectory_csv(est, gt, test_paths),
+        "lambda_interior": 0 < int(np.argmin(errs)) < len(errs) - 1,
+    }
 
 
 def run_diagnostics(config):
@@ -539,7 +524,7 @@ def run_diagnostics(config):
     feats = monomial_features(1, config.market.T,
                               max_total_degree=d["clt_degree"])
     fspec = FeatureMapKernel(features=feats, d=1, T=config.market.T)
-    mix = mixture_sampler(fspec, seed=seed)
+    mix = MixtureSampler(fspec, seed=seed)
     clt = diagnostics.clt_experiment(
         fspec, config.market, payoff_id, d["clt_lambda"], d["clt_n"],
         d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=seed,
@@ -683,28 +668,33 @@ def _fit_record(out_dir):
     return doc.get("fit") if doc.get("command") == "value" else doc
 
 
+def _optimal(results):
+    """The ``optimal`` manifest record: each payoff's searched triple."""
+    return {"optimal": {
+        payoff_id: {"alpha": doc["grid"].alpha, "beta": doc["grid"].beta,
+                    "lambda": doc["grid"].lam}
+        for payoff_id, doc in results.items()}}
+
+
 def _cmd_grid_search(config, config_path):
-    files, evals, stars = {}, {}, {}
-    for payoff_id in config.payoffs:
-        grid = grid_search(config, payoff_id)
+    results = _study(config, lambda *_: {})
+    files, evals = {}, {}
+    for payoff_id, doc in results.items():
+        grid = doc["grid"]
         _report_grid_failures("grid-search", grid)
         files[f"grid_{payoff_id}.csv"] = grid.surface_csv()
         evals[payoff_id] = grid.n_payoff_evals
-        stars[payoff_id] = {"alpha": grid.alpha, "beta": grid.beta,
-                            "lambda": grid.lam}
         print(f"grid-search {payoff_id}: alpha*={grid.alpha} "
               f"beta*={grid.beta} lambda*={grid.lam}")
     _write_outputs(config, "grid-search", config_path, files, evals,
-                   extra={"optimal": stars})
+                   extra=_optimal(results))
     return 0
 
 
 def _cmd_table2(config, config_path):
     results = run_table2(config)
-    files, evals, stars = {}, {}, {}
-    reports = []
-    for payoff_id in config.payoffs:
-        doc = results[payoff_id]
+    files, evals, reports = {}, {}, []
+    for payoff_id, doc in results.items():
         grid, kernel, nested = doc["grid"], doc["kernel"], doc["nested"]
         reports += [kernel, nested]
         _report_grid_failures("table2", grid)
@@ -715,30 +705,33 @@ def _cmd_table2(config, config_path):
         files[f"gt_{payoff_id}.csv"] = doc["gt"].to_csv()
         evals[payoff_id] = (grid.n_payoff_evals + kernel.n_payoff_evals
                             + nested.n_payoff_evals)
-        stars[payoff_id] = {"alpha": grid.alpha, "beta": grid.beta,
-                            "lambda": grid.lam}
         means = ", ".join(f"{v:.3f}" for v in kernel.mean_pct)
         nmeans = ", ".join(f"{v:.3f}" for v in nested.mean_pct)
         print(f"table2 {payoff_id}: stars=({grid.alpha}, {grid.beta}, "
               f"{grid.lam}) kernel%=({means}) nested%=({nmeans})")
     files["table2.csv"] = error_reports_to_csv(reports)
     _write_outputs(config, "table2", config_path, files, evals,
-                   extra={"optimal": stars})
+                   extra=_optimal(results))
     return 0
 
 
 def _cmd_figures(config, config_path):
-    results = run_figures(config)
-    files, evals, interior = {}, {}, {}
-    for payoff_id in config.payoffs:
-        doc = results[payoff_id]
+    results = _study(config, _figures_stage)
+    interior = {p: doc["lambda_interior"] for p, doc in results.items()}
+    n_interior = sum(interior.values())
+    if set(results) == set(PAYOFF_IDS) and n_interior < 4:
+        raise DataError(
+            f"lambda sweep shows an interior minimum for only {n_interior} "
+            "of 6 payoffs (expected at least 4)"
+        )
+    files, evals = {}, {}
+    for payoff_id, doc in results.items():
         _report_grid_failures("figures", doc["grid"])
         for fig in ("fig1", "fig2", "fig3"):
             files[f"{fig}_{payoff_id}.csv"] = doc[fig]
         evals[payoff_id] = doc["grid"].n_payoff_evals
-        interior[payoff_id] = doc["lambda_interior"]
         print(f"figures {payoff_id}: lambda minimum "
-              f"{'interior' if doc['lambda_interior'] else 'on the boundary'}")
+              f"{'interior' if interior[payoff_id] else 'on the boundary'}")
     _write_outputs(config, "figures", config_path, files, evals,
                    extra={"lambda_interior": interior})
     return 0
@@ -765,7 +758,7 @@ def _diag_evals(d):
         "reference": d["n_ref"],
         "mse_bound": d["n_repeats"] * d["n"] + 100_000,
         "concentration": d["conc_repeats"] * d["n"] + 100_000,
-        "clt": d["clt_repeats"] * d["clt_n"] + 100_000 + 1025**2,
+        "clt": d["clt_repeats"] * d["clt_n"] + 100_000 + diagnostics.CLT_NODES**2,
         "robustness": d["n_repeats"] * d["n"],
     }
 

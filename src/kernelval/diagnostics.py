@@ -6,13 +6,15 @@ substitutes a computable stand-in and documents the substitution direction:
 
 * ``f_lambda`` is replaced by a high-budget reference fit (``n_ref >= 4 n``),
   except in the finite-dimensional CLT experiment where the population
-  solution is computed exactly from Gaussian moments and quadrature.
+  solution is computed exactly from Gaussian moments and a tensor
+  trapezoid rule, ``CLT_NODES`` nodes per step on [-8, 8].
 * Sup norms are maxima over large probe samples, hence lower bounds of the
   true sup; they enter the theoretical side only in ways that tighten the
   asserted inequality.
 * RKHS norms of coefficient differences are computed exactly through Gram
-  quadratic forms; RKHS norms of residuals are bounded through kernel-mean
-  embeddings or dropped conservatively.
+  quadratic forms, in blocks of :data:`kernels.BLOCK` rows; RKHS norms of
+  residuals are bounded through kernel-mean embeddings or dropped
+  conservatively.
 
 All assertions are one-sided: empirical error below theoretical bound, up to
 explicit Monte Carlo standard errors.
@@ -100,10 +102,12 @@ def _finite_or_none(obj):
 
 REFERENCE_FACTOR = 4
 
+# Nodes per step of the CLT experiment's trapezoid rule on [-8, 8].
+CLT_NODES = 1025
+
 
 def reference_estimator(sampler, payoff_fn, spec, lam, n, n_ref,
-                        payoff_id="reference", mode="dual-unsorted", seed=0,
-                        stream=("reference",)):
+                        payoff_id="reference", seed=0):
     """High-budget fit standing in for the population solution at the same lambda.
 
     ``n`` is the working sample size of the checks using this reference;
@@ -115,8 +119,8 @@ def reference_estimator(sampler, payoff_fn, spec, lam, n, n_ref,
             f"reference size {n_ref} must be >= {REFERENCE_FACTOR} x working size {n}"
         )
     ts = build_training_set(sampler, payoff_fn, n_ref, payoff_id,
-                            stream=stream, seed=seed)
-    return fit(ts, spec, lam, mode=mode)
+                            stream=("reference",), seed=seed)
+    return fit(ts, spec, lam)
 
 
 def _tilde_coef(est):
@@ -128,30 +132,30 @@ def _tilde_coef(est):
     raise InputError("tilde coefficients require a dual-mode estimator")
 
 
-def _cross_form(spec, P, wp, c, Q, wq, v, block=kernels.BLOCK):
+def _cross_form(spec, P, wp, c, Q, wq, v):
     """``c^T K~(P, Q) v`` as a blocked kernel-times-vector product.
 
     With ``1/sqrt(w)`` folded into the coefficients the tilted form is
     ``(c / sqrt(wp)) @ K(P, Q) (v / sqrt(wq))``; :func:`kernels.gram_dot`
-    evaluates ``K(P, Q)`` times the vector in blocks of ``block`` rows, so
-    memory is O(block x |Q|) and no |P| x |Q| matrix is built.
+    evaluates ``K(P, Q)`` times the vector in blocks of :data:`kernels.BLOCK`
+    rows, so memory is O(BLOCK x |Q|) and no |P| x |Q| matrix is built.
     """
     u = c / np.sqrt(wp)
-    return float(u @ kernels.gram_dot(spec, P, Q, v / np.sqrt(wq), block))
+    return float(u @ kernels.gram_dot(spec, P, Q, v / np.sqrt(wq)))
 
 
-def _quad_form(spec, P, w, c, block=kernels.BLOCK):
+def _quad_form(spec, P, w, c):
     """``c^T K~ c`` on the support ``P``: :func:`_cross_form` with ``Q = P``."""
-    return _cross_form(spec, P, w, c, P, w, c, block)
+    return _cross_form(spec, P, w, c, P, w, c)
 
 
-def _offdiag_form(spec, P, w, c, block=kernels.BLOCK):
+def _offdiag_form(spec, P, w, c):
     """``sum_{i != j} c_i c_j k~(P_i, P_j)``, the U-statistic's double sum.
 
     :func:`_quad_form` minus the diagonal terms ``c_i^2 kappa~(P_i)^2``:
-    memory O(block x |P|), no |P| x |P| Gram.
+    memory O(BLOCK x |P|), no |P| x |P| Gram.
     """
-    return (_quad_form(spec, P, w, c, block)
+    return (_quad_form(spec, P, w, c)
             - float(c**2 @ kernels.tilted_diag(spec, P, w)))
 
 
@@ -173,23 +177,19 @@ def _tilde_payoff(payoff_fn, sampler, Z):
     return payoff_fn(Z) / np.sqrt(sampler.weight(Z))
 
 
-def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
-                    n_ref=None, reference=None, n_probe=100_000, n_jstar=3000,
-                    n_l2=5000):
+def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, reference,
+                    seed=0, n_probe=100_000, n_jstar=3000, n_l2=5000):
     """Root-mean-squared sample error against its 1/(lambda sqrt(n)) bound.
 
     The bound's numerator ``||(f - f_ref) kappa~||^2 - ||J~*(f - f_ref)||^2``
     is estimated on a large tilted probe sample (the second term by an
     unbiased U-statistic, clipped at zero); the empirical side refits
-    ``n_repeats`` times and measures exact RKHS distances to the reference.
+    ``n_repeats`` times and measures exact RKHS distances to ``reference``,
+    a :func:`reference_estimator` fit.
     """
     if lam <= 0:
         raise InputError("the untruncated bound requires lambda > 0")
     f = payoff_function(cfg, payoff_id)
-    if reference is None:
-        n_ref = REFERENCE_FACTOR * n if n_ref is None else n_ref
-        reference = reference_estimator(sampler, f, spec, lam, n, n_ref,
-                                        payoff_id=payoff_id, seed=seed)
     probe = draw_paths(sampler, n_probe, stream=("msebound", "probe"), seed=seed)
     resid = _tilde_payoff(f, sampler, probe) - _tilde_predict(reference, sampler, probe)
     kap_sq = kernels.tilted_diag(spec, probe, sampler.weight(probe))
@@ -255,14 +255,15 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
     )
 
 
-def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0,
-                        n_ref=None, reference=None, tau_grid=None,
-                        n_probe=100_000, n_l2=5000):
+def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler,
+                        reference, seed=0, tau_grid=None, n_probe=100_000,
+                        n_l2=5000):
     """Tail frequency of the sample error against 2 exp(-tau^2 n / (2 C2)).
 
     Applicable when the tilted kernel diagonal is bounded (beta <= gamma for
     the exponential family); the sample error enters through the safe proxy
-    ``||f~_X - f~_ref||_2 / ||kappa~||_inf <= ||h_X - h_ref||``.
+    ``||f~_X - f~_ref||_2 / ||kappa~||_inf <= ||h_X - h_ref||``, with
+    ``reference`` a :func:`reference_estimator` fit.
     """
     if lam <= 0:
         raise InputError("the untruncated tail bound requires lambda > 0")
@@ -273,10 +274,6 @@ def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0
                    "bound not applicable",),
         )
     f = payoff_function(cfg, payoff_id)
-    if reference is None:
-        n_ref = REFERENCE_FACTOR * n if n_ref is None else n_ref
-        reference = reference_estimator(sampler, f, spec, lam, n, n_ref,
-                                        payoff_id=payoff_id, seed=seed)
     probe = draw_paths(sampler, n_probe, stream=("conc", "probe"), seed=seed)
     resid = _tilde_payoff(f, sampler, probe) - _tilde_predict(reference, sampler, probe)
     kap_sq = kernels.tilted_diag(spec, probe, sampler.weight(probe))
@@ -336,20 +333,20 @@ def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, seed=0
 # ---------------------------------------------------------------------------
 
 
-def normal_expectation_2step(fn, n_nodes=1025, half_width=8.0):
+def normal_expectation_2step(fn):
     """E[fn(X)] for X with two independent standard-normal steps (d = 1).
 
     ``fn`` maps paths (N, 1, 2) to (N,) or (N, k); the grid is a tensor
     trapezoid rule, accurate to ~1e-7 for payoff-style integrands.
     """
-    paths, wts = _normal_grid_2step(n_nodes, half_width)
+    paths, wts = _normal_grid_2step()
     return wts @ np.asarray(fn(paths))
 
 
-def _normal_grid_2step(n_nodes=1025, half_width=8.0):
+def _normal_grid_2step():
     """Nodes (N, 1, 2) and weights (N,) of :func:`normal_expectation_2step`'s
-    rule, ``N = n_nodes**2``."""
-    x, w = _normal_rule(n_nodes, half_width)
+    rule, ``N = CLT_NODES**2``."""
+    x, w = _normal_rule(CLT_NODES, 8.0)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     paths = np.stack([X1.ravel(), X2.ravel()], axis=1)[:, None, :]
     return paths, (w[:, None] * w[None, :]).ravel()
@@ -372,7 +369,7 @@ def feature_gram_exact(spec):
     return G
 
 
-def feature_payoff_moments(spec, payoff_fn, n_nodes=1025):
+def feature_payoff_moments(spec, payoff_fn):
     """b_i = E_mu[f phi_i] by tensor quadrature (two steps, d = 1)."""
     if spec.d != 1 or spec.T != 2:
         raise InputError("payoff moments implemented for d = 1, T = 2")
@@ -380,13 +377,13 @@ def feature_payoff_moments(spec, payoff_fn, n_nodes=1025):
     def integrand(paths):
         return payoff_fn(paths)[:, None] * kernels.feature_matrix(spec, paths)
 
-    return normal_expectation_2step(integrand, n_nodes=n_nodes)
+    return normal_expectation_2step(integrand)
 
 
-def population_fit(spec, payoff_fn, lam, n_nodes=1025):
+def population_fit(spec, payoff_fn, lam):
     """Exact regularized population coefficients h_lambda = (G + lambda)^-1 b."""
     G = feature_gram_exact(spec)
-    b = feature_payoff_moments(spec, payoff_fn, n_nodes=n_nodes)
+    b = feature_payoff_moments(spec, payoff_fn)
     M = G + lam * np.eye(len(b))
     return np.linalg.solve(M, b), G, b
 
@@ -518,26 +515,18 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
 
 
 def robustness_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, eps,
-                     seed=0, bump_fn=None):
-    """Coefficient drift under payoff perturbation f -> f + eps * g.
+                     seed=0):
+    """Coefficient drift under the payoff perturbation f -> f + eps * g, g = 1.
 
     Fits both payoffs on identical samples and measures the exact RKHS drift
     ``(1/n) sqrt(a^T K~ a)`` from dual coefficient differences a.  The mean
     drift must stay below ``(1/lambda) ||kappa~||_2 ||eps g||_2`` and, when
     the tilted kernel diagonal is bounded, the RMS drift below
-    ``(1/lambda) ||kappa~||_inf ||eps g||_2``.
+    ``(1/lambda) ||kappa~||_inf ||eps g||_2``, where ``||g||_2 = 1``.
     """
     if lam <= 0:
         raise InputError("the perturbation bound requires lambda > 0")
     f = payoff_function(cfg, payoff_id)
-    if bump_fn is None:
-        def bump_fn(paths):
-            return np.ones(paths.shape[0])
-
-        bump_l2 = 1.0
-    else:
-        bump_l2 = math.sqrt(float(normal_expectation_2step(
-            lambda p: bump_fn(p) ** 2)))
     kap2 = tilted_l2_norm(spec)
     kinf = float("nan")
     if (isinstance(spec, GaussExpKernel) and spec.beta <= spec.gamma
@@ -552,18 +541,17 @@ def robustness_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, eps,
         # bumped one scaled as the system's own, f * (1 / sqrt(w))
         M, rhs, _, _ = _unsorted_system(ts, spec)
         M[np.diag_indices_from(M)] += lam
-        bumped = ((ts.payoff_values + eps * bump_fn(ts.paths))
-                  * (1.0 / np.sqrt(ts.weights)))
+        bumped = (ts.payoff_values + eps) * (1.0 / np.sqrt(ts.weights))
         g, _ = _solve_spd(M, np.stack([rhs, bumped], axis=1), lam, "dual fit")
         a = g[:, 0] - g[:, 1]
         drifts[r] = math.sqrt(max(_quad_form(spec, ts.paths, ts.weights, a), 0.0)) / n
-    mean_bound = abs(eps) * bump_l2 * kap2 / lam
+    mean_bound = abs(eps) * kap2 / lam
     mean_drift = float(np.mean(drifts))
     rms_drift = float(np.sqrt(np.mean(drifts**2)))
     se = float(np.std(drifts, ddof=1)) / math.sqrt(n_repeats) if n_repeats > 1 else 0.0
     violated = mean_drift > mean_bound + 3.0 * se
     if not math.isnan(kinf):
-        violated |= rms_drift > abs(eps) * bump_l2 * kinf / lam + 3.0 * se
+        violated |= rms_drift > abs(eps) * kinf / lam + 3.0 * se
     return BoundReport(
         kind="robustness",
         n=n, lam=lam, n_repeats=n_repeats,

@@ -78,7 +78,8 @@ EXP_GUARD = 700.0
 # Rows per block of a kernel-times-vector product: memory O(BLOCK x columns).
 # At n = 2000 columns a block's exponent is 4 MB and stays in cache, where a
 # single BLAS thread is fastest.  The block boundaries fix the bits: another
-# block size can move a row's last bit (128 against 256 rows does).
+# block size can move a row's last bit (128 against 256 rows does).  Every
+# blocked evaluator reads it at call time.
 BLOCK = 256
 
 _POLY_BETA_CAP = 4
@@ -509,9 +510,8 @@ def cond_expect(spec, prefix, y, t):
     return float(_conditional_gram(spec, pre[None], y[None], t)[0, 0])
 
 
-def _cond_inputs(spec, prefixes, Y, t):
-    """Validated ``(prefixes, Y)`` arrays for the conditional-Gram functions."""
-    Y = as_paths(Y, spec.d, spec.T)
+def _prefixes(spec, prefixes, t):
+    """Validated ``(N, d, >= t)`` prefixes for the conditional functions."""
     pre = np.asarray(prefixes, dtype=float)
     if pre.ndim == 2:
         pre = pre[None]
@@ -521,7 +521,7 @@ def _cond_inputs(spec, prefixes, Y, t):
         )
     if not 0 <= t <= spec.T:
         raise InputError(f"t must lie in [0, {spec.T}], got {t}")
-    return pre, Y
+    return pre
 
 
 def conditional_gram(spec, prefixes, Y, t):
@@ -533,23 +533,23 @@ def conditional_gram(spec, prefixes, Y, t):
     full expectation.  Value-process evaluation needs only this matrix times
     a coefficient vector, which :func:`conditional_gram_dot` computes.
     """
-    pre, Y = _cond_inputs(spec, prefixes, Y, t)
-    return _conditional_gram(spec, pre, Y, t)
+    Y = as_paths(Y, spec.d, spec.T)
+    return _conditional_gram(spec, _prefixes(spec, prefixes, t), Y, t)
 
 
-def _by_row_blocks(fn, X, block):
-    """``fn(X[lo:hi])`` for consecutive blocks of ``block`` rows, as one (N,) vector."""
+def _by_row_blocks(fn, X):
+    """``fn`` of each consecutive :data:`BLOCK`-row block of ``X``, as one (N,) vector."""
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], block):
-        out[lo:lo + block] = fn(X[lo:lo + block])
+    for lo in range(0, X.shape[0], BLOCK):
+        out[lo:lo + BLOCK] = fn(X[lo:lo + BLOCK])
     return out
 
 
-def conditional_gram_dot(spec, prefixes, Y, t, coef, block=BLOCK):
+def conditional_gram_dot(spec, prefixes, Y, t, coef):
     """``conditional_gram(spec, prefixes, Y, t) @ coef`` as an (N,) vector.
 
-    The rows are evaluated in blocks of ``block`` prefixes, so memory is
-    O(block x M) and no (N, M) matrix is built.  For the
+    The rows are evaluated in blocks of :data:`BLOCK` prefixes, so memory is
+    O(BLOCK x M) and no (N, M) matrix is built.  For the
     Gaussian-exponentiated kernel the column side of the exponent and the
     tail factor are computed once, the tail factor moves into the
     coefficient vector, and each block costs one matrix product, the
@@ -557,31 +557,30 @@ def conditional_gram_dot(spec, prefixes, Y, t, coef, block=BLOCK):
     guards are the same as :func:`conditional_gram`'s.  Other kernel
     families multiply each block of the conditional Gram by ``coef``.
     """
-    pre, Y = _cond_inputs(spec, prefixes, Y, t)
+    Y = as_paths(Y, spec.d, spec.T)
+    pre = _prefixes(spec, prefixes, t)
     if isinstance(spec, GaussExpKernel):
         a, c = spec.alpha, 2.0 * spec.alpha + spec.beta
         cols, log_tail = _gauss_exp_columns(a, Y, t), _log_tail(spec, Y, t)
         w = _guarded_exp(log_tail) * coef
         return _by_row_blocks(
-            lambda rows: _gauss_exp_block(a, c, rows, cols, t, log_tail) @ w,
-            pre, block)
-    return _by_row_blocks(
-        lambda rows: _conditional_gram(spec, rows, Y, t) @ coef, pre, block)
+            lambda rows: _gauss_exp_block(a, c, rows, cols, t, log_tail) @ w, pre)
+    return _by_row_blocks(lambda rows: _conditional_gram(spec, rows, Y, t) @ coef, pre)
 
 
-def gram_dot(spec, X, Y, coef, block=BLOCK):
-    """``gram(spec, X, Y) @ coef`` as an (N,) vector, in blocks of ``block`` rows.
+def gram_dot(spec, X, Y, coef):
+    """``gram(spec, X, Y) @ coef`` as an (N,) vector, in blocks of :data:`BLOCK` rows.
 
-    Memory is O(block x M): no (N, M) Gram is built.  This is
+    Memory is O(BLOCK x M): no (N, M) Gram is built.  This is
     :func:`conditional_gram_dot` at ``t = T``, except for a GaussPolyKernel,
     which multiplies each block of :func:`gram` by ``coef`` so that it is
     not limited to its feature enumeration.
     """
     X = as_paths(X, spec.d, spec.T)
     if not isinstance(spec, GaussPolyKernel):
-        return conditional_gram_dot(spec, X, Y, spec.T, coef, block)
+        return conditional_gram_dot(spec, X, Y, spec.T, coef)
     Y = as_paths(Y, spec.d, spec.T)
-    return _by_row_blocks(lambda rows: gram(spec, rows, Y) @ coef, X, block)
+    return _by_row_blocks(lambda rows: gram(spec, rows, Y) @ coef, X)
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +620,4 @@ def conditional_feature_matrix(spec, prefixes, t):
     """
     if not isinstance(spec, FeatureMapKernel):
         raise InputError("conditional_feature_matrix requires a FeatureMapKernel")
-    if not 0 <= t <= spec.T:
-        raise InputError(f"t must lie in [0, {spec.T}], got {t}")
-    pre = np.asarray(prefixes, dtype=float)
-    if pre.ndim == 2:
-        pre = pre[None]
-    return _feature_products(spec, pre, t)
+    return _feature_products(spec, _prefixes(spec, prefixes, t), t)

@@ -87,8 +87,8 @@ class Estimator:
 
 def _check_fit_inputs(ts, spec, lambdas):
     for lam in lambdas:
-        if lam < 0:
-            raise InputError(f"regularization parameter must be nonnegative, got {lam}")
+        if not 0 <= lam < math.inf:
+            raise InputError(f"lambda must be finite and nonnegative, got {lam}")
     if ts.d != spec.d or ts.T != spec.T:
         raise InputError(
             f"training set is ({ts.d}, {ts.T}) but kernel expects ({spec.d}, {spec.T})"

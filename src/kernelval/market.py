@@ -13,8 +13,9 @@ Ground truth for the value process comes in two strengths:
 * :func:`ground_truth_value` - conditional Monte Carlo with a configurable
   inner budget (the reference protocol);
 * :func:`value_quadrature` - deterministic tensor quadrature over the
-  remaining Gaussian steps, exact to roughly 1e-7, used where MC noise at
-  reasonable budgets would swamp the quantity being measured.
+  remaining Gaussian steps (``GT_NODES`` trapezoid nodes per step on
+  ``[-GT_HALF_WIDTH, GT_HALF_WIDTH]``), exact to roughly 1e-7, used where MC
+  noise at reasonable budgets would swamp the quantity being measured.
 
 Both are cross-checked against each other in the test suite.
 """
@@ -44,6 +45,10 @@ __all__ = [
     "NestedMC",
     "nested_mc_estimate",
 ]
+
+# Trapezoid rule of the quadrature ground truth: nodes per remaining step on
+# [-GT_HALF_WIDTH, GT_HALF_WIDTH].
+GT_NODES, GT_HALF_WIDTH = 2049, 8.5
 
 PAYOFF_IDS = (
     "european_put",
@@ -182,11 +187,11 @@ def ground_truth_value(cfg, payoff_id, x_prefix, t, n_inner, seed=0, stream=("gt
     return float(payoff(cfg, payoff_id, full).mean())
 
 
-def value_quadrature(cfg, payoff_id, x_prefix, t, n_nodes=2049, half_width=8.5):
+def value_quadrature(cfg, payoff_id, x_prefix, t):
     """Deterministic conditional value by trapezoid quadrature.
 
     Integrates the payoff against the standard normal density of the
-    remaining increments on a tensor grid over ``[-half_width, half_width]``.
+    remaining increments on a tensor grid of ``GT_NODES`` nodes per step.
     Supports one or two remaining steps (the experiment configuration needs
     no more); use :func:`ground_truth_value` beyond that.
     """
@@ -199,13 +204,13 @@ def value_quadrature(cfg, payoff_id, x_prefix, t, n_nodes=2049, half_width=8.5):
     if k > 2:
         raise CapabilityError("quadrature ground truth supports at most two remaining steps")
     if k == 1:
-        return float(_quad_one_step(cfg, payoff_id, pre[None, :], n_nodes, half_width)[0])
-    z, wq = _normal_rule(n_nodes, half_width)
+        return float(_quad_one_step(cfg, payoff_id, pre[None, :])[0])
+    z, wq = _normal_rule(GT_NODES, GT_HALF_WIDTH)
     # two remaining steps: integrate the one-step values over the first of them
     prefixes = np.concatenate(
-        [np.broadcast_to(pre, (n_nodes, t)), z[:, None]], axis=1
+        [np.broadcast_to(pre, (GT_NODES, t)), z[:, None]], axis=1
     )
-    inner = _quad_one_step(cfg, payoff_id, prefixes, n_nodes, half_width)
+    inner = _quad_one_step(cfg, payoff_id, prefixes)
     return float(inner @ wq)
 
 
@@ -219,18 +224,18 @@ def _normal_rule(n_nodes, half_width):
     return z, dens * w
 
 
-def _quad_one_step(cfg, payoff_id, prefixes, n_nodes, half_width, block=512):
-    """Vectorized one-remaining-step quadrature; prefixes (N, T-1) -> (N,)."""
-    n = prefixes.shape[0]
-    z, wq = _normal_rule(n_nodes, half_width)
+def _quad_one_step(cfg, payoff_id, prefixes):
+    """One-remaining-step quadrature, 512 prefixes a block; (N, T-1) -> (N,)."""
+    n, block = prefixes.shape[0], 512
+    z, wq = _normal_rule(GT_NODES, GT_HALF_WIDTH)
     out = np.empty(n)
     for lo in range(0, n, block):
         pre = prefixes[lo : lo + block]
         m = pre.shape[0]
         full = np.concatenate(
-            [np.repeat(pre, n_nodes, axis=0), np.tile(z, m)[:, None]], axis=1
+            [np.repeat(pre, GT_NODES, axis=0), np.tile(z, m)[:, None]], axis=1
         )
-        vals = payoff(cfg, payoff_id, full).reshape(m, n_nodes)
+        vals = payoff(cfg, payoff_id, full).reshape(m, GT_NODES)
         out[lo : lo + block] = vals @ wq
     return out
 
@@ -244,8 +249,7 @@ class GroundTruth:
     :meth:`to_csv` renders them.
     """
 
-    def __init__(self, cfg, payoff_id, method="quadrature", n_inner=10_000, seed=0,
-                 n_nodes=2049):
+    def __init__(self, cfg, payoff_id, method="quadrature", n_inner=10_000, seed=0):
         if payoff_id not in PAYOFF_IDS:
             raise InputError(f"unknown payoff id {payoff_id!r}")
         if method not in ("quadrature", "mc"):
@@ -255,16 +259,13 @@ class GroundTruth:
         self.method = method
         self.n_inner = int(n_inner)
         self.seed = int(seed)
-        self.n_nodes = int(n_nodes)
         self._v0 = None
         self._v1_cache = {}
 
     def v0(self):
         if self._v0 is None:
             if self.method == "quadrature":
-                self._v0 = value_quadrature(
-                    self.cfg, self.payoff_id, (), 0, n_nodes=self.n_nodes
-                )
+                self._v0 = value_quadrature(self.cfg, self.payoff_id, (), 0)
             else:
                 self._v0 = ground_truth_value(
                     self.cfg, self.payoff_id, (), 0, self.n_inner,
@@ -281,9 +282,7 @@ class GroundTruth:
         if self.method == "quadrature" and self.cfg.T == 2:
             missing = [i for i, v in enumerate(arr) if float(v) not in self._v1_cache]
             if missing:
-                vals = _quad_one_step(
-                    self.cfg, self.payoff_id, arr[missing][:, None], self.n_nodes, 8.5
-                )
+                vals = _quad_one_step(self.cfg, self.payoff_id, arr[missing][:, None])
                 for i, v in zip(missing, vals):
                     self._v1_cache[float(arr[i])] = float(v)
             for i, v in enumerate(arr):
@@ -293,9 +292,7 @@ class GroundTruth:
                 key = float(v) + 0.0  # -0.0 and 0.0 share one cache entry and stream
                 if key not in self._v1_cache:
                     if self.method == "quadrature":
-                        val = value_quadrature(
-                            self.cfg, self.payoff_id, [key], 1, n_nodes=self.n_nodes
-                        )
+                        val = value_quadrature(self.cfg, self.payoff_id, [key], 1)
                     else:
                         # the inner stream is keyed by the value's bits, not its
                         # batch position, so a value does not depend on call order

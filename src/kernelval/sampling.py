@@ -45,7 +45,6 @@ __all__ = [
     "draw_paths",
     "rn_weight",
     "log_rn_weight",
-    "mixture_sampler",
     "build_training_set",
     "training_set_to_csv",
     "content_hash",
@@ -202,11 +201,6 @@ class MixtureSampler:
         if np.asarray(paths).ndim <= 2 and X.shape[0] == 1:
             return float(out[0])
         return out
-
-
-def mixture_sampler(spec, seed=0):
-    """Build the variance-optimal mixture sampler for a feature-map kernel."""
-    return MixtureSampler(spec, seed=seed)
 
 
 # ---------------------------------------------------------------------------

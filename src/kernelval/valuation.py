@@ -6,7 +6,7 @@ steps, the conditional expectation of every kernel section is available in
 closed form, so ``Vhat_t`` needs no inner simulation at all.  ``Vhat_0`` is
 the same for every path and is computed once per chunk of paths; each later
 time step costs one conditional-Gram-times-coefficients product per block
-of paths (see :func:`kernels.conditional_gram_dot`).
+of :data:`kernels.BLOCK` paths (see :func:`kernels.conditional_gram_dot`).
 
 Error metrics mirror the experiment layout: relative L2 payoff error on a
 fresh validation sample, per-time relative L1 value-process error against a
@@ -66,52 +66,51 @@ class ErrorReport:
             raise DataError("error report entries must be nonnegative")
 
 
-def _dual_series(est, X, block, out):
+def _values_at(est, pre, t):
+    """Vhat_t at each of the prefixes ``pre`` (N, d, >= t); returns (N,).
+
+    A dual fit's t = 0 value is one conditional-Gram row times the
+    coefficients, shared by every row; later steps are
+    :func:`kernels.conditional_gram_dot`.  A primal fit multiplies the
+    conditional features of each block of :data:`kernels.BLOCK` rows.
+    """
     spec = est.kernel
-    G0 = kernels.conditional_gram(spec, np.zeros((1, spec.d, 0)), est.paths, 0)
-    out[:, 0] = G0[0] @ est.eval_coef / est.n_train
-    for t in range(1, spec.T + 1):
-        out[:, t] = kernels.conditional_gram_dot(
-            spec, X[:, :, :t], est.paths, t, est.eval_coef, block) / est.n_train
+    if est.mode == "primal":
+        return kernels._by_row_blocks(
+            lambda rows: kernels.conditional_feature_matrix(spec, rows, t)
+            @ est.primal_coef, pre)
+    if t == 0:
+        G0 = kernels.conditional_gram(spec, np.zeros((1, spec.d, 0)), est.paths, 0)
+        return np.full(len(pre), G0[0] @ est.eval_coef / est.n_train)
+    return kernels.conditional_gram_dot(spec, pre, est.paths, t,
+                                        est.eval_coef) / est.n_train
 
 
-def _primal_series(est, X, block, out):
-    spec = est.kernel
-    for lo in range(0, X.shape[0], block):
-        chunk = X[lo:lo + block]
-        for t in range(spec.T + 1):
-            F = kernels.conditional_feature_matrix(spec, chunk[:, :, :t], t)
-            out[lo:lo + block, t] = F @ est.primal_coef
-
-
-def value_series_many(est, X, block=kernels.BLOCK):
+def value_series_many(est, X):
     """Vhat_t for a batch of paths; returns shape (N, T+1).
 
-    Each :mod:`kernelval.pool` worker fills one chunk of whole ``block``-row
-    blocks, so the bits do not depend on the worker count.
+    Each :mod:`kernelval.pool` worker fills one chunk of whole
+    :data:`kernels.BLOCK`-row blocks, so the bits do not depend on the
+    worker count.
     """
     X = kernels.as_paths(X, est.kernel.d, est.kernel.T)
-    series = _primal_series if est.mode == "primal" else _dual_series
     out = np.empty((len(X), est.kernel.T + 1))
+    block = kernels.BLOCK
     n_blocks = -(-len(X) // block)
     k = max(1, min(pool.workers(), n_blocks))
     cuts = [i * n_blocks // k * block for i in range(k)] + [len(X)]
-    pool.pool_map(lambda s: series(est, X[s], block, out[s]),
-                  [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+
+    def chunk(s):
+        for t in range(est.kernel.T + 1):
+            out[s, t] = _values_at(est, X[s, :, :t], t)
+
+    pool.pool_map(chunk, [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
     return out
 
 
 def value_at_zero(est):
-    """Time-0 value as an explicit weighted sum, added in index order."""
-    spec = est.kernel
-    empty = np.zeros((1, spec.d, 0))
-    if est.mode == "primal":
-        means = kernels.conditional_feature_matrix(spec, empty, 0)[0]
-        terms = means * est.primal_coef
-    else:
-        G = kernels.conditional_gram(spec, empty, est.paths, 0)
-        terms = G[0] * est.eval_coef / est.n_train
-    return float(np.add.reduce(terms))
+    """Time-0 value: the series' t = 0 column."""
+    return float(_values_at(est, np.zeros((1, est.kernel.d, 0)), 0)[0])
 
 
 def payoff_errors(est, paths, values):
@@ -154,34 +153,27 @@ def payoff_l2_error(est, cfg, payoff_id, n_val, seed=None, stream=("validation",
     return payoff_errors(est, X, f(X))["rel"]
 
 
-def value_process_error(est, gt, test_paths, block=kernels.BLOCK):
+def value_process_error(est, gt, test_paths):
     """Mean |V_t - Vhat_t| / V_0 per time step over the test paths."""
     X = kernels.as_paths(test_paths, est.kernel.d, est.kernel.T)
     truth = gt.v_series(X)
     v0 = truth[0, 0]
     if v0 == 0.0:
         raise DataError("ground-truth time-0 value is zero; relative error undefined")
-    approx = value_series_many(est, X, block=block)
+    approx = value_series_many(est, X)
     # pairwise-stable reduction: np.mean sums pairwise for float64 arrays
     return np.mean(np.abs(truth - approx), axis=0) / v0
 
 
-def martingale_gap(est, n=100_000, seed=0, stream=("martingale",),
-                   block=kernels.BLOCK):
+def martingale_gap(est, n=100_000, seed=0, stream=("martingale",)):
     """Tower check at the root: MC mean of Vhat_1 against the exact Vhat_0.
 
     Returns (v0, mc_mean, se); a correct conditional-expectation stack keeps
     |v0 - mc_mean| within a few se.
     """
-    spec = est.kernel
     rng = derive_rng(seed, *stream)
-    x1 = rng.standard_normal((n, spec.d, 1))
     v0 = value_at_zero(est)
-    if est.mode == "primal":
-        vals = kernels.conditional_feature_matrix(spec, x1, 1) @ est.primal_coef
-    else:
-        vals = kernels.conditional_gram_dot(
-            spec, x1, est.paths, 1, est.eval_coef, block) / est.n_train
+    vals = _values_at(est, rng.standard_normal((n, est.kernel.d, 1)), 1)
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
     return v0, float(np.mean(vals)), se
 
@@ -216,14 +208,14 @@ def doob_check(est, gt, test_paths, cfg=None, payoff_id=None, payoff_values=None
 
 
 def repeat_experiment(cfg, payoff_id, spec, lam, sampler, n_train, test_paths, gt,
-                      n_repeats=10, n_val=500, master_seed=0, mode="dual-unsorted",
-                      return_fits=False):
+                      n_repeats=10, n_val=500, master_seed=0, mode="dual-unsorted"):
     """Full error pipeline over independent training samples.
 
     Per repeat: draw a training sample from ``sampler``, fit, measure the
     value-process error on the shared test paths and the payoff L2 error on a
-    fresh validation sample.  Reports per-time mean and standard deviation as
-    percentages of the ground-truth time-0 value.
+    fresh validation sample.  Returns ``(report, fits)``: per-time mean and
+    standard deviation as percentages of the ground-truth time-0 value, and
+    the repeats' estimators.
     """
     from .krr import fit
     from .market import payoff_function
@@ -241,8 +233,7 @@ def repeat_experiment(cfg, payoff_id, spec, lam, sampler, n_train, test_paths, g
             l2s.append(payoff_l2_error(est, cfg, payoff_id, n_val, seed=master_seed,
                                        stream=("repeat", r, "validation")))
         evals += ts.n_payoff_evals + n_val
-        if return_fits:
-            fits.append(est)
+        fits.append(est)
     arr = 100.0 * np.asarray(per_t)
     report = ErrorReport(
         payoff_id=payoff_id,
@@ -253,7 +244,7 @@ def repeat_experiment(cfg, payoff_id, spec, lam, sampler, n_train, test_paths, g
         l2_rel=float(np.mean(l2s)) if l2s else float("nan"),
         n_payoff_evals=evals,
     )
-    return (report, fits) if return_fits else report
+    return report, fits
 
 
 # ---------------------------------------------------------------------------

@@ -247,19 +247,19 @@ def three_pass_clt_population(spec, payoff_fn, lam, phi_z, weight):
     return h_pop, m2 - m1 * m1
 
 
-def two_fit_drifts(payoff_fn, spec, lam, n, n_repeats, sampler, eps, seed, bump_fn):
+def two_fit_drifts(payoff_fn, spec, lam, n, n_repeats, sampler, eps, seed):
     """Robustness drifts from two separate dual fits per repeat.
 
-    The original loop: the base and the bumped payoffs are fitted one after
-    the other, each with its own Gram and Cholesky factor.
+    The original loop: the base payoff and the payoff bumped by ``eps * 1``
+    are fitted one after the other, each with its own Gram and Cholesky
+    factor.
     """
     drifts = np.empty(n_repeats)
     for r in range(n_repeats):
         ts = build_training_set(sampler, payoff_fn, n,
                                 stream=("robust", "repeat", r), seed=seed)
         base = fit(ts, spec, lam)
-        pert = fit(ts.with_payoffs(ts.payoff_values + eps * bump_fn(ts.paths)),
-                   spec, lam)
+        pert = fit(ts.with_payoffs(ts.payoff_values + eps * np.ones(n)), spec, lam)
         a = base.dual_coef - pert.dual_coef
         drifts[r] = math.sqrt(max(_quad_form(spec, ts.paths, ts.weights, a), 0.0)) / n
     return drifts

@@ -338,6 +338,43 @@ def test_split_value_process_is_thread_invariant(tiny_cfg, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_two_payoff_grid_search_is_thread_invariant(tiny_cfg, tmp_path,
+                                                    capsys):
+    # grid-search runs its payoffs side by side on the pool
+    tiny_cfg.write_text(TINY.replace("payoffs = european_put",
+                                     "payoffs = european_put, asian_put"))
+    outs, printed = {}, {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert _run("grid-search", "--config", str(tiny_cfg), "--out", str(out),
+                    "--threads", threads) == 0
+        printed[threads] = capsys.readouterr()
+        outs[threads] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    assert sorted(outs["1"]) == ["grid_asian_put.csv", "grid_european_put.csv",
+                                 "manifest.json"]
+    assert outs["1"] == outs["2"]
+    assert printed["1"] == printed["2"]
+    assert printed["1"].out.index("european_put") < printed["1"].out.index("asian_put")
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("grid-search", "lambdas = 1e-5, 1e-3", "lambdas = nan, 1e-5"),
+    ("grid-search", "lambdas = 1e-5, 1e-3", "lambdas = 1e-5, -1e-3"),
+    ("fit", "lambda = 1e-5", "lambda = inf"),
+])
+def test_non_finite_or_negative_lambda_exit_1(command, old, new, tiny_cfg,
+                                             tmp_path, capsys):
+    # a NaN would win no comparison and be selected as the first grid point;
+    # an infinite ridge fits the zero function
+    tiny_cfg.write_text(TINY.replace(old, new))
+    out = tmp_path / "out"
+    assert _run(command, "--config", str(tiny_cfg), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "input error: lambda must be finite and nonnegative" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_default_threads_is_the_usable_cpu_count():
     assert load_config().threads == len(os.sched_getaffinity(0))
 
@@ -432,7 +469,7 @@ def test_diagnostics_is_thread_invariant(tmp_path, monkeypatch, capsys):
     ("n", "0"), ("n_ref", "0"), ("n_repeats", "0"), ("conc_repeats", "0"),
     ("clt_n", "0"), ("clt_repeats", "0"), ("n_repeats", "-3"),
     ("lambda", "0"), ("clt_lambda", "0"), ("clt_lambda", "-1"),
-    ("payoff", "bermudan_put"),
+    ("lambda", "inf"), ("clt_lambda", "nan"), ("payoff", "bermudan_put"),
 ])
 def test_diagnostics_config_rejects_bad_values(key, value, tmp_path,
                                                           capsys):

@@ -53,8 +53,16 @@ def test_tilted_l2_norm_closed_form():
         tilted_l2_norm(FeatureMapKernel(features=monomial_features(1, 2, 1)))
 
 
+def _reference(lam, n, seed):
+    """The reference fit the checks used to build themselves, at n_ref = 4 n."""
+    return reference_estimator(SAMPLER, payoff_function(CFG, "european_put"),
+                               SPEC, lam, n, 4 * n, payoff_id="european_put",
+                               seed=seed)
+
+
 @pytest.mark.parametrize("block", [7, 40])
-def test_quad_form_in_blocks_matches_tilted_gram(block):
+def test_quad_form_in_blocks_matches_tilted_gram(block, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK", block)
     f = payoff_function(CFG, "european_put")
     ts = build_training_set(SAMPLER, f, 40, stream=("hn",))
     e1 = fit(ts, SPEC, 1e-4)
@@ -63,7 +71,7 @@ def test_quad_form_in_blocks_matches_tilted_gram(block):
     # a fit's coefficients, and the coefficient gap the robustness check uses
     for c in (e1.dual_coef, e1.dual_coef - e2.dual_coef):
         full = float(c @ K @ c)
-        blocked = _quad_form(SPEC, ts.paths, ts.weights, c, block=block)
+        blocked = _quad_form(SPEC, ts.paths, ts.weights, c)
         assert abs(blocked - full) <= 1e-12 * abs(full)
     # the mse check's cross form against a second fit on other paths
     ts3 = build_training_set(SAMPLER, f, 30, stream=("hn", 3))
@@ -71,7 +79,7 @@ def test_quad_form_in_blocks_matches_tilted_gram(block):
     full = float(e1.dual_coef @ tilted_gram(SPEC, ts.paths, ts.weights, ts3.paths,
                                             ts3.weights) @ e3.dual_coef)
     blocked = _cross_form(SPEC, ts.paths, ts.weights, e1.dual_coef, ts3.paths,
-                          ts3.weights, e3.dual_coef, block=block)
+                          ts3.weights, e3.dual_coef)
     assert abs(blocked - full) <= 1e-12 * abs(full)
 
 
@@ -89,9 +97,10 @@ def test_quadratic_forms_hold_one_block_not_the_gram():
 
 
 @pytest.mark.parametrize("block", [7, BLOCK])
-def test_offdiag_form_matches_the_gram_oracle(block):
+def test_offdiag_form_matches_the_gram_oracle(block, monkeypatch):
     # the mse check's J~* sum on its own residuals, where the diagonal is a
     # large part of the quadratic form, and on random coefficients
+    monkeypatch.setattr(kernels, "BLOCK", block)
     f = payoff_function(CFG, "european_put")
     ref = reference_estimator(SAMPLER, f, SPEC, 1e-5, n=100, n_ref=400)
     P = draw_paths(SAMPLER, 700, stream=("msebound", "probe"))
@@ -100,7 +109,7 @@ def test_offdiag_form_matches_the_gram_oracle(block):
     c = np.random.default_rng(20).standard_normal(P.shape[0])
     for coef in (resid, c):
         ref_sum = gram_offdiag_form(SPEC, P, w, coef)
-        assert abs(_offdiag_form(SPEC, P, w, coef, block) - ref_sum) <= 1e-12 * abs(ref_sum)
+        assert abs(_offdiag_form(SPEC, P, w, coef) - ref_sum) <= 1e-12 * abs(ref_sum)
 
 
 def test_normal_expectation_oracles():
@@ -149,7 +158,8 @@ def test_feature_payoff_moments_constant_feature():
 class TestMseBound:
     def test_holds_on_reference_problem(self):
         rep = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=150,
-                              n_repeats=4, sampler=SAMPLER, seed=1, **FAST)
+                              n_repeats=4, sampler=SAMPLER, seed=1,
+                              reference=_reference(1e-3, 150, seed=1), **FAST)
         assert rep.kind == "mse_bound"
         assert not rep.violated
         assert rep.empirical_rms_h < rep.bound  # huge slack expected
@@ -171,13 +181,15 @@ class TestMseBound:
         assert b.l2_kappa_residual == a.l2_kappa_residual
 
     def test_lambda_zero_rejected(self):
+        # lambda is refused before the reference is read
         with pytest.raises(InputError):
             mse_bound_check(CFG, "european_put", SPEC, 0.0, n=100, n_repeats=1,
-                            sampler=SAMPLER)
+                            sampler=SAMPLER, reference=None)
 
     def test_report_serializes_to_strict_json(self):
         rep = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=100,
-                              n_repeats=2, sampler=SAMPLER, seed=3, **FAST)
+                              n_repeats=2, sampler=SAMPLER, seed=3,
+                              reference=_reference(1e-3, 100, seed=3), **FAST)
         doc = json.loads(rep.to_json())  # would raise on NaN/Infinity tokens
         assert doc["kind"] == "mse_bound"
         assert doc["violated"] is False
@@ -189,6 +201,7 @@ class TestConcentration:
     def test_holds_and_reports_rows(self):
         rep = concentration_check(CFG, "european_put", SPEC, 1e-3, n=150,
                                   n_repeats=12, sampler=SAMPLER, seed=4,
+                                  reference=_reference(1e-3, 150, seed=4),
                                   n_probe=20_000, n_l2=2000)
         assert rep.kind == "concentration"
         assert rep.applicable and not rep.violated
@@ -201,6 +214,7 @@ class TestConcentration:
     def test_huge_tau_never_exceeded(self):
         rep = concentration_check(CFG, "european_put", SPEC, 1e-3, n=120,
                                   n_repeats=6, sampler=SAMPLER, seed=5,
+                                  reference=_reference(1e-3, 120, seed=5),
                                   tau_grid=[1e6], n_probe=10_000, n_l2=1000)
         tau, emp, theo = rep.exceedance[0]
         assert emp == 0.0
@@ -210,8 +224,10 @@ class TestConcentration:
     def test_unbounded_diagonal_marked_inapplicable(self):
         heavy = GaussExpKernel(alpha=4.0, beta=0.45, d=1, T=2, gamma=0.3)
         light_sampler = MeasureSpec(gamma=0.3, d=1, T=2, seed=0)
+        # the check returns before it reads the reference
         rep = concentration_check(CFG, "european_put", heavy, 1e-3, n=100,
-                                  n_repeats=2, sampler=light_sampler)
+                                  n_repeats=2, sampler=light_sampler,
+                                  reference=None)
         assert not rep.applicable
         assert not rep.violated
         assert "unbounded" in " ".join(rep.notes)
@@ -326,29 +342,13 @@ class TestRobustness:
         assert rep.empirical_rms_h < rep.bound
         assert rep.kappa_l2 == pytest.approx(tilted_l2_norm(SPEC), rel=1e-14)
 
-    def test_custom_bump_function(self):
-        def bump(paths):
-            return paths[:, 0, 0]
-
-        rep = robustness_check(CFG, "european_put", SPEC, 1e-4, n=60,
-                               n_repeats=2, sampler=SAMPLER, eps=0.1,
-                               seed=11, bump_fn=bump)
-        # E[x_1^2] = 1 under the nominal measure, so the bound matches the
-        # constant-bump value at equal eps
-        flat = robustness_check(CFG, "european_put", SPEC, 1e-4, n=60,
-                                n_repeats=2, sampler=SAMPLER, eps=0.1, seed=11)
-        assert rep.bound == pytest.approx(flat.bound, rel=1e-6)
-        assert not rep.violated
-
-    @pytest.mark.parametrize("bump", [None, lambda p: p[:, 0, 1] ** 2])
-    def test_one_factor_equals_two_fits(self, bump):
+    def test_one_factor_equals_two_fits(self):
         # both right-hand sides solved on one factor: the drifts of two
         # separate fits, bit for bit
         kw = dict(n=90, n_repeats=3, sampler=SAMPLER, eps=0.03, seed=13)
-        rep = robustness_check(CFG, "european_put", SPEC, 1e-4, bump_fn=bump, **kw)
-        flat = bump or (lambda p: np.ones(p.shape[0]))
+        rep = robustness_check(CFG, "european_put", SPEC, 1e-4, **kw)
         drifts = two_fit_drifts(payoff_function(CFG, "european_put"), SPEC, 1e-4,
-                                bump_fn=flat, **kw)
+                                **kw)
         assert rep.empirical_rms_h == float(np.sqrt(np.mean(drifts**2)))
         assert f"mean drift {float(np.mean(drifts))!r} " in rep.notes[1]
 

@@ -330,6 +330,15 @@ def test_conditional_feature_matrix_towers_to_step_means():
         assert np.allclose(F1[:, j], manual, rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 2), (4, 1, 1)],
+                         ids=["second-coordinate", "short-prefix"])
+def test_conditional_feature_matrix_validates_prefixes(shape):
+    # the checks conditional_gram makes: the width d and at least t steps
+    spec = FeatureMapKernel(features=monomial_features(1, 2, 2), d=1, T=2)
+    with pytest.raises(InputError, match="prefixes must have shape"):
+        conditional_feature_matrix(spec, np.ones(shape), 2)
+
+
 def test_diag_shortcut_matches_gram():
     X = 1.5 * np.random.default_rng(23).standard_normal((9, 1, 2))
     w = rn_weight(MeasureSpec(gamma=0.45), X)

@@ -313,6 +313,11 @@ def test_input_validation():
     ts = _ts(5)
     with pytest.raises(InputError):
         fit(ts, SPEC, -1e-3, mode="dual-unsorted")
+    for lam in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            fit(ts, SPEC, lam, mode="dual-unsorted")
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            fit_path(ts, SPEC, [1e-3, lam])
     with pytest.raises(InputError):
         fit(ts, SPEC, 1e-3, mode="banana")
     wrong = GaussExpKernel(alpha=1.0, beta=0.1, d=1, T=3)

@@ -14,7 +14,7 @@ from kernelval.kernels import (FeatureMapKernel, GaussExpKernel,
 from kernelval.sampling import (MeasureSpec, MixtureSampler, TrainingSet,
                                 build_training_set, content_hash, derive_rng,
                                 derive_seed, draw_paths, log_rn_weight,
-                                mixture_sampler, rn_weight, training_set_to_csv)
+                                rn_weight, training_set_to_csv)
 from support import csv_writer_training_set
 
 
@@ -115,10 +115,6 @@ class TestMixtureSampler:
     def test_rejects_plain_kernel(self):
         with pytest.raises(InputError):
             MixtureSampler(GaussExpKernel(alpha=1.0, beta=0.1))
-
-    def test_helper_constructor(self):
-        s = mixture_sampler(self._spec(), seed=2)
-        assert s.seed == 2
 
 
 def _payoff(paths):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelval import pool
+from kernelval import kernels, pool
 from kernelval.cli import load_config
 from kernelval.errors import DataError, InputError
 from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
@@ -49,7 +49,7 @@ def test_series_endpoints():
     assert s[0, 2] == pytest.approx(predict(est, x), rel=1e-12)
 
 
-def test_series_many_matches_single():
+def test_series_many_matches_single(monkeypatch):
     est = _fit(n=120)
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=5), 6)
     batch = value_series_many(est, X)
@@ -58,7 +58,8 @@ def test_series_many_matches_single():
         assert one.shape == (1, 3)
         assert np.allclose(batch[i], one[0], rtol=1e-12)
     # block size changes BLAS accumulation order, so exact equality is out
-    small_block = value_series_many(est, X, block=2)
+    monkeypatch.setattr(kernels, "BLOCK", 2)
+    small_block = value_series_many(est, X)
     assert np.allclose(batch, small_block, rtol=1e-12, atol=1e-15)
 
 
@@ -299,7 +300,7 @@ def test_repeat_experiment_budget_and_shape():
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=61), 200)
     rep, fits = repeat_experiment(
         CFG, "european_put", SPEC, 1e-5, MEASURE, n_train=80, test_paths=X,
-        gt=gt, n_repeats=3, n_val=40, master_seed=7, return_fits=True)
+        gt=gt, n_repeats=3, n_val=40, master_seed=7)
     assert rep.estimator == "kernel"
     assert rep.times == (0, 1, 2)
     assert rep.n_payoff_evals == 3 * (80 + 40)
@@ -316,11 +317,11 @@ def test_repeat_experiment_is_deterministic_in_master_seed():
     gt = GroundTruth(CFG, "european_put")
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=61), 100)
     kw = dict(n_train=60, test_paths=X, gt=gt, n_repeats=2, n_val=30)
-    a = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
-                          master_seed=5, **kw)
-    b = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
-                          master_seed=5, **kw)
-    c = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
-                          master_seed=6, **kw)
+    a, _ = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
+                             master_seed=5, **kw)
+    b, _ = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
+                             master_seed=5, **kw)
+    c, _ = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
+                             master_seed=6, **kw)
     assert np.array_equal(a.mean_pct, b.mean_pct)
     assert not np.array_equal(a.mean_pct, c.mean_pct)
