@@ -150,6 +150,15 @@ class ExperimentConfig:
         for lam in (*self.lambdas, self.fit_lambda):
             if not 0 <= lam < math.inf:
                 raise InputError(f"lambda must be finite and nonnegative, got {lam}")
+        # the ranges are the specs' to check; every command refuses a
+        # non-finite value before any work
+        for name, values in (
+                ("alpha", (*self.alphas, self.fit_alpha, self.diag["alpha"])),
+                ("beta", (*self.betas, self.fit_beta, self.diag["beta"])),
+                ("gamma", (self.gamma,)), ("diagnostics eps", (self.diag["eps"],))):
+            for v in values:
+                if not math.isfinite(v):
+                    raise InputError(f"{name} must be finite, got {v}")
         for name in ("n_train", "n_val", "n_test", "n_repeats", "n_inner_gt",
                      "nested_outer", "nested_inner", "threads"):
             if getattr(self, name) < 1:
@@ -278,10 +287,6 @@ class GridResult:
     failures: tuple = ()
     training_set: object = field(default=None, compare=False, repr=False)
     estimator: object = field(default=None, compare=False, repr=False)
-
-    @property
-    def best(self):
-        return (self.alpha, self.beta, self.lam)
 
     def top(self, k):
         """Best k grid triples by validation error (stable order on ties)."""
@@ -616,9 +621,8 @@ def _cmd_fit(config, config_path):
                       payoff_id=payoff_id)
         files[f"train_{payoff_id}.csv"] = training_set_to_csv(ts)
         files[f"estimator_{payoff_id}.json"] = krr.estimator_to_json(est)
-        resid = krr.normal_equation_residual(est, ts)
         print(f"fit {payoff_id}: alpha={config.fit_alpha} beta={config.fit_beta} "
-              f"lambda={config.fit_lambda} normal-eq residual={resid:.3e}")
+              f"lambda={config.fit_lambda} normal-eq residual={est.residual:.3e}")
         evals[payoff_id] = ts.n_payoff_evals
     _write_outputs(config, "fit", config_path, files, evals)
     return 0

@@ -136,12 +136,13 @@ def _cross_form(spec, P, wp, c, Q, wq, v):
     """``c^T K~(P, Q) v`` as a blocked kernel-times-vector product.
 
     With ``1/sqrt(w)`` folded into the coefficients the tilted form is
-    ``(c / sqrt(wp)) @ K(P, Q) (v / sqrt(wq))``; :func:`kernels.gram_dot`
-    evaluates ``K(P, Q)`` times the vector in blocks of :data:`kernels.BLOCK`
-    rows, so memory is O(BLOCK x |Q|) and no |P| x |Q| matrix is built.
+    ``(c / sqrt(wp)) @ K(P, Q) (v / sqrt(wq))``;
+    :func:`kernels.conditional_gram_dot` at ``t = T`` evaluates ``K(P, Q)``
+    times the vector in blocks of :data:`kernels.BLOCK` rows, so memory is
+    O(BLOCK x |Q|) and no |P| x |Q| matrix is built.
     """
     u = c / np.sqrt(wp)
-    return float(u @ kernels.gram_dot(spec, P, Q, v / np.sqrt(wq)))
+    return float(u @ kernels.conditional_gram_dot(spec, P, Q, spec.T, v / np.sqrt(wq)))
 
 
 def _quad_form(spec, P, w, c):
@@ -526,6 +527,8 @@ def robustness_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, eps,
     """
     if lam <= 0:
         raise InputError("the perturbation bound requires lambda > 0")
+    if not math.isfinite(eps):
+        raise InputError(f"the perturbation size eps must be finite, got {eps}")
     f = payoff_function(cfg, payoff_id)
     kap2 = tilted_l2_norm(spec)
     kinf = float("nan")

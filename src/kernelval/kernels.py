@@ -10,7 +10,8 @@ which makes the conditional expectation of ``k(X, y)`` given the first ``t``
 steps a finite product: revealed steps contribute the per-step kernel factor,
 unrevealed steps contribute a one-step Gaussian average.  That
 single identity is what turns a fitted kernel regressor into a closed-form
-value process.
+value process.  It is also the only evaluator: the plain kernel matrix
+:func:`gram` is the conditional Gram at ``t = T``.
 
 Three families are implemented:
 
@@ -21,8 +22,8 @@ Three families are implemented:
 ``GaussPolyKernel``
     ``k(x, y) = exp(-alpha ||x - y||^2) (1 + x.y)^beta`` with integer
     ``beta >= 0``.  The polynomial part expands into finitely many monomial
-    features; the expansion is only enumerated for ``beta <= 4`` and
-    ``d*T <= 8``.
+    features, and every evaluation goes through that expansion, which is
+    only enumerated for ``beta <= 4`` and ``d*T <= 8``.
 
 ``FeatureMapKernel``
     ``k(x, y) = phi(x).phi(y)`` for finitely many product features
@@ -43,7 +44,7 @@ mixture, see :mod:`kernelval.sampling`), not from the spec's ``gamma``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product as _iproduct
 
 import numpy as np
@@ -65,7 +66,6 @@ __all__ = [
     "cond_expect",
     "conditional_gram",
     "conditional_gram_dot",
-    "gram_dot",
     "feature_matrix",
     "conditional_feature_matrix",
     "gauss_moment",
@@ -89,6 +89,15 @@ _POLY_DIM_CAP = 8
 def _validate_dims(d, T):
     if not (isinstance(d, int) and isinstance(T, int)) or d < 1 or T < 1:
         raise InputError(f"path dimensions must be positive integers, got d={d}, T={T}")
+
+
+def _check_spec(d, T, gamma, alpha=0.0):
+    """The checks every kernel and measure spec shares; a NaN fails each."""
+    _validate_dims(d, T)
+    if not alpha >= 0:
+        raise InputError(f"alpha must be nonnegative, got {alpha}")
+    if not gamma < 0.5:
+        raise InputError(f"gamma must be < 1/2, got {gamma}")
 
 
 def as_path(x, d, T):
@@ -157,19 +166,11 @@ class GaussExpKernel:
     gamma: float = 0.0
 
     def __post_init__(self):
-        _validate_dims(self.d, self.T)
-        if self.alpha < 0:
-            raise InputError(f"alpha must be nonnegative, got {self.alpha}")
+        _check_spec(self.d, self.T, self.gamma, self.alpha)
         if not 0.0 <= self.beta < 0.5:
             raise InputError(f"beta must lie in [0, 1/2), got {self.beta}")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise InputError("(alpha, beta) = (0, 0) is the constant kernel; not allowed")
-        if self.gamma >= 0.5:
-            raise InputError(f"gamma must be < 1/2, got {self.gamma}")
-
-    @property
-    def n_summands(self):
-        return 1
 
     def u_coefficient(self):
         """Coefficient c in U(y) = (1+2a)^(-d/2) exp(c ||y||^2)."""
@@ -188,17 +189,9 @@ class GaussPolyKernel:
     gamma: float = 0.0
 
     def __post_init__(self):
-        _validate_dims(self.d, self.T)
-        if self.alpha < 0:
-            raise InputError(f"alpha must be nonnegative, got {self.alpha}")
+        _check_spec(self.d, self.T, self.gamma, self.alpha)
         if not isinstance(self.beta, int) or self.beta < 0:
             raise InputError(f"beta must be a nonnegative integer, got {self.beta}")
-        if self.gamma >= 0.5:
-            raise InputError(f"gamma must be < 1/2, got {self.gamma}")
-
-    @property
-    def n_summands(self):
-        return math.comb(self.beta + self.d * self.T, self.d * self.T)
 
 
 @dataclass(frozen=True)
@@ -230,9 +223,6 @@ class MonomialFeature:
         m = math.prod(gauss_moment(k) for k in self.powers[t])
         return m * self.coef if t == 0 else m
 
-    def total_degree(self):
-        return sum(sum(p) for p in self.powers)
-
 
 @dataclass(frozen=True)
 class FeatureMapKernel:
@@ -242,23 +232,15 @@ class FeatureMapKernel:
     d: int = 1
     T: int = 2
     gamma: float = 0.0
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        _validate_dims(self.d, self.T)
-        if self.gamma >= 0.5:
-            raise InputError(f"gamma must be < 1/2, got {self.gamma}")
+        _check_spec(self.d, self.T, self.gamma)
         if not self.features:
             raise InputError("feature list must not be empty")
         for f in self.features:
             if len(f.powers) != self.T or any(len(p) != self.d for p in f.powers):
                 raise InputError("feature powers must have shape (T, d)")
-        if self.validate:
-            _check_linear_independence(self)
-
-    @property
-    def n_summands(self):
-        return len(self.features)
+        _check_linear_independence(self)
 
 
 def _check_linear_independence(spec):
@@ -301,8 +283,10 @@ def monomial_features(d, T, max_total_degree):
 def gauss_poly_features(spec):
     """Monomial expansion of ``(1 + x.y)^beta`` for a GaussPolyKernel.
 
-    Returns features such that ``(1 + x.y)^beta = sum_i phi_i(x) phi_i(y)``.
-    Enumeration is refused beyond ``beta <= 4`` or ``d*T > 8``.
+    Returns features such that ``(1 + x.y)^beta = sum_i phi_i(x) phi_i(y)``:
+    the :func:`monomial_features` of degree ``<= beta``, in their order, each
+    with the square root of its multinomial coefficient.  Enumeration is
+    refused beyond ``beta <= 4`` or ``d*T > 8``.
     """
     if not isinstance(spec, GaussPolyKernel):
         raise InputError("expansion is defined for GaussPolyKernel specs")
@@ -311,19 +295,13 @@ def gauss_poly_features(spec):
             f"polynomial feature enumeration supports beta <= {_POLY_BETA_CAP} and "
             f"d*T <= {_POLY_DIM_CAP}; got beta={spec.beta}, d*T={spec.d * spec.T}"
         )
-    b, d, T = spec.beta, spec.d, spec.T
-    n = d * T
+    b = spec.beta
     feats = []
-    for flat in _iproduct(*([range(b + 1)] * n)):
-        s = sum(flat)
-        if s > b:
-            continue
+    for f in monomial_features(spec.d, spec.T, b):
+        ks = [k for p in f.powers for k in p]
         coef = math.factorial(b) / (
-            math.factorial(b - s) * math.prod(math.factorial(k) for k in flat)
-        )
-        powers = tuple(tuple(flat[t * d + c] for c in range(d)) for t in range(T))
-        feats.append(MonomialFeature(powers=powers, coef=math.sqrt(coef)))
-    feats.sort(key=lambda f: (f.total_degree(), f.powers))
+            math.factorial(b - sum(ks)) * math.prod(math.factorial(k) for k in ks))
+        feats.append(replace(f, coef=math.sqrt(coef)))
     return tuple(feats)
 
 
@@ -363,12 +341,6 @@ def _gauss_exp_block(a, c, pre, cols, t, log_tail=None):
     return np.exp(e, out=e)
 
 
-def _gauss_poly_factor(spec, pre, Y, t):
-    """Gaussian factor ``exp(-alpha |x - y|^2)`` of a GaussPolyKernel over ``t`` steps."""
-    a = spec.alpha
-    return _gauss_exp_block(a, 2.0 * a, pre, _gauss_exp_columns(a, Y, t), t)
-
-
 def _log_tail(spec, Y, t):
     """``log prod_{s > t} U(Y_s)`` per path for a GaussExpKernel; 0 at ``t = T``."""
     n2 = np.einsum("mcs,mcs->m", Y[:, :, t:], Y[:, :, t:])
@@ -380,15 +352,10 @@ def _log_tail(spec, Y, t):
 def gram(spec, X, Y=None):
     """Kernel matrix ``k(X_i, Y_j)`` for path batches; ``Y=None`` means ``Y=X``.
 
-    With every step revealed this is the conditional Gram at ``t = T``.  A
-    GaussPolyKernel multiplies its Gaussian factor by ``(1 + x.y)^beta``
-    directly, so it is not limited to its feature enumeration.
+    With every step revealed this is the conditional Gram at ``t = T``.
     """
     X = as_paths(X, spec.d, spec.T)
     Y = X if Y is None else as_paths(Y, spec.d, spec.T)
-    if isinstance(spec, GaussPolyKernel):
-        P = X.reshape(X.shape[0], -1) @ Y.reshape(Y.shape[0], -1).T
-        return _gauss_poly_factor(spec, X, Y, spec.T) * (1.0 + P) ** spec.beta
     return _conditional_gram(spec, X, Y, spec.T)
 
 
@@ -407,21 +374,18 @@ def _conditional_gram(spec, pre, Y, t):
 
     if isinstance(spec, GaussPolyKernel):
         feats = gauss_poly_features(spec)
-        # Gaussian factor over revealed steps factors out of the feature sum.
-        n, m = pre.shape[0], Y.shape[0]
-        A = np.ones((n, len(feats)))
-        B = np.ones((m, len(feats)))
+        A = np.ones((pre.shape[0], len(feats)))
+        B = np.ones((Y.shape[0], len(feats)))
         for i, f in enumerate(feats):
-            av = np.ones(n)
-            bv = np.ones(m)
             for s in range(t):
-                av *= f.step_values(s, pre[:, :, s])
-                bv *= f.step_values(s, Y[:, :, s])
+                A[:, i] *= f.step_values(s, pre[:, :, s])
+                B[:, i] *= f.step_values(s, Y[:, :, s])
             for s in range(t, spec.T):
-                bv *= _gauss_poly_u(spec, f, s, Y[:, :, s])
-            A[:, i] = av
-            B[:, i] = bv
-        return _gauss_poly_factor(spec, pre, Y, t) * (A @ B.T)
+                B[:, i] *= _gauss_poly_u(spec, f, s, Y[:, :, s])
+        # the Gaussian factor over the revealed steps factors out of the feature sum
+        a = spec.alpha
+        G = _gauss_exp_block(a, 2.0 * a, pre, _gauss_exp_columns(a, Y, t), t)
+        return G * (A @ B.T)
 
     raise InputError(f"unknown kernel spec {type(spec).__name__}")
 
@@ -566,21 +530,6 @@ def conditional_gram_dot(spec, prefixes, Y, t, coef):
         return _by_row_blocks(
             lambda rows: _gauss_exp_block(a, c, rows, cols, t, log_tail) @ w, pre)
     return _by_row_blocks(lambda rows: _conditional_gram(spec, rows, Y, t) @ coef, pre)
-
-
-def gram_dot(spec, X, Y, coef):
-    """``gram(spec, X, Y) @ coef`` as an (N,) vector, in blocks of :data:`BLOCK` rows.
-
-    Memory is O(BLOCK x M): no (N, M) Gram is built.  This is
-    :func:`conditional_gram_dot` at ``t = T``, except for a GaussPolyKernel,
-    which multiplies each block of :func:`gram` by ``coef`` so that it is
-    not limited to its feature enumeration.
-    """
-    X = as_paths(X, spec.d, spec.T)
-    if not isinstance(spec, GaussPolyKernel):
-        return conditional_gram_dot(spec, X, Y, spec.T, coef)
-    Y = as_paths(Y, spec.d, spec.T)
-    return _by_row_blocks(lambda rows: gram(spec, rows, Y) @ coef, X)
 
 
 # ---------------------------------------------------------------------------

@@ -271,8 +271,8 @@ def predict(est, x):
     """Fitted payoff value(s) at new paths; scalar in, scalar out.
 
     A dual fit evaluates the kernel-times-vector ``k(x, paths) @ eval_coef
-    / n_train`` with :func:`kernels.gram_dot`, in blocks of
-    ``kernels.BLOCK`` rows: memory is O(block x n_train), and no
+    / n_train`` as :func:`kernels.conditional_gram_dot` at ``t = T``, in
+    blocks of ``kernels.BLOCK`` rows: memory is O(block x n_train), and no
     N x n_train Gram is built.  A primal fit is ``phi(x) @ primal_coef``.
     """
     a = np.asarray(x, dtype=float)
@@ -281,7 +281,8 @@ def predict(est, x):
     if est.mode == "primal":
         vals = kernels.feature_matrix(est.kernel, X) @ est.primal_coef
     else:
-        vals = kernels.gram_dot(est.kernel, X, est.paths, est.eval_coef) / est.n_train
+        vals = kernels.conditional_gram_dot(est.kernel, X, est.paths, est.kernel.T,
+                                            est.eval_coef) / est.n_train
     return float(vals[0]) if single else vals
 
 
@@ -324,44 +325,37 @@ def regularization_path(ts, spec, lambdas, mode="primal", eval_paths=None):
 # ---------------------------------------------------------------------------
 
 
+_FAMILIES = {"gauss-exp": GaussExpKernel, "gauss-poly": GaussPolyKernel,
+             "feature-map": FeatureMapKernel}
+
+
 def _kernel_to_doc(spec):
-    if isinstance(spec, GaussExpKernel):
-        return {"family": "gauss-exp", "alpha": spec.alpha, "beta": spec.beta,
-                "d": spec.d, "T": spec.T, "gamma": spec.gamma}
-    if isinstance(spec, GaussPolyKernel):
-        return {"family": "gauss-poly", "alpha": spec.alpha, "beta": spec.beta,
-                "d": spec.d, "T": spec.T, "gamma": spec.gamma}
+    family = {cls: name for name, cls in _FAMILIES.items()}.get(type(spec))
+    if family is None:
+        raise InputError(f"cannot serialize kernel of type {type(spec).__name__}")
+    doc = {"family": family, "d": spec.d, "T": spec.T, "gamma": spec.gamma}
     if isinstance(spec, FeatureMapKernel):
-        return {
-            "family": "feature-map",
-            "d": spec.d,
-            "T": spec.T,
-            "gamma": spec.gamma,
-            "features": [
-                {"powers": [list(p) for p in f.powers], "coef": f.coef}
-                for f in spec.features
-            ],
-        }
-    raise InputError(f"cannot serialize kernel of type {type(spec).__name__}")
+        doc["features"] = [{"powers": [list(p) for p in f.powers], "coef": f.coef}
+                           for f in spec.features]
+    else:
+        doc.update(alpha=spec.alpha, beta=spec.beta)
+    return doc
 
 
 def _kernel_from_doc(doc):
-    fam = doc.get("family")
-    if fam == "gauss-exp":
-        return GaussExpKernel(alpha=doc["alpha"], beta=doc["beta"], d=doc["d"],
-                              T=doc["T"], gamma=doc["gamma"])
-    if fam == "gauss-poly":
-        return GaussPolyKernel(alpha=doc["alpha"], beta=int(doc["beta"]), d=doc["d"],
-                               T=doc["T"], gamma=doc["gamma"])
-    if fam == "feature-map":
+    family = doc.get("family")
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise InputError(f"unknown kernel family {family!r} in estimator document")
+    common = {"d": doc["d"], "T": doc["T"], "gamma": doc["gamma"]}
+    if cls is FeatureMapKernel:
         feats = tuple(
             MonomialFeature(powers=tuple(tuple(int(k) for k in p) for p in f["powers"]),
                             coef=float(f["coef"]))
             for f in doc["features"]
         )
-        return FeatureMapKernel(features=feats, d=doc["d"], T=doc["T"],
-                                gamma=doc["gamma"])
-    raise InputError(f"unknown kernel family {fam!r} in estimator document")
+        return cls(features=feats, **common)
+    return cls(alpha=doc["alpha"], beta=doc["beta"], **common)
 
 
 def _arr(a):

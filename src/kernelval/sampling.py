@@ -77,10 +77,7 @@ class MeasureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma >= 0.5:
-            raise InputError(f"gamma must be < 1/2, got {self.gamma}")
-        if self.d < 1 or self.T < 1:
-            raise InputError("d and T must be positive")
+        kernels._check_spec(self.d, self.T, self.gamma)
 
     @property
     def step_std(self):

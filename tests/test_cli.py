@@ -361,16 +361,22 @@ def test_two_payoff_grid_search_is_thread_invariant(tiny_cfg, tmp_path,
     ("grid-search", "lambdas = 1e-5, 1e-3", "lambdas = nan, 1e-5"),
     ("grid-search", "lambdas = 1e-5, 1e-3", "lambdas = 1e-5, -1e-3"),
     ("fit", "lambda = 1e-5", "lambda = inf"),
+    ("grid-search", "alphas = 0, 2", "alphas = nan, 2"),
+    ("grid-search", "gamma = 0.45", "gamma = nan"),
 ])
 def test_non_finite_or_negative_lambda_exit_1(command, old, new, tiny_cfg,
                                              tmp_path, capsys):
     # a NaN would win no comparison and be selected as the first grid point;
-    # an infinite ridge fits the zero function
+    # an infinite ridge fits the zero function.  A NaN alpha or gamma passes
+    # a plain range test, so the config refuses it as non-finite.
     tiny_cfg.write_text(TINY.replace(old, new))
     out = tmp_path / "out"
     assert _run(command, "--config", str(tiny_cfg), "--out", str(out)) == 1
     captured = capsys.readouterr()
-    assert "input error: lambda must be finite and nonnegative" in captured.err
+    key = new.split()[0].rstrip("s")
+    message = ("lambda must be finite and nonnegative" if key == "lambda"
+               else f"{key} must be finite")
+    assert f"input error: {message}" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -470,6 +476,7 @@ def test_diagnostics_is_thread_invariant(tmp_path, monkeypatch, capsys):
     ("clt_n", "0"), ("clt_repeats", "0"), ("n_repeats", "-3"),
     ("lambda", "0"), ("clt_lambda", "0"), ("clt_lambda", "-1"),
     ("lambda", "inf"), ("clt_lambda", "nan"), ("payoff", "bermudan_put"),
+    ("eps", "nan"), ("alpha", "nan"),
 ])
 def test_diagnostics_config_rejects_bad_values(key, value, tmp_path,
                                                           capsys):

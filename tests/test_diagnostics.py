@@ -356,3 +356,10 @@ class TestRobustness:
         with pytest.raises(InputError):
             robustness_check(CFG, "european_put", SPEC, 0.0, n=50, n_repeats=1,
                              sampler=SAMPLER, eps=0.1)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        # every drift comparison is false on a NaN bound, which would pass
+        with pytest.raises(InputError, match="eps must be finite"):
+            robustness_check(CFG, "european_put", SPEC, 1e-4, n=50, n_repeats=2,
+                             sampler=SAMPLER, eps=eps)

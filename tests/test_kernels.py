@@ -53,6 +53,32 @@ def test_kernel_parameter_validation():
         GaussExpKernel(alpha=-1.0, beta=0.1)
     with pytest.raises(InputError):
         GaussPolyKernel(alpha=0.0, beta=-1)
+    # a NaN passes a plain `alpha < 0` or `gamma >= 0.5` test; every spec
+    # refuses it
+    nan = float("nan")
+    feats = monomial_features(1, 2, 1)
+    for make in (lambda: GaussExpKernel(alpha=nan, beta=0.1),
+                 lambda: GaussPolyKernel(alpha=nan, beta=2),
+                 lambda: GaussExpKernel(alpha=1.0, beta=0.1, gamma=nan),
+                 lambda: GaussPolyKernel(alpha=1.0, beta=2, gamma=nan),
+                 lambda: FeatureMapKernel(features=feats, gamma=nan),
+                 lambda: MeasureSpec(gamma=nan)):
+        with pytest.raises(InputError, match="alpha must be|gamma must be"):
+            make()
+
+
+@pytest.mark.parametrize("spec", [
+    GaussExpKernel(alpha=2.0, beta=0.3, d=2, T=3),
+    GaussPolyKernel(alpha=0.7, beta=2, d=2, T=3),
+    GaussPolyKernel(alpha=0.7, beta=4, d=1, T=2),
+    FeatureMapKernel(features=monomial_features(2, 3, 2), d=2, T=3),
+])
+def test_gram_is_the_conditional_gram_at_T(spec):
+    # one evaluation route per family: the plain Gram is t = T, bit for bit
+    X = RNG.standard_normal((9, spec.d, spec.T))
+    Y = RNG.standard_normal((5, spec.d, spec.T))
+    assert np.array_equal(gram(spec, X, Y), conditional_gram(spec, X, Y, spec.T))
+    assert np.array_equal(gram(spec, X), conditional_gram(spec, X, X, spec.T))
 
 
 BS2_PAIRS = [(a, b) for a in (0.0, 2.0, 4.0, 6.0) for b in (0.0, 0.15, 0.3, 0.45)
@@ -282,7 +308,7 @@ def test_conditional_gram_maxima_in_different_columns_still_evaluate():
 def test_gauss_poly_expansion_reproduces_kernel():
     spec = GaussPolyKernel(alpha=0.7, beta=3, d=1, T=2)
     feats = gauss_poly_features(spec)
-    assert len(feats) == spec.n_summands
+    assert len(feats) == math.comb(spec.beta + 2, 2)
     X = RNG.standard_normal((8, 1, 2))
     Y = RNG.standard_normal((5, 1, 2))
     # expansion check: (1 + x.y)^beta = sum_i phi_i(x) phi_i(y)
@@ -295,8 +321,8 @@ def test_gauss_poly_expansion_reproduces_kernel():
 def test_monomial_feature_counts_and_degrees():
     feats = monomial_features(1, 2, max_total_degree=3)
     assert len(feats) == 10  # C(2+3, 3)
-    assert sorted(f.total_degree() for f in feats)[0] == 0
-    assert max(f.total_degree() for f in feats) == 3
+    degrees = [sum(map(sum, f.powers)) for f in feats]
+    assert min(degrees) == 0 and max(degrees) == 3
 
 
 def test_feature_matrix_matches_manual_products():

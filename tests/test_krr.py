@@ -11,8 +11,8 @@ from kernelval import krr
 from kernelval.cli import load_config
 from kernelval.errors import CapabilityError, DataError, InputError, SolverError
 from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
-                               GaussPolyKernel, feature_matrix, gram,
-                               monomial_features)
+                               GaussPolyKernel, conditional_gram_dot,
+                               feature_matrix, gram, monomial_features)
 from kernelval.krr import (MAX_DUAL_SIZE, Estimator, estimator_from_json,
                            estimator_to_json, fit, fit_path, load_estimator,
                            normal_equation_residual, predict,
@@ -281,13 +281,25 @@ def test_predict_overflows_where_the_gram_does():
     assert seen == {True, False}
 
 
-def test_gauss_poly_dual_predicts_beyond_the_feature_enumeration():
-    # beta = 5 is past conditional_gram's enumeration cap; prediction only
-    # needs the kernel itself
+def test_gauss_poly_fit_beyond_the_feature_enumeration_is_refused():
+    # every GaussPoly evaluation goes through its feature expansion, which
+    # stops at beta = 4, so a fit at beta = 5 could not be valued
     spec = GaussPolyKernel(alpha=0.5, beta=5, d=1, T=2, gamma=0.45)
-    est = fit(training_set_with_duplicates(1, 2, 0.45), spec, 1e-4)
+    with pytest.raises(CapabilityError, match="beta <= 4"):
+        fit(training_set_with_duplicates(1, 2, 0.45), spec, 1e-4)
+
+
+@pytest.mark.parametrize("mode", ["dual-unsorted", "dual-sorted"])
+@pytest.mark.parametrize("spec", [
+    GaussExpKernel(alpha=2.0, beta=0.3, d=1, T=2, gamma=0.45),
+    GaussPolyKernel(alpha=0.5, beta=2, d=1, T=2, gamma=0.45),
+    FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2, gamma=0.45),
+])
+def test_dual_predict_is_the_conditional_gram_dot_at_T(spec, mode):
+    est = fit(training_set_with_duplicates(1, 2, 0.45), spec, 1e-4, mode=mode)
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=17), BLOCK + 1)
-    assert max_rel_gap(predict(est, X), gram_predict(est, X)) <= 1e-12
+    ref = conditional_gram_dot(spec, X, est.paths, spec.T, est.eval_coef) / est.n_train
+    assert np.array_equal(predict(est, X), ref)
 
 
 def test_predict_memory_is_one_block_not_the_gram():
