@@ -27,12 +27,12 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from . import kernels
 from .errors import InputError
 from .kernels import FeatureMapKernel, GaussExpKernel
-from .krr import _solve_spd, _unsorted_system, fit, predict
+from .krr import (_check_fit_inputs, _primal_system, _solve_spd, _unsorted_system,
+                  fit, predict)
 from .market import _normal_rule, payoff_function
 from .sampling import build_training_set, draw_paths
 
@@ -452,6 +452,18 @@ class NormalityReport:
         return json.dumps(_finite_or_none(doc), indent=2, sort_keys=True)
 
 
+def _primal_coef(ts, spec, lam):
+    """``fit(ts, spec, lam, mode="primal").primal_coef``, bit for bit.
+
+    The same checks, system and solve, without the estimator and its
+    training-set hash, which renders the whole sample as CSV.
+    """
+    _check_fit_inputs(ts, spec, [lam])
+    M, rhs, _, _ = _primal_system(ts, spec)
+    M[np.diag_indices_from(M)] += lam
+    return _solve_spd(M, rhs, lam, "primal fit")[0]
+
+
 def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
                    seed=0, n_probe_sup=100_000):
     """Distribution of sqrt(n) (f~_X(z) - f~_lambda(z)) over independent fits.
@@ -477,9 +489,8 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
     for r in range(n_repeats):
         ts = build_training_set(sampler, f, n, payoff_id,
                                 stream=("clt", "repeat", r), seed=seed)
-        est = fit(ts, spec, lam, mode="primal")
-        stats[r] = math.sqrt(n) * (float(phi_z @ est.primal_coef) / math.sqrt(wz)
-                                   - f_pop_z)
+        stats[r] = math.sqrt(n) * (float(phi_z @ _primal_coef(ts, spec, lam))
+                                   / math.sqrt(wz) - f_pop_z)
     mean = float(np.mean(stats))
     se = float(np.std(stats, ddof=1)) / math.sqrt(n_repeats) if n_repeats > 1 else 0.0
 
@@ -499,6 +510,8 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
             c2=c2, var_c2_bound=var_c2_bound, degenerate=True,
             notes=("too few repeats for distributional statistics",),
         )
+    import scipy.stats  # here only: it more than doubles the package's import time
+
     ad = scipy.stats.anderson(stats, dist="norm", method="interpolate")
     return NormalityReport(
         n=n, lam=lam, n_repeats=n_repeats, probe=tuple(np.ravel(probe_z)),

@@ -43,6 +43,7 @@ mixture, see :mod:`kernelval.sampling`), not from the spec's ``gamma``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import product as _iproduct
@@ -295,9 +296,16 @@ def gauss_poly_features(spec):
             f"polynomial feature enumeration supports beta <= {_POLY_BETA_CAP} and "
             f"d*T <= {_POLY_DIM_CAP}; got beta={spec.beta}, d*T={spec.d * spec.T}"
         )
-    b = spec.beta
+    return _gauss_poly_expansion(spec.d, spec.T, spec.beta)
+
+
+# Enumerated once per (d, T, beta) in a process: conditional_gram_dot asks for
+# the expansion once per row block, and each enumeration walks (beta + 1)^(d*T)
+# exponent tuples.  The caps above bound the keys; the result is immutable.
+@functools.cache
+def _gauss_poly_expansion(d, T, b):
     feats = []
-    for f in monomial_features(spec.d, spec.T, b):
+    for f in monomial_features(d, T, b):
         ks = [k for p in f.powers for k in p]
         coef = math.factorial(b) / (
             math.factorial(b - sum(ks)) * math.prod(math.factorial(k) for k in ks))

@@ -247,6 +247,15 @@ def three_pass_clt_population(spec, payoff_fn, lam, phi_z, weight):
     return h_pop, m2 - m1 * m1
 
 
+def primal_fit_coef(ts, spec, lam):
+    """Primal coefficients of one full fit: ``fit(..., mode="primal")``.
+
+    The estimator route the CLT's repeat fits took, training-set hash
+    included.
+    """
+    return fit(ts, spec, lam, mode="primal").primal_coef
+
+
 def two_fit_drifts(payoff_fn, spec, lam, n, n_repeats, sampler, eps, seed):
     """Robustness drifts from two separate dual fits per repeat.
 

@@ -389,3 +389,11 @@ def test_import_pins_every_openblas_to_one_thread():
     if not libs:
         pytest.skip("no OpenBLAS loaded (another BLAS library)")
     assert libs == {name: "1" for name in libs}
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of an import's start-up time; only the CLT loads it
+    run = _python("import sys, kernelval, kernelval.cli; "
+                  "print('scipy.stats' in sys.modules)", blas_threads=1)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelval import diagnostics, kernels
+from kernelval import diagnostics, kernels, krr
 from kernelval.diagnostics import (_cross_form, _offdiag_form, _quad_form,
                                    _tilde_payoff, _tilde_predict,
                                    clt_experiment, concentration_check,
@@ -23,8 +23,8 @@ from kernelval.krr import fit
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, MixtureSampler,
                                 build_training_set, draw_paths)
-from support import (gram_offdiag_form, peak_bytes, three_pass_clt_population,
-                     two_fit_drifts)
+from support import (gram_offdiag_form, peak_bytes, primal_fit_coef,
+                     three_pass_clt_population, two_fit_drifts)
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
@@ -313,6 +313,32 @@ class TestCltExperiment:
         assert rep.c2 == oracle.c2
         assert rep.statistics.tobytes() == oracle.statistics.tobytes()
         assert rep.to_json() == oracle.to_json()
+
+    def test_repeat_fits_equal_full_primal_fits_without_hashing(self, monkeypatch):
+        spec, sampler = self._setup()
+        hashes, content_hash = [], krr.content_hash
+
+        def counting(ts):
+            hashes.append(ts.n)
+            return content_hash(ts)
+
+        monkeypatch.setattr(krr, "content_hash", counting)
+        kw = dict(lam=1e-3, n=150, n_repeats=9, sampler=sampler,
+                  probe_z=(0.3, -0.5), seed=12, n_probe_sup=3_000)
+        rep = clt_experiment(spec, CFG, "european_put", **kw)
+        assert hashes == []
+        monkeypatch.setattr(diagnostics, "_primal_coef", primal_fit_coef)
+        oracle = clt_experiment(spec, CFG, "european_put", **kw)
+        assert hashes == [150] * 9
+        assert rep.statistics.tobytes() == oracle.statistics.tobytes()
+        assert rep.to_json() == oracle.to_json()
+
+    @pytest.mark.parametrize("lam", [-1e-3, math.nan])
+    def test_rejects_a_bad_lambda(self, lam):
+        spec, sampler = self._setup()
+        with pytest.raises(InputError):
+            clt_experiment(spec, CFG, "european_put", lam=lam, n=50, n_repeats=2,
+                           sampler=sampler, probe_z=(0.0, 0.0), n_probe_sup=100)
 
     def test_requires_feature_kernel(self):
         with pytest.raises(InputError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelval import kernels
 from kernelval.errors import InputError
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, MonomialFeature, cond_expect,
@@ -316,6 +317,26 @@ def test_gauss_poly_expansion_reproduces_kernel():
     P = feature_matrix(fspec, X) @ feature_matrix(fspec, Y).T
     inner = np.einsum("ics,jcs->ij", X, Y)
     assert np.allclose(P, (1.0 + inner) ** spec.beta, rtol=1e-10)
+
+
+def test_gauss_poly_expansion_is_enumerated_once(monkeypatch):
+    spec = GaussPolyKernel(alpha=0.3, beta=2, d=1, T=3)
+    kernels._gauss_poly_expansion.cache_clear()
+    calls, enumerate_features = [], kernels.monomial_features
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_features(*args)
+
+    monkeypatch.setattr(kernels, "monomial_features", counting)
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((3 * kernels.BLOCK + 5, 1, 3))
+    Y = rng.standard_normal((7, 1, 3))
+    coef = rng.standard_normal(7)
+    got = conditional_gram_dot(spec, X, Y, 1, coef)
+    assert calls == [(1, 3, 2)]
+    assert np.allclose(got, conditional_gram(spec, X, Y, 1) @ coef,
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_monomial_feature_counts_and_degrees():
