@@ -104,6 +104,9 @@ REFERENCE_FACTOR = 4
 
 # Nodes per step of the CLT experiment's trapezoid rule on [-8, 8].
 CLT_NODES = 1025
+# First-step rows per block of that grid in the CLT's population moments:
+# 64 rows are 65,600 nodes, 5 MB of features at the study's degree 3.
+_CLT_ROWS = 64
 
 
 def reference_estimator(sampler, payoff_fn, spec, lam, n, n_ref,
@@ -340,17 +343,22 @@ def normal_expectation_2step(fn):
     ``fn`` maps paths (N, 1, 2) to (N,) or (N, k); the grid is a tensor
     trapezoid rule, accurate to ~1e-7 for payoff-style integrands.
     """
-    paths, wts = _normal_grid_2step()
+    paths, wts = _grid_rows(0, CLT_NODES)
     return wts @ np.asarray(fn(paths))
 
 
-def _normal_grid_2step():
+def _grid_rows(lo, hi):
     """Nodes (N, 1, 2) and weights (N,) of :func:`normal_expectation_2step`'s
-    rule, ``N = CLT_NODES**2``."""
+    rule whose first step is ``x[lo:hi]``.
+
+    The whole grid, ``N = CLT_NODES**2``, is ``_grid_rows(0, CLT_NODES)``; a
+    block holds its rows ``lo * CLT_NODES`` up to ``hi * CLT_NODES``, with the
+    same values.  ``hi`` may pass ``CLT_NODES``.
+    """
     x, w = _normal_rule(CLT_NODES, 8.0)
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    X1, X2 = np.meshgrid(x[lo:hi], x, indexing="ij")
     paths = np.stack([X1.ravel(), X2.ravel()], axis=1)[:, None, :]
-    return paths, (w[:, None] * w[None, :]).ravel()
+    return paths, (w[lo:hi, None] * w[None, :]).ravel()
 
 
 def feature_gram_exact(spec):
@@ -392,22 +400,37 @@ def population_fit(spec, payoff_fn, lam):
 def _clt_population(spec, payoff_fn, lam, phi_z, weight):
     """``h_lambda`` and the exact asymptotic variance in direction ``phi_z``.
 
-    One pass over the quadrature grid: its features ``Phi`` and payoffs ``f``
-    are evaluated once and enter the expressions of :func:`population_fit`,
-    ``b = E_mu[f Phi]``, and of the variance
-    ``Var_mu~[(f~ - f~_lambda) phi~^T u]`` with ``u = (G + lambda)^-1 phi_z``:
-    ``g = (f - Phi h_lambda) Phi u``, variance ``E_mu[g^2 / w] - E_mu[g]^2``.
+    The expressions of :func:`population_fit`, ``b = E_mu[f Phi]``, and of
+    the variance ``Var_mu~[(f~ - f~_lambda) phi~^T u]`` with
+    ``u = (G + lambda)^-1 phi_z``: ``g = (f - Phi h_lambda) Phi u``, variance
+    ``E_mu[g^2 / w] - E_mu[g]^2``.  The quadrature grid is walked twice in
+    blocks of :data:`_CLT_ROWS` first-step rows.  The first pass accumulates
+    ``b`` and keeps each node's payoff ``f`` and ``Phi u``, so the payoff is
+    evaluated once per node; the second rebuilds each block's features for
+    ``g``.  Memory is two grid-length vectors plus one block's features.
     """
     if spec.d != 1 or spec.T != 2:
         raise InputError("payoff moments implemented for d = 1, T = 2")
-    paths, wts = _normal_grid_2step()
-    phi = kernels.feature_matrix(spec, paths)
-    f = payoff_fn(paths)
     M = feature_gram_exact(spec) + lam * np.eye(len(phi_z))
-    h_pop = np.linalg.solve(M, wts @ (f[:, None] * phi))
-    g = (f - phi @ h_pop) * (phi @ np.linalg.solve(M, phi_z))
-    m1 = float(wts @ g)
-    m2 = float(wts @ (g**2 / weight(paths)))
+    u = np.linalg.solve(M, phi_z)
+    starts = range(0, CLT_NODES, _CLT_ROWS)
+    f, phi_u = np.empty(CLT_NODES**2), np.empty(CLT_NODES**2)
+    b = np.zeros(len(phi_z))
+    for lo in starts:
+        paths, wts = _grid_rows(lo, lo + _CLT_ROWS)
+        rows = slice(lo * CLT_NODES, lo * CLT_NODES + len(wts))
+        phi = kernels.feature_matrix(spec, paths)
+        f[rows] = payoff_fn(paths)
+        phi_u[rows] = phi @ u
+        b += wts @ (f[rows, None] * phi)
+    h_pop = np.linalg.solve(M, b)
+    m1 = m2 = 0.0
+    for lo in starts:
+        paths, wts = _grid_rows(lo, lo + _CLT_ROWS)
+        rows = slice(lo * CLT_NODES, lo * CLT_NODES + len(wts))
+        g = (f[rows] - kernels.feature_matrix(spec, paths) @ h_pop) * phi_u[rows]
+        m1 += float(wts @ g)
+        m2 += float(wts @ (g**2 / weight(paths)))
     return h_pop, m2 - m1 * m1
 
 

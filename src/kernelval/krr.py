@@ -19,7 +19,10 @@ Solves use a dense Cholesky factorization and fail loudly with the
 estimated condition number; no silent jitter is ever added.  ``lambda = 0``
 is admitted only when the reciprocal condition number exceeds 1e-12.
 A ridge path (:func:`fit_path`) builds the matrix once and solves it at
-each lambda; a single fit is the path with one lambda.
+each lambda; a single fit is the path with one lambda.  A fit holds one
+``n x n`` array: the system builders mirror the matrix's lower triangle
+into its upper one, the factorization overwrites one triangle in place,
+and the solve restores it from the other.
 """
 
 from __future__ import annotations
@@ -110,17 +113,47 @@ def _extreme_eigenvalues(M):
             for i in (0, n - 1)]
 
 
-def _solve_spd(M, rhs, lam, what):
-    """Cholesky solve of an SPD system; loud failure, no jitter.
+def _mirror_lower(M):
+    """Copy the strict lower triangle of the square ``M`` onto its upper one.
 
-    ``M`` already contains the ridge shift and is left unchanged (the
-    factorization works on a copy).  For ``lam == 0`` the reciprocal
+    In blocks of :data:`kernels.BLOCK` rows, so no ``n x n`` temporary or
+    index array is allocated.  ``M`` is then exactly symmetric, with its lower
+    triangle and diagonal untouched.
+    """
+    n = M.shape[0]
+    for lo in range(0, n, kernels.BLOCK):
+        hi = min(lo + kernels.BLOCK, n)
+        M[lo:hi, hi:] = M[hi:, lo:hi].T
+        block = M[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        block[upper] = block.T[upper]
+
+
+def _abs_column_sums_max(M):
+    """``np.abs(M).sum(axis=0).max()``, one block of columns at a time."""
+    return max(np.abs(M[:, lo:lo + kernels.BLOCK]).sum(axis=0).max()
+               for lo in range(0, M.shape[1], kernels.BLOCK))
+
+
+def _solve_spd(M, rhs, lam, what):
+    """Cholesky solve of an SPD system, in place on ``M``; loud failure, no jitter.
+
+    ``M`` already contains the ridge shift and must be exactly symmetric (the
+    system builders mirror it).  ``cho_factor`` runs on the Fortran-order
+    view ``M.T``, whose lower triangle is the upper triangle of ``M``: it
+    overwrites that triangle and the diagonal, with no copy.  Afterwards the
+    upper triangle is mirrored back from the lower one and the diagonal reset,
+    so ``M`` is unchanged on return, on failure too.  The factor is that of
+    ``M``'s lower triangle, bit for bit.  For ``lam == 0`` the reciprocal
     condition number is estimated first and the solve refused below
     ``RCOND_FLOOR``.  Returns the solution and its relative residual.
     """
+    anorm = _abs_column_sums_max(M) if lam == 0.0 else None
+    diag = M.diagonal().copy()
     try:
-        c, low = sla.cho_factor(M, lower=True, check_finite=False)
+        c, low = sla.cho_factor(M.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
+        _restore(M, diag)
         lo, hi = _extreme_eigenvalues(M)
         cond = abs(hi / lo) if lo != 0 else math.inf
         raise SolverError(
@@ -128,17 +161,25 @@ def _solve_spd(M, rhs, lam, what):
             f"estimated condition number {cond:.3e})",
             condition_number=cond,
         ) from exc
-    if lam == 0.0:
-        anorm = np.abs(M).sum(axis=0).max()
-        rcond, info = sla.lapack.dpocon(c, anorm, uplo=b"L" if low else b"U")
-        if info != 0 or rcond <= RCOND_FLOOR:
-            raise SolverError(
-                f"{what}: lambda = 0 refused, reciprocal condition number "
-                f"{rcond:.3e} <= {RCOND_FLOOR:g}",
-                condition_number=1.0 / rcond if rcond > 0 else math.inf,
-            )
-    sol = sla.cho_solve((c, low), rhs, check_finite=False)
+    try:
+        if anorm is not None:
+            rcond, info = sla.lapack.dpocon(c, anorm, uplo=b"L" if low else b"U")
+            if info != 0 or rcond <= RCOND_FLOOR:
+                raise SolverError(
+                    f"{what}: lambda = 0 refused, reciprocal condition number "
+                    f"{rcond:.3e} <= {RCOND_FLOOR:g}",
+                    condition_number=1.0 / rcond if rcond > 0 else math.inf,
+                )
+        sol = sla.cho_solve((c, low), rhs, check_finite=False)
+    finally:
+        _restore(M, diag)
     return sol, _relative_residual(M, sol, rhs)
+
+
+def _restore(M, diag):
+    """Undo :func:`_solve_spd`'s in-place factorization: upper triangle, diagonal."""
+    _mirror_lower(M)
+    np.fill_diagonal(M, diag)
 
 
 def _check_dual_size(n, what):
@@ -150,8 +191,10 @@ def _check_dual_size(n, what):
 
 
 # Each `_*_system` function returns ``(M, rhs, fields, coef_fields)``: the fit's
-# matrix without the ridge shift, its right-hand side, the estimator fields
-# shared by every lambda, and a map from a solution to the coefficient fields.
+# matrix without the ridge shift, its lower triangle mirrored into the upper
+# one as :func:`_solve_spd` requires; its right-hand side; the estimator
+# fields shared by every lambda; and a map from a solution to the coefficient
+# fields.
 
 
 def _unsorted_system(ts, spec):
@@ -159,6 +202,7 @@ def _unsorted_system(ts, spec):
     _check_dual_size(ts.n, "paths")
     M = kernels.tilted_gram(spec, ts.paths, ts.weights)
     M /= ts.n
+    _mirror_lower(M)
     inv_sqrt_w = 1.0 / np.sqrt(ts.weights)
     fields = {"paths": np.array(ts.paths), "weights": np.array(ts.weights)}
     return (M, ts.payoff_values * inv_sqrt_w, fields,
@@ -192,6 +236,7 @@ def _sorted_system(ts, spec):
     M *= root_m[:, None]
     M *= root_m[None, :]
     M /= ts.n
+    _mirror_lower(M)
     fields = {"paths": np.array(ts.paths[first]), "weights": np.array(sub_w),
               "multiplicity": counts.astype(np.int64),
               "support_index": first.astype(np.int64)}
@@ -204,6 +249,7 @@ def _primal_system(ts, spec):
     inv_sqrt_w = 1.0 / np.sqrt(ts.weights)
     V = kernels.feature_matrix(spec, ts.paths) * inv_sqrt_w[:, None]
     M = V.T @ V / ts.n
+    _mirror_lower(M)
     fields = {"paths": np.array(ts.paths), "weights": np.array(ts.weights)}
     return (M, V.T @ (ts.payoff_values * inv_sqrt_w) / ts.n, fields,
             lambda h: {"primal_coef": h})

@@ -11,6 +11,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.linalg import hadamard
 
 from kernelval import kernels
@@ -18,7 +19,7 @@ from kernelval.diagnostics import (_quad_form, normal_expectation_2step,
                                    population_fit)
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, MonomialFeature)
-from kernelval.krr import fit
+from kernelval.krr import _extreme_eigenvalues, fit
 from kernelval.sampling import MeasureSpec, TrainingSet, build_training_set
 
 
@@ -272,6 +273,54 @@ def two_fit_drifts(payoff_fn, spec, lam, n, n_repeats, sampler, eps, seed):
         a = base.dual_coef - pert.dual_coef
         drifts[r] = math.sqrt(max(_quad_form(spec, ts.paths, ts.weights, a), 0.0)) / n
     return drifts
+
+
+def copying_route_system(ts, spec, mode="dual-unsorted"):
+    """A fit's matrix and right-hand side, built as the copying route built them.
+
+    The dual matrix is the tilted Gram over ``n``, on the distinct paths
+    scaled by ``sqrt(|I_i| |I_j|)`` in the sorted mode; the primal one is
+    the tilted normal matrix.  Neither is mirrored: the upper triangle keeps
+    its own rounding.
+    """
+    inv_sqrt_w = 1.0 / np.sqrt(ts.weights)
+    if mode == "primal":
+        V = kernels.feature_matrix(spec, ts.paths) * inv_sqrt_w[:, None]
+        return V.T @ V / ts.n, V.T @ (ts.payoff_values * inv_sqrt_w) / ts.n
+    if mode == "dual-sorted":
+        flat = np.ascontiguousarray(ts.paths.reshape(ts.n, -1)).view(np.uint64)
+        _, first, counts = np.unique(flat, axis=0, return_index=True,
+                                     return_counts=True)
+        root_m = np.sqrt(counts.astype(float))
+        sub_w = ts.weights[first]
+        K = kernels.tilted_gram(spec, ts.paths[first], sub_w)
+        return (K * root_m[:, None] * root_m[None, :] / ts.n,
+                root_m * ts.payoff_values[first] / np.sqrt(sub_w))
+    return (kernels.tilted_gram(spec, ts.paths, ts.weights) / ts.n,
+            ts.payoff_values * inv_sqrt_w)
+
+
+def copying_route_solutions(ts, spec, lambdas, mode="dual-unsorted"):
+    """Each lambda's solution by the Cholesky route that factors a copy.
+
+    :func:`copying_route_system` with its diagonal set to ``d0 + lambda``,
+    factored by ``cho_factor`` on a C-order copy of its lower triangle.  A
+    failed factorization gives the extreme eigenvalue ratio of the matrix's
+    lower triangle in place of a solution.
+    """
+    M, rhs = copying_route_system(ts, spec, mode)
+    d0 = np.diag(M).copy()
+    out = []
+    for lam in lambdas:
+        np.fill_diagonal(M, d0 + lam)
+        try:
+            factor = sla.cho_factor(M, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            lo, hi = _extreme_eigenvalues(M)
+            out.append(abs(hi / lo))
+        else:
+            out.append(sla.cho_solve(factor, rhs, check_finite=False))
+    return out
 
 
 def training_set_with_duplicates(d, T, gamma, n=40, n_dup=15):

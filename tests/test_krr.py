@@ -12,7 +12,8 @@ from kernelval.cli import load_config
 from kernelval.errors import CapabilityError, DataError, InputError, SolverError
 from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, conditional_gram_dot,
-                               feature_matrix, gram, monomial_features)
+                               feature_matrix, gram, monomial_features,
+                               tilted_gram)
 from kernelval.krr import (MAX_DUAL_SIZE, Estimator, estimator_from_json,
                            estimator_to_json, fit, fit_path, load_estimator,
                            normal_equation_residual, predict,
@@ -20,9 +21,10 @@ from kernelval.krr import (MAX_DUAL_SIZE, Estimator, estimator_from_json,
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, TrainingSet, build_training_set,
                                 draw_paths)
-from support import (gram_predict, linear_rate_problem, loglog_slope,
-                     max_rel_gap, peak_bytes, ridge_gradient_descent,
-                     sqrt_rate_problem, training_set_with_duplicates)
+from support import (copying_route_solutions, gram_predict, linear_rate_problem,
+                     loglog_slope, max_rel_gap, peak_bytes,
+                     ridge_gradient_descent, sqrt_rate_problem,
+                     training_set_with_duplicates)
 
 SPEC = GaussExpKernel(alpha=2.0, beta=0.3, d=1, T=2, gamma=0.45)
 MEASURE = MeasureSpec(gamma=0.45, d=1, T=2, seed=314)
@@ -218,6 +220,79 @@ def test_refused_lambda_zero_mid_path_leaves_later_fits_unchanged():
     assert str(path[1]) == str(exc.value)
     for i in (0, 2, 3):
         _assert_same_fit(path[i], fit(ts, SPEC, lambdas[i]))
+
+
+# (alpha, beta, n) of the in-place factorization's bitwise pins
+PINNED = [(4.0, 0.3, 1000), (0.0, 0.15, 1000), (6.0, 0.45, 600)]
+PATH = [1e-3, 1e-5, 1e-7, 1e-9]
+
+
+@pytest.mark.parametrize("alpha,beta,n", PINNED)
+def test_fit_matrix_is_the_tilted_gram_mirrored(alpha, beta, n):
+    spec = GaussExpKernel(alpha=alpha, beta=beta, d=1, T=2, gamma=0.45)
+    ts = _ts(n)
+    M = krr._unsorted_system(ts, spec)[0]
+    K = tilted_gram(spec, ts.paths, ts.weights) / ts.n
+    assert np.tril(M).tobytes() == np.tril(K).tobytes()
+    assert M.tobytes() == np.ascontiguousarray(M.T).tobytes()
+
+
+@pytest.mark.parametrize("alpha,beta,n,mode", [
+    *[(a, b, n, mode) for a, b, n in PINNED
+      for mode in ("dual-unsorted", "dual-sorted")],
+    (None, None, 1000, "primal"),
+])
+def test_in_place_path_equals_the_copying_route(alpha, beta, n, mode):
+    # one n x n array for the whole path: every lambda's coefficients are
+    # those of a factorization on a copy, bit for bit
+    if mode == "primal":
+        spec = FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2)
+    else:
+        spec = GaussExpKernel(alpha=alpha, beta=beta, d=1, T=2, gamma=0.45)
+    ts = _repeated_ts(n // 4, 4) if mode == "dual-sorted" else _ts(n)
+    path = fit_path(ts, spec, PATH, mode=mode)
+    oracle = copying_route_solutions(ts, spec, PATH, mode)
+    for est, sol in zip(path, oracle):
+        coef = est.primal_coef if mode == "primal" else est.dual_coef
+        assert coef.tobytes() == sol.tobytes()
+        assert normal_equation_residual(est, ts) == est.residual
+
+
+@pytest.mark.parametrize("alpha,beta,n,failure", [
+    (0.0, 0.05, 200, "Cholesky factorization failed"),
+    (1.0, 0.0, 100, "lambda = 0 refused"),
+])
+def test_failed_lambda_mid_path_restores_the_matrix(alpha, beta, n, failure):
+    # at lambda = 0 a nearly flat kernel fails in the factorization, a
+    # smoother one in the condition estimate that follows it
+    spec = GaussExpKernel(alpha=alpha, beta=beta, d=1, T=2, gamma=0.45)
+    ts = _ts(n)
+    lambdas = [1e-3, 0.0, 1e-5, 1e-7]
+    path = fit_path(ts, spec, lambdas)
+    oracle = copying_route_solutions(ts, spec, lambdas)
+    with pytest.raises(SolverError, match=failure) as exc:
+        fit(ts, spec, 0.0)
+    assert str(path[1]) == str(exc.value)
+    if isinstance(oracle[1], float):  # the copying route's eigenvalue ratio
+        assert path[1].condition_number == oracle[1]
+    for i in (0, 2, 3):
+        _assert_same_fit(path[i], fit(ts, spec, lambdas[i]))
+        assert path[i].dual_coef.tobytes() == oracle[i].tobytes()
+
+
+def test_fit_memory_is_one_gram():
+    # the Gram is factored in place: no second n x n array, on any lambda
+    n = 2000
+    ts = _ts(n)
+    assert peak_bytes(fit, ts, SPEC, 1e-5) < 1.1 * 8 * n * n
+    assert peak_bytes(fit_path, ts, SPEC, PATH) < 1.1 * 8 * n * n
+
+
+def test_zero_lambda_condition_estimate_holds_no_second_gram():
+    n = 1000
+    M = krr._unsorted_system(_ts(n), SPEC)[0]
+    assert krr._abs_column_sums_max(M) == np.abs(M).sum(axis=0).max()
+    assert peak_bytes(krr._abs_column_sums_max, M) < 2 * BLOCK * n * 8
 
 
 def test_overflowing_gram_fails_every_lambda():
