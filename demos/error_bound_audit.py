@@ -15,7 +15,8 @@ suite checks the same inequalities mechanically.
 
 from kernelval import BSConfig, GaussExpKernel, MeasureSpec, payoff_function
 from kernelval.diagnostics import (concentration_check, mse_bound_check,
-                                   reference_estimator, robustness_check)
+                                   reference_estimator, reference_probe,
+                                   robustness_check)
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, gamma=0.45)
@@ -25,13 +26,14 @@ N, REPEATS = 500, 10
 
 
 def main():
-    # one high-budget fit stands in for the population solution in both checks
+    # one high-budget fit stands in for the population solution in both
+    # checks, predicted once on the probe samples they share
     reference = reference_estimator(SAMPLER, payoff_function(CFG, "european_put"),
                                     SPEC, LAM, N, 2000, payoff_id="european_put",
                                     seed=5)
+    probe = reference_probe(CFG, "european_put", SPEC, SAMPLER, reference, seed=5)
     mse = mse_bound_check(CFG, "european_put", SPEC, LAM, N, REPEATS, SAMPLER,
-                          reference, seed=5, n_probe=20_000, n_jstar=800,
-                          n_l2=2000)
+                          probe, seed=5, n_jstar=800)
     print(f"mean-squared-error bound   n={N}, {REPEATS} refits")
     print(f"  observed rms H-error  {mse.empirical_rms_h:.4f} "
           f"(se {mse.empirical_se:.4f})")
@@ -39,8 +41,7 @@ def main():
           f"   -> {'holds' if not mse.violated else 'VIOLATED'}")
 
     conc = concentration_check(CFG, "european_put", SPEC, LAM, N, REPEATS,
-                               SAMPLER, reference, seed=5, n_probe=20_000,
-                               n_l2=2000)
+                               SAMPLER, probe, seed=5)
     print(f"\nconcentration bound        exceedance rates over {REPEATS} refits")
     for tau, frac, limit in conc.exceedance:
         print(f"  P(err > {tau:6.3f})  observed {frac:4.2f}  allowed {limit:4.2f}")

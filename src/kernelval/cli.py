@@ -495,13 +495,16 @@ def _figures_stage(config, payoff_id, grid, gt, test_paths):
 def run_diagnostics(config):
     """Bound suite on the configured diagnostic problem; returns reports.
 
-    The reference fit runs first, then the three checks that use it share
-    the pool, longest first, and the CLT experiment runs last.  The reference
-    fit (the n_ref Gram and its factor) and the CLT quadrature grid are the
-    suite's two largest allocations and stay on the calling thread: freed on
-    a pool thread, the grid's vectors stay resident in that thread's heap.
-    Every check draws from its own streams, so reports do not depend on the
-    thread count.
+    The reference fit runs first, on the calling thread.  Next its probe
+    (:func:`diagnostics.reference_probe`, which the mse and concentration
+    checks share) is predicted on the pool, in whole :data:`kernels.BLOCK`-row
+    chunks.  Then the three checks share the pool, longest first, and the CLT
+    experiment runs last, on the calling thread.  The reference fit (the
+    n_ref Gram and its factor) and the CLT quadrature grid are the suite's two
+    largest allocations and stay on the calling thread: freed on a pool
+    thread, the grid's vectors stay resident in that thread's heap.  Every
+    check draws from its own streams and the probe's chunks are whole blocks,
+    so reports do not depend on the thread count.
     """
     d = config.diag
     payoff_id = d["payoff"]
@@ -512,14 +515,17 @@ def run_diagnostics(config):
         meas, payoff_function(config.market, payoff_id), spec, lam,
         n, d["n_ref"], payoff_id=payoff_id, seed=seed,
     )
+    with pool.using(config.threads):
+        probe = diagnostics.reference_probe(config.market, payoff_id, spec, meas,
+                                            reference, seed=seed)
     # looked up at call time, so that wrappers set on the module apply
     checks = {
         "concentration": lambda: diagnostics.concentration_check(
             config.market, payoff_id, spec, lam, n, d["conc_repeats"], meas,
-            seed=seed, reference=reference),
+            probe=probe, seed=seed),
         "mse_bound": lambda: diagnostics.mse_bound_check(
             config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
-            seed=seed, reference=reference),
+            probe=probe, seed=seed),
         "robustness": lambda: diagnostics.robustness_check(
             config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
             eps=d["eps"], seed=seed),
@@ -760,9 +766,11 @@ def _diag_evals(d):
     """Payoff-oracle calls of the bound suite, probe samples included."""
     return {
         "reference": d["n_ref"],
-        "mse_bound": d["n_repeats"] * d["n"] + 100_000,
-        "concentration": d["conc_repeats"] * d["n"] + 100_000,
-        "clt": d["clt_repeats"] * d["clt_n"] + 100_000 + diagnostics.CLT_NODES**2,
+        # the shared reference probe is counted once, under mse_bound
+        "mse_bound": d["n_repeats"] * d["n"] + diagnostics.PROBE_PATHS,
+        "concentration": d["conc_repeats"] * d["n"],
+        "clt": (d["clt_repeats"] * d["clt_n"] + diagnostics.PROBE_PATHS
+                + diagnostics.CLT_NODES**2),
         "robustness": d["n_repeats"] * d["n"],
     }
 

@@ -28,18 +28,20 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, pool
 from .errors import InputError
 from .kernels import FeatureMapKernel, GaussExpKernel
-from .krr import (_check_fit_inputs, _primal_system, _solve_spd, _unsorted_system,
-                  fit, predict)
+from .krr import (Estimator, _check_fit_inputs, _primal_system, _solve_spd,
+                  _unsorted_system, fit, predict)
 from .market import _normal_rule, payoff_function
 from .sampling import build_training_set, draw_paths
 
 __all__ = [
     "BoundReport",
     "NormalityReport",
+    "ReferenceProbe",
     "reference_estimator",
+    "reference_probe",
     "mse_bound_check",
     "concentration_check",
     "clt_experiment",
@@ -101,6 +103,12 @@ def _finite_or_none(obj):
 
 
 REFERENCE_FACTOR = 4
+
+# Paths of the probe samples: the large one, on which the checks and the CLT
+# experiment take probe means and sup norms, and the L2 probe of the
+# prediction gaps to the reference.
+PROBE_PATHS = 100_000
+L2_PROBE_PATHS = 5000
 
 # Nodes per step of the CLT experiment's trapezoid rule on [-8, 8].
 CLT_NODES = 1025
@@ -181,29 +189,77 @@ def _tilde_payoff(payoff_fn, sampler, Z):
     return payoff_fn(Z) / np.sqrt(sampler.weight(Z))
 
 
-def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, reference,
-                    seed=0, n_probe=100_000, n_jstar=3000, n_l2=5000):
+@dataclass(frozen=True)
+class ReferenceProbe:
+    """A reference fit on the probe samples the mse and concentration
+    checks share: see :func:`reference_probe`."""
+
+    reference: Estimator
+    paths: np.ndarray
+    resid: np.ndarray
+    kap_sq: np.ndarray
+    l2_paths: np.ndarray
+    l2_ref: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.paths, self.resid, self.kap_sq, self.l2_paths, self.l2_ref):
+            a.setflags(write=False)
+
+
+def reference_probe(cfg, payoff_id, spec, sampler, reference, seed=0):
+    """``reference`` on a :data:`PROBE_PATHS`-path probe sample and an
+    :data:`L2_PROBE_PATHS`-path L2 probe, drawn once for both checks.
+
+    Holds ``reference``, the probe ``paths``, the tilted residual ``resid = f~ - f~_ref``
+    and the squared tilted diagonal ``kap_sq`` on them, and the
+    ``l2_paths`` with the reference's predictions ``l2_ref = f~_ref``.  The
+    large prediction runs on the :mod:`kernelval.pool`, each worker on whole
+    :data:`kernels.BLOCK`-row blocks, so the bits are those of one
+    :func:`krr.predict` call whatever the worker count.
+    """
+    f = payoff_function(cfg, payoff_id)
+    probe = draw_paths(sampler, PROBE_PATHS, stream=("msebound", "probe"), seed=seed)
+    pred = np.empty(len(probe))
+
+    def chunk(s):
+        pred[s] = predict(reference, probe[s])
+
+    pool.pool_map(chunk, pool.block_chunks(len(probe)))
+    w = sampler.weight(probe)
+    l2_paths = draw_paths(sampler, L2_PROBE_PATHS, stream=("msebound", "l2probe"),
+                          seed=seed)
+    return ReferenceProbe(
+        reference=reference,
+        paths=probe,
+        resid=_tilde_payoff(f, sampler, probe) - pred / np.sqrt(w),
+        kap_sq=kernels.tilted_diag(spec, probe, w),
+        l2_paths=l2_paths,
+        l2_ref=_tilde_predict(reference, sampler, l2_paths),
+    )
+
+
+def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, probe,
+                    seed=0, n_jstar=3000):
     """Root-mean-squared sample error against its 1/(lambda sqrt(n)) bound.
 
     The bound's numerator ``||(f - f_ref) kappa~||^2 - ||J~*(f - f_ref)||^2``
-    is estimated on a large tilted probe sample (the second term by an
-    unbiased U-statistic, clipped at zero); the empirical side refits
-    ``n_repeats`` times and measures exact RKHS distances to ``reference``,
-    a :func:`reference_estimator` fit.
+    is estimated on the tilted probe sample of ``probe``, the
+    :func:`reference_probe` of a :func:`reference_estimator` fit ``f_ref``
+    (the second term by an unbiased U-statistic, clipped at zero); the
+    empirical side refits ``n_repeats`` times and measures exact RKHS
+    distances to ``probe.reference``.
     """
     if lam <= 0:
         raise InputError("the untruncated bound requires lambda > 0")
     f = payoff_function(cfg, payoff_id)
-    probe = draw_paths(sampler, n_probe, stream=("msebound", "probe"), seed=seed)
-    resid = _tilde_payoff(f, sampler, probe) - _tilde_predict(reference, sampler, probe)
-    kap_sq = kernels.tilted_diag(spec, probe, sampler.weight(probe))
+    reference, resid, kap_sq = probe.reference, probe.resid, probe.kap_sq
     vals = resid**2 * kap_sq
     num_l2 = float(np.mean(vals))
-    num_se = float(np.std(vals, ddof=1)) / math.sqrt(n_probe)
+    num_se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     kinf = float(np.sqrt(np.max(kap_sq)))
 
     # ||J~* r||^2 = E[r(Z) r(Z') k~(Z, Z')] over independent Z, Z'
-    sub = probe[:n_jstar]
+    sub = probe.paths[:n_jstar]
     total = _offdiag_form(spec, sub, sampler.weight(sub), resid[:n_jstar])
     jstar_sq = max(total / (n_jstar * (n_jstar - 1)), 0.0)
 
@@ -211,8 +267,6 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, reference,
     bound_dropped = math.sqrt(num_l2 / n) / lam
     bound_trunc = 2.0 * bound  # delta = 1/2 with ||(J*J+lambda)^-1|| <= 1/lambda
 
-    l2_probe = draw_paths(sampler, n_l2, stream=("msebound", "l2probe"), seed=seed)
-    ref_vals = _tilde_predict(reference, sampler, l2_probe)
     c_ref = _tilde_coef(reference)
     q_ref = _quad_form(spec, reference.paths, reference.weights,
                        c_ref) / reference.n_train**2
@@ -227,7 +281,7 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, reference,
                           reference.weights, c_ref) / (est.n_train * reference.n_train)
         h_sq.append(max(q11 - 2.0 * q12 + q_ref, 0.0))
         l2_sq.append(float(np.mean(
-            (_tilde_predict(est, sampler, l2_probe) - ref_vals) ** 2)))
+            (_tilde_predict(est, sampler, probe.l2_paths) - probe.l2_ref) ** 2)))
     rms_h = math.sqrt(float(np.mean(h_sq)))
     rms_l2 = math.sqrt(float(np.mean(l2_sq)))
     se_h = (float(np.std(h_sq, ddof=1)) / math.sqrt(n_repeats)
@@ -260,14 +314,14 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, reference,
 
 
 def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler,
-                        reference, seed=0, tau_grid=None, n_probe=100_000,
-                        n_l2=5000):
+                        probe, seed=0, tau_grid=None):
     """Tail frequency of the sample error against 2 exp(-tau^2 n / (2 C2)).
 
     Applicable when the tilted kernel diagonal is bounded (beta <= gamma for
     the exponential family); the sample error enters through the safe proxy
     ``||f~_X - f~_ref||_2 / ||kappa~||_inf <= ||h_X - h_ref||``, with
-    ``reference`` a :func:`reference_estimator` fit.
+    ``f~_ref`` and the residual's sup norm taken from ``probe``, the
+    :func:`reference_probe` of a :func:`reference_estimator` fit.
     """
     if lam <= 0:
         raise InputError("the untruncated tail bound requires lambda > 0")
@@ -278,10 +332,8 @@ def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler,
                    "bound not applicable",),
         )
     f = payoff_function(cfg, payoff_id)
-    probe = draw_paths(sampler, n_probe, stream=("conc", "probe"), seed=seed)
-    resid = _tilde_payoff(f, sampler, probe) - _tilde_predict(reference, sampler, probe)
-    kap_sq = kernels.tilted_diag(spec, probe, sampler.weight(probe))
-    sup_rk = float(np.max(np.abs(resid) * np.sqrt(kap_sq)))
+    kap_sq = probe.kap_sq
+    sup_rk = float(np.max(np.abs(probe.resid) * np.sqrt(kap_sq)))
     if (isinstance(spec, GaussExpKernel)
             and getattr(sampler, "gamma", None) == spec.gamma):
         kinf = (1.0 - 2.0 * spec.gamma) ** (-spec.d * spec.T / 4.0)
@@ -291,15 +343,13 @@ def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler,
     c1 = 4.0 * c2  # delta = 1/2, resolvent proxy 1/lambda
     s_prob = 1.0 - 2.0 * math.exp(-0.25 * n * lam**2 / (4.0 * kinf**4))
 
-    l2_probe = draw_paths(sampler, n_l2, stream=("conc", "l2probe"), seed=seed)
-    ref_vals = _tilde_predict(reference, sampler, l2_probe)
     proxies = np.empty(n_repeats)
     for r in range(n_repeats):
         ts = build_training_set(sampler, f, n, payoff_id,
                                 stream=("conc", "refit", r), seed=seed)
         est = fit(ts, spec, lam)
         gap = math.sqrt(float(np.mean(
-            (_tilde_predict(est, sampler, l2_probe) - ref_vals) ** 2)))
+            (_tilde_predict(est, sampler, probe.l2_paths) - probe.l2_ref) ** 2)))
         proxies[r] = gap / kinf
     if tau_grid is None:
         tau_grid = [float(np.quantile(proxies, q)) for q in (0.5, 0.75, 0.9)]
@@ -487,8 +537,33 @@ def _primal_coef(ts, spec, lam):
     return _solve_spd(M, rhs, lam, "primal fit")[0]
 
 
+# Anderson-Darling critical values of the normal law with estimated mean and
+# variance, and their significance levels in percent, as in SciPy's `anderson`
+_AD_NORM_CRITICAL = np.array([0.561, 0.631, 0.752, 0.873, 1.035])
+_AD_NORM_SIG = np.array([15, 10, 5, 2.5, 1])
+
+
+def _anderson_norm(x):
+    """Anderson-Darling statistic and interpolated p-value of normality.
+
+    The ``statistic`` and ``pvalue`` of ``scipy.stats.anderson(x,
+    dist="norm", method="interpolate")``, bit for bit: the same operations
+    in the same order, without loading ``scipy.stats``.
+    """
+    # here only: at module level it adds to every import of the package
+    from scipy.special import log_ndtr
+
+    y = np.sort(x)
+    n = len(y)
+    w = (y - np.mean(x)) / np.std(x, ddof=1)
+    i = np.arange(1, n + 1)
+    a2 = -n - np.sum((2 * i - 1.0) / n * (log_ndtr(w) + log_ndtr(-w)[::-1]))
+    critical = np.around(_AD_NORM_CRITICAL / (1.0 + 0.75 / n + 2.25 / n / n), 3)
+    return float(a2), float(np.interp(a2, critical, _AD_NORM_SIG / 100))
+
+
 def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
-                   seed=0, n_probe_sup=100_000):
+                   seed=0):
     """Distribution of sqrt(n) (f~_X(z) - f~_lambda(z)) over independent fits.
 
     Runs on a finite-dimensional feature map so the population solution is
@@ -518,7 +593,7 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
     se = float(np.std(stats, ddof=1)) / math.sqrt(n_repeats) if n_repeats > 1 else 0.0
 
     # tail constant on this configuration, sup over a sampling-measure probe
-    probe = draw_paths(sampler, n_probe_sup, stream=("clt", "probe"), seed=seed)
+    probe = draw_paths(sampler, PROBE_PATHS, stream=("clt", "probe"), seed=seed)
     wpr = sampler.weight(probe)
     resid_t = (f(probe) - kernels.feature_matrix(spec, probe) @ h_pop) / np.sqrt(wpr)
     kap_sq = kernels.tilted_diag(spec, probe, wpr)
@@ -533,17 +608,15 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
             c2=c2, var_c2_bound=var_c2_bound, degenerate=True,
             notes=("too few repeats for distributional statistics",),
         )
-    import scipy.stats  # here only: it more than doubles the package's import time
-
-    ad = scipy.stats.anderson(stats, dist="norm", method="interpolate")
+    ad_statistic, ad_pvalue = _anderson_norm(stats)
     return NormalityReport(
         n=n, lam=lam, n_repeats=n_repeats, probe=tuple(np.ravel(probe_z)),
         statistics=stats,
         mean=mean, se=se,
         var_hat=float(np.var(stats, ddof=1)),
         var_theory=var_theory,
-        ad_statistic=float(ad.statistic),
-        ad_pvalue=float(ad.pvalue),
+        ad_statistic=ad_statistic,
+        ad_pvalue=ad_pvalue,
         c2=c2,
         var_c2_bound=var_c2_bound,
         notes=("population solution exact: Gaussian moment Gram plus payoff "

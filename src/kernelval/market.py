@@ -49,6 +49,9 @@ __all__ = [
 # Trapezoid rule of the quadrature ground truth: nodes per remaining step on
 # [-GT_HALF_WIDTH, GT_HALF_WIDTH].
 GT_NODES, GT_HALF_WIDTH = 2049, 8.5
+# Prefixes per block of the one-step quadrature: 64 prefixes are 131,136
+# two-step paths (2 MB), and the payoff's temporaries grow with them.
+_GT_ROWS = 64
 
 PAYOFF_IDS = (
     "european_put",
@@ -225,18 +228,18 @@ def _normal_rule(n_nodes, half_width):
 
 
 def _quad_one_step(cfg, payoff_id, prefixes):
-    """One-remaining-step quadrature, 512 prefixes a block; (N, T-1) -> (N,)."""
-    n, block = prefixes.shape[0], 512
+    """One-remaining-step quadrature, :data:`_GT_ROWS` prefixes a block;
+    (N, T-1) -> (N,)."""
     z, wq = _normal_rule(GT_NODES, GT_HALF_WIDTH)
-    out = np.empty(n)
-    for lo in range(0, n, block):
-        pre = prefixes[lo : lo + block]
+    out = np.empty(prefixes.shape[0])
+    for lo in range(0, len(out), _GT_ROWS):
+        pre = prefixes[lo : lo + _GT_ROWS]
         m = pre.shape[0]
         full = np.concatenate(
             [np.repeat(pre, GT_NODES, axis=0), np.tile(z, m)[:, None]], axis=1
         )
         vals = payoff(cfg, payoff_id, full).reshape(m, GT_NODES)
-        out[lo : lo + block] = vals @ wq
+        out[lo : lo + _GT_ROWS] = vals @ wq
     return out
 
 

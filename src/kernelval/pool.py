@@ -6,7 +6,9 @@ import contextlib
 import os
 import threading
 
-__all__ = ["usable_cores", "workers", "using", "pool_map"]
+from . import kernels
+
+__all__ = ["usable_cores", "workers", "using", "block_chunks", "pool_map"]
 
 # per thread: the count `using` set for the maps started on that thread
 _STATE = threading.local()
@@ -33,6 +35,18 @@ def using(threads):
         yield
     finally:
         _STATE.threads = saved
+
+
+def block_chunks(n):
+    """``n`` rows as one slice per :func:`workers` thread, each of whole
+    :data:`kernels.BLOCK`-row blocks (the last may end short), so a
+    computation done in those blocks gives the same bits whatever the worker
+    count."""
+    block = kernels.BLOCK
+    n_blocks = -(-n // block)
+    k = max(1, min(workers(), n_blocks))
+    cuts = [i * n_blocks // k * block for i in range(k)] + [n]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def pool_map(fn, items, threads=None):

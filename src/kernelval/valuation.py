@@ -95,16 +95,12 @@ def value_series_many(est, X):
     """
     X = kernels.as_paths(X, est.kernel.d, est.kernel.T)
     out = np.empty((len(X), est.kernel.T + 1))
-    block = kernels.BLOCK
-    n_blocks = -(-len(X) // block)
-    k = max(1, min(pool.workers(), n_blocks))
-    cuts = [i * n_blocks // k * block for i in range(k)] + [len(X)]
 
     def chunk(s):
         for t in range(est.kernel.T + 1):
             out[s, t] = _values_at(est, X[s, :, :t], t)
 
-    pool.pool_map(chunk, [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+    pool.pool_map(chunk, pool.block_chunks(len(X)))
     return out
 
 

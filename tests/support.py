@@ -20,6 +20,7 @@ from kernelval.diagnostics import (_quad_form, normal_expectation_2step,
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, MonomialFeature)
 from kernelval.krr import _extreme_eigenvalues, fit
+from kernelval.market import GT_HALF_WIDTH, GT_NODES, _normal_rule, payoff
 from kernelval.sampling import MeasureSpec, TrainingSet, build_training_set
 
 
@@ -246,6 +247,22 @@ def three_pass_clt_population(spec, payoff_fn, lam, phi_z, weight):
     m1 = float(normal_expectation_2step(g_vals))
     m2 = float(normal_expectation_2step(lambda p: g_vals(p) ** 2 / weight(p)))
     return h_pop, m2 - m1 * m1
+
+
+def quad_one_step_512(cfg, payoff_id, prefixes):
+    """``market._quad_one_step`` as it was, 512 prefixes a block.
+
+    Each block evaluates the payoff on every (prefix, node) pair and
+    integrates a prefix's row with the rule's weights.
+    """
+    z, wq = _normal_rule(GT_NODES, GT_HALF_WIDTH)
+    out = np.empty(prefixes.shape[0])
+    for lo in range(0, len(out), 512):
+        pre = prefixes[lo:lo + 512]
+        full = np.concatenate(
+            [np.repeat(pre, GT_NODES, axis=0), np.tile(z, len(pre))[:, None]], axis=1)
+        out[lo:lo + 512] = payoff(cfg, payoff_id, full).reshape(len(pre), GT_NODES) @ wq
+    return out
 
 
 def primal_fit_coef(ts, spec, lam):

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -444,20 +446,42 @@ def test_diagnostics_small_run(tmp_path, capsys):
     assert names <= set(os.listdir(out))
     doc = json.loads((out / "diag_mse_bound.json").read_text())
     assert doc["violated"] is False
-    # the CLT's quadrature grid reaches the payoff oracle once
+    # the shared 100k probe counts once, under mse_bound, and the CLT's
+    # quadrature grid reaches the payoff oracle once
     man = json.loads((out / "manifest.json").read_text())
-    assert man["payoff_evaluations"]["clt"] == 12 * 200 + 100_000 + 1025**2
+    assert man["payoff_evaluations"] == {
+        "reference": 320, "mse_bound": 4 * 80 + 100_000,
+        "concentration": 8 * 80, "clt": 12 * 200 + 100_000 + 1025**2,
+        "robustness": 4 * 80}
+
+
+def test_diagnostics_leaves_scipy_stats_unloaded(tmp_path):
+    # the CLT computes its Anderson-Darling test without scipy.stats
+    p = tmp_path / "diag.cfg"
+    p.write_text(TINY_DIAG)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; from kernelval.cli import main; "
+            "rc = main(sys.argv[1:]); print('scipy.stats' in sys.modules); "
+            "sys.exit(rc)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        q for q in (src, os.environ.get("PYTHONPATH")) if q)}
+    run = subprocess.run([sys.executable, "-c", code, "diagnostics", "--config",
+                          str(p), "--out", str(tmp_path / "out"), "--threads", "1"],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_diagnostics_is_thread_invariant(tmp_path, monkeypatch, capsys):
-    # the three checks on the reference fit share the pool at --threads 2
+    # at --threads 2 the reference's probe prediction, then the three checks
+    # on the reference fit, each start one helper thread
     p = tmp_path / "diag.cfg"
     p.write_text(TINY_DIAG)
     starts, start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: starts.append(1) or start(self))
     outs = {}
-    for threads, helpers in (("1", 0), ("2", 1)):
+    for threads, helpers in (("1", 0), ("2", 2)):
         out = tmp_path / threads
         del starts[:]
         assert _run("diagnostics", "--config", str(p), "--out", str(out),

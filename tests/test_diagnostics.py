@@ -7,15 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelval import diagnostics, kernels, krr
-from kernelval.diagnostics import (_cross_form, _offdiag_form, _quad_form,
-                                   _tilde_payoff, _tilde_predict,
+from kernelval import diagnostics, kernels, krr, pool
+from kernelval.diagnostics import (_anderson_norm, _cross_form, _offdiag_form,
+                                   _quad_form, _tilde_payoff, _tilde_predict,
                                    clt_experiment, concentration_check,
                                    feature_gram_exact,
                                    feature_payoff_moments, mse_bound_check,
                                    normal_expectation_2step, population_fit,
-                                   reference_estimator, robustness_check,
-                                   tilted_l2_norm)
+                                   reference_estimator, reference_probe,
+                                   robustness_check, tilted_l2_norm)
 from kernelval.errors import InputError
 from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
                                feature_matrix, monomial_features, tilted_gram)
@@ -29,7 +29,15 @@ from support import (gram_offdiag_form, peak_bytes, primal_fit_coef,
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
 SAMPLER = MeasureSpec(gamma=0.45, d=1, T=2, seed=0)
-FAST = dict(n_probe=20_000, n_jstar=800, n_l2=2000)
+FAST = dict(n_jstar=800)
+
+
+@pytest.fixture()
+def small_probes(monkeypatch):
+    """Probe samples of 20,000 and 2000 paths in place of the study's sizes,
+    for the checks and the CLT experiment alike."""
+    monkeypatch.setattr(diagnostics, "PROBE_PATHS", 20_000)
+    monkeypatch.setattr(diagnostics, "L2_PROBE_PATHS", 2000)
 
 
 def test_reference_requires_headroom():
@@ -58,6 +66,38 @@ def _reference(lam, n, seed):
     return reference_estimator(SAMPLER, payoff_function(CFG, "european_put"),
                                SPEC, lam, n, 4 * n, payoff_id="european_put",
                                seed=seed)
+
+
+def _probe(reference, seed):
+    return reference_probe(CFG, "european_put", SPEC, SAMPLER, reference, seed=seed)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_reference_probe_equals_one_serial_prediction(threads, monkeypatch):
+    # three whole blocks and a short one: the pool's chunks end on block
+    # boundaries, so the residual has the bits of one serial predict call
+    monkeypatch.setattr(diagnostics, "PROBE_PATHS", 3 * BLOCK + 37)
+    monkeypatch.setattr(diagnostics, "L2_PROBE_PATHS", 300)
+    ref = _reference(1e-3, 100, seed=14)
+    calls, predict = [], krr.predict
+    monkeypatch.setattr(diagnostics, "predict",
+                        lambda est, x: calls.append(len(x)) or predict(est, x))
+    with pool.using(threads):
+        probe = _probe(ref, seed=14)
+    assert len(calls) == min(threads, 4) + 1  # the chunks, then the L2 probe
+    # the residual as each check computed it, with one serial prediction
+    paths = draw_paths(SAMPLER, 3 * BLOCK + 37, stream=("msebound", "probe"), seed=14)
+    serial = (_tilde_payoff(payoff_function(CFG, "european_put"), SAMPLER, paths)
+              - _tilde_predict(ref, SAMPLER, paths))
+    assert probe.reference is ref
+    assert probe.paths.tobytes() == paths.tobytes()
+    assert probe.resid.tobytes() == serial.tobytes()
+    assert probe.kap_sq.tobytes() == kernels.tilted_diag(
+        SPEC, paths, SAMPLER.weight(paths)).tobytes()
+    l2 = draw_paths(SAMPLER, 300, stream=("msebound", "l2probe"), seed=14)
+    assert probe.l2_paths.tobytes() == l2.tobytes()
+    assert probe.l2_ref.tobytes() == _tilde_predict(ref, SAMPLER, l2).tobytes()
+    assert not probe.resid.flags.writeable
 
 
 @pytest.mark.parametrize("block", [7, 40])
@@ -155,11 +195,13 @@ def test_feature_payoff_moments_constant_feature():
                                  abs=1e-6)
 
 
+@pytest.mark.usefixtures("small_probes")
 class TestMseBound:
     def test_holds_on_reference_problem(self):
+        ref = _reference(1e-3, 150, seed=1)
         rep = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=150,
                               n_repeats=4, sampler=SAMPLER, seed=1,
-                              reference=_reference(1e-3, 150, seed=1), **FAST)
+                              probe=_probe(ref, seed=1), **FAST)
         assert rep.kind == "mse_bound"
         assert not rep.violated
         assert rep.empirical_rms_h < rep.bound  # huge slack expected
@@ -171,25 +213,27 @@ class TestMseBound:
         f = payoff_function(CFG, "european_put")
         ref = reference_estimator(SAMPLER, f, SPEC, 1e-3, n=400, n_ref=1600,
                                   seed=2)
+        probe = _probe(ref, seed=2)
         a = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=100,
                             n_repeats=1, sampler=SAMPLER, seed=2,
-                            reference=ref, **FAST)
+                            probe=probe, **FAST)
         b = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=400,
                             n_repeats=1, sampler=SAMPLER, seed=2,
-                            reference=ref, **FAST)
+                            probe=probe, **FAST)
         assert b.bound == a.bound / 2.0
         assert b.l2_kappa_residual == a.l2_kappa_residual
 
     def test_lambda_zero_rejected(self):
-        # lambda is refused before the reference is read
+        # lambda is refused before the reference and its probe are read
         with pytest.raises(InputError):
             mse_bound_check(CFG, "european_put", SPEC, 0.0, n=100, n_repeats=1,
-                            sampler=SAMPLER, reference=None)
+                            sampler=SAMPLER, probe=None)
 
     def test_report_serializes_to_strict_json(self):
+        ref = _reference(1e-3, 100, seed=3)
         rep = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=100,
                               n_repeats=2, sampler=SAMPLER, seed=3,
-                              reference=_reference(1e-3, 100, seed=3), **FAST)
+                              probe=_probe(ref, seed=3), **FAST)
         doc = json.loads(rep.to_json())  # would raise on NaN/Infinity tokens
         assert doc["kind"] == "mse_bound"
         assert doc["violated"] is False
@@ -197,12 +241,12 @@ class TestMseBound:
         assert doc["c2"] is None
 
 
+@pytest.mark.usefixtures("small_probes")
 class TestConcentration:
     def test_holds_and_reports_rows(self):
         rep = concentration_check(CFG, "european_put", SPEC, 1e-3, n=150,
                                   n_repeats=12, sampler=SAMPLER, seed=4,
-                                  reference=_reference(1e-3, 150, seed=4),
-                                  n_probe=20_000, n_l2=2000)
+                                  probe=_probe(_reference(1e-3, 150, seed=4), seed=4))
         assert rep.kind == "concentration"
         assert rep.applicable and not rep.violated
         assert rep.c1 == 4.0 * rep.c2
@@ -214,8 +258,8 @@ class TestConcentration:
     def test_huge_tau_never_exceeded(self):
         rep = concentration_check(CFG, "european_put", SPEC, 1e-3, n=120,
                                   n_repeats=6, sampler=SAMPLER, seed=5,
-                                  reference=_reference(1e-3, 120, seed=5),
-                                  tau_grid=[1e6], n_probe=10_000, n_l2=1000)
+                                  probe=_probe(_reference(1e-3, 120, seed=5), seed=5),
+                                  tau_grid=[1e6])
         tau, emp, theo = rep.exceedance[0]
         assert emp == 0.0
         assert theo < 1e-300 or theo == 0.0
@@ -224,15 +268,16 @@ class TestConcentration:
     def test_unbounded_diagonal_marked_inapplicable(self):
         heavy = GaussExpKernel(alpha=4.0, beta=0.45, d=1, T=2, gamma=0.3)
         light_sampler = MeasureSpec(gamma=0.3, d=1, T=2, seed=0)
-        # the check returns before it reads the reference
+        # the check returns before it reads the probe
         rep = concentration_check(CFG, "european_put", heavy, 1e-3, n=100,
                                   n_repeats=2, sampler=light_sampler,
-                                  reference=None)
+                                  probe=None)
         assert not rep.applicable
         assert not rep.violated
         assert "unbounded" in " ".join(rep.notes)
 
 
+@pytest.mark.usefixtures("small_probes")
 class TestCltExperiment:
     def _setup(self):
         spec = FeatureMapKernel(features=monomial_features(1, 2, 2), d=1, T=2)
@@ -242,7 +287,7 @@ class TestCltExperiment:
         spec, sampler = self._setup()
         rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=400,
                              n_repeats=24, sampler=sampler,
-                             probe_z=(0.3, -0.5), seed=6, n_probe_sup=20_000)
+                             probe_z=(0.3, -0.5), seed=6)
         assert not rep.degenerate
         assert rep.statistics.shape == (24,)
         assert rep.var_theory > 0
@@ -258,10 +303,29 @@ class TestCltExperiment:
             warnings.simplefilter("error", FutureWarning)
             rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=200,
                                  n_repeats=12, sampler=sampler,
-                                 probe_z=(0.3, -0.5), seed=6, n_probe_sup=5_000)
+                                 probe_z=(0.3, -0.5), seed=6)
         assert 0.0 < rep.ad_pvalue <= 1.0
         assert rep.normality_accepted_1pct == (rep.ad_pvalue > 0.01)
         assert json.loads(rep.to_json())["ad_pvalue"] == rep.ad_pvalue
+
+    def test_anderson_norm_equals_scipy_bit_for_bit(self):
+        import scipy.stats
+
+        rng = np.random.default_rng(23)
+        sizes = [8, 9, 500] + list(rng.integers(8, 501, 597))
+        pvalues = []
+        for k, n in enumerate(sizes):
+            x = (rng.standard_normal(n), rng.standard_t(3, n),
+                 rng.exponential(size=n))[k % 3]
+            if k % 4 == 3:
+                x = np.round(x, 1)  # ties
+            ref = scipy.stats.anderson(x, dist="norm", method="interpolate")
+            stat, p = _anderson_norm(x)
+            assert (stat, p) == (float(ref.statistic), float(ref.pvalue))
+            pvalues.append(p)
+        # both ends of the interpolation's clamp, and values between them
+        assert 0.15 in pvalues and 0.01 in pvalues
+        assert any(0.01 < p < 0.15 for p in pvalues)
 
     @pytest.mark.parametrize("mixture", [True, False])
     def test_c2_bound_matches_feature_inner_product(self, mixture):
@@ -270,8 +334,7 @@ class TestCltExperiment:
             sampler = MeasureSpec(gamma=0.2, d=1, T=2, seed=0)
         z = np.array([[[1.7, 0.9]]])
         rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=100,
-                             n_repeats=4, sampler=sampler, probe_z=z[0], seed=3,
-                             n_probe_sup=2_000)
+                             n_repeats=4, sampler=sampler, probe_z=z[0], seed=3)
         # the hand-written tilted diagonal the bound used before
         phi = feature_matrix(spec, z)[0]
         old = 0.25 * rep.c2 * (float(phi @ phi) / float(sampler.weight(z)[0]))
@@ -281,7 +344,7 @@ class TestCltExperiment:
         spec, sampler = self._setup()
         rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=200,
                              n_repeats=4, sampler=sampler,
-                             probe_z=(0.0, 0.0), seed=7, n_probe_sup=5_000)
+                             probe_z=(0.0, 0.0), seed=7)
         assert rep.degenerate
         assert math.isnan(rep.ad_statistic)
         assert not rep.normality_accepted_1pct
@@ -316,14 +379,15 @@ class TestCltExperiment:
         monkeypatch.setattr(kernels, "feature_matrix", counting)
         monkeypatch.setattr(diagnostics, "payoff_function", counting_payoff)
         kw = dict(lam=1e-3, n=150, n_repeats=9, sampler=sampler,
-                  probe_z=(0.3, -0.5), seed=12, n_probe_sup=3_000)
+                  probe_z=(0.3, -0.5), seed=12)
         rep = clt_experiment(spec, CFG, "european_put", **kw)
         assert max(sizes) <= diagnostics._CLT_ROWS * diagnostics.CLT_NODES
         # each node's features twice, for b and then for g: one pass over the
         # payoffs, two over the features
         assert sum(grid_sizes) == (2 + weight_calls) * diagnostics.CLT_NODES**2
         # the payoff once per training path, probe path and grid node
-        assert sum(payoff_evals) == 150 * 9 + 3_000 + diagnostics.CLT_NODES**2
+        assert sum(payoff_evals) == (150 * 9 + diagnostics.PROBE_PATHS
+                                     + diagnostics.CLT_NODES**2)
         # the grid-by-grid oracle in place of the blocked passes: the blocks
         # sum the grid in another order, a deliberate rounding change
         monkeypatch.setattr(diagnostics, "_clt_population", three_pass_clt_population)
@@ -355,7 +419,7 @@ class TestCltExperiment:
 
         monkeypatch.setattr(krr, "content_hash", counting)
         kw = dict(lam=1e-3, n=150, n_repeats=9, sampler=sampler,
-                  probe_z=(0.3, -0.5), seed=12, n_probe_sup=3_000)
+                  probe_z=(0.3, -0.5), seed=12)
         rep = clt_experiment(spec, CFG, "european_put", **kw)
         assert hashes == []
         monkeypatch.setattr(diagnostics, "_primal_coef", primal_fit_coef)
@@ -369,7 +433,7 @@ class TestCltExperiment:
         spec, sampler = self._setup()
         with pytest.raises(InputError):
             clt_experiment(spec, CFG, "european_put", lam=lam, n=50, n_repeats=2,
-                           sampler=sampler, probe_z=(0.0, 0.0), n_probe_sup=100)
+                           sampler=sampler, probe_z=(0.0, 0.0))
 
     def test_requires_feature_kernel(self):
         with pytest.raises(InputError):

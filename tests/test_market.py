@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from kernelval.errors import CapabilityError, InputError
-from kernelval.market import (BSConfig, GroundTruth, NestedMC, PAYOFF_IDS,
+from kernelval.market import (GT_HALF_WIDTH, GT_NODES, BSConfig, GroundTruth,
+                              NestedMC, PAYOFF_IDS, _normal_rule, _quad_one_step,
                               ground_truth_value, nested_mc_estimate, payoff,
                               payoff_from_stocks, payoff_function, stock_path,
                               value_quadrature)
-from support import ATM_CALL_2STEP, bs_call, bs_put
+from support import (ATM_CALL_2STEP, bs_call, bs_put, peak_bytes,
+                     quad_one_step_512)
 
 CFG = BSConfig()  # s0=1, sigma=0.2, r=0, T=2, strike=1, barrier=2.24
 
@@ -118,6 +120,26 @@ def test_quadrature_values_match_frozen_mc():
     for pid, ref in frozen.items():
         v = value_quadrature(CFG, pid, (), 0)
         assert abs(v - ref) < 2e-4, (pid, v, ref)
+
+
+@pytest.mark.parametrize("payoff_id", PAYOFF_IDS)
+def test_quadrature_blocks_give_the_bits_of_512_prefix_blocks(payoff_id):
+    # a prefix's row of payoffs times the weights does not depend on the
+    # block it sits in: random prefixes, the v0 rule's own nodes, a short
+    # last block and a single prefix
+    rng = np.random.default_rng(41)
+    pre = 1.5 * rng.standard_normal((1500, 1))
+    nodes = _normal_rule(GT_NODES, GT_HALF_WIDTH)[0][:, None]
+    for prefixes in (pre, nodes, pre[:37], pre[:1]):
+        got = _quad_one_step(CFG, payoff_id, prefixes)
+        assert got.tobytes() == quad_one_step_512(CFG, payoff_id, prefixes).tobytes()
+
+
+@pytest.mark.parametrize("payoff_id", PAYOFF_IDS)
+def test_quadrature_holds_one_block_of_prefixes(payoff_id):
+    # 1000 prefixes are 16 blocks; blocks of 512 prefixes peaked at 80-88 MiB
+    pre = np.linspace(-3.0, 3.0, 1000)[:, None]
+    assert peak_bytes(_quad_one_step, CFG, payoff_id, pre) < 20 * 2**20
 
 
 def test_conditional_value_interpolates_known_endpoints():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from kernelval import pool
+from kernelval import kernels, pool
 
 
 def test_results_come_in_item_order_and_every_item_runs_once():
@@ -56,3 +56,15 @@ def test_lowest_index_failure_propagates_and_no_thread_survives():
     assert threading.active_count() == before
     with pytest.raises(ValueError, match="three"):
         pool.pool_map(item, [0, 3], 1)
+
+
+@pytest.mark.parametrize("n, threads", [(0, 2), (1, 2), (15, 3), (3 * 16 + 1, 2),
+                                        (60, 3), (60, 8)])
+def test_block_chunks_are_whole_blocks_one_per_worker(n, threads, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK", 16)
+    with pool.using(threads):
+        chunks = pool.block_chunks(n)
+    assert chunks[0].start == 0 and chunks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+    assert all(c.start % 16 == 0 for c in chunks)
+    assert len(chunks) == max(1, min(threads, -(-n // 16)))
