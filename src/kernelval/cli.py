@@ -495,14 +495,12 @@ def _figures_stage(config, payoff_id, grid, gt, test_paths):
 def run_diagnostics(config):
     """Bound suite on the configured diagnostic problem; returns reports.
 
-    The reference fit runs first, on the calling thread.  Next its probe
+    The reference fit runs first, on the calling thread: its n_ref Gram and
+    factor are the suite's largest allocation.  Next its probe
     (:func:`diagnostics.reference_probe`, which the mse and concentration
     checks share) is predicted on the pool, in whole :data:`kernels.BLOCK`-row
-    chunks.  Then the three checks share the pool, longest first, and the CLT
-    experiment runs last, on the calling thread.  The reference fit (the
-    n_ref Gram and its factor) and the CLT quadrature grid are the suite's two
-    largest allocations and stay on the calling thread: freed on a pool
-    thread, the grid's vectors stay resident in that thread's heap.  Every
+    chunks.  Then the four checks share the pool, longest first:
+    concentration, mse bound, the CLT experiment and robustness.  Every
     check draws from its own streams and the probe's chunks are whole blocks,
     so reports do not depend on the thread count.
     """
@@ -518,6 +516,10 @@ def run_diagnostics(config):
     with pool.using(config.threads):
         probe = diagnostics.reference_probe(config.market, payoff_id, spec, meas,
                                             reference, seed=seed)
+    feats = monomial_features(1, config.market.T,
+                              max_total_degree=d["clt_degree"])
+    fspec = FeatureMapKernel(features=feats, d=1, T=config.market.T)
+    mix = MixtureSampler(fspec, seed=seed)
     # looked up at call time, so that wrappers set on the module apply
     checks = {
         "concentration": lambda: diagnostics.concentration_check(
@@ -526,23 +528,17 @@ def run_diagnostics(config):
         "mse_bound": lambda: diagnostics.mse_bound_check(
             config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
             probe=probe, seed=seed),
+        "clt": lambda: diagnostics.clt_experiment(
+            fspec, config.market, payoff_id, d["clt_lambda"], d["clt_n"],
+            d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=seed),
         "robustness": lambda: diagnostics.robustness_check(
             config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
             eps=d["eps"], seed=seed),
     }
     reports = dict(zip(checks, pool.pool_map(lambda check: check(),
                                              checks.values(), config.threads)))
-    feats = monomial_features(1, config.market.T,
-                              max_total_degree=d["clt_degree"])
-    fspec = FeatureMapKernel(features=feats, d=1, T=config.market.T)
-    mix = MixtureSampler(fspec, seed=seed)
-    clt = diagnostics.clt_experiment(
-        fspec, config.market, payoff_id, d["clt_lambda"], d["clt_n"],
-        d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=seed,
-    )
-    return {"mse_bound": reports["mse_bound"],
-            "concentration": reports["concentration"], "clt": clt,
-            "robustness": reports["robustness"]}
+    return {name: reports[name]
+            for name in ("mse_bound", "concentration", "clt", "robustness")}
 
 
 # ---------------------------------------------------------------------------

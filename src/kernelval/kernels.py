@@ -142,6 +142,22 @@ def _guarded_exp(e, out=None):
     return np.exp(e, out=out)
 
 
+def _int_pow(y, k):
+    """``y ** k`` for an integer ``k >= 0`` as ``y * y * ... * y``, a new array.
+
+    NumPy's ``power`` takes a slow path on negative bases, where ``y ** 3``
+    costs as much as tens of multiplies.  The product rounds once per
+    multiplication where ``pow`` rounds once, so it may differ from
+    ``y ** k`` by up to ``k - 1`` ulp.
+    """
+    if k == 0:
+        return np.ones_like(y)
+    out = y * y if k > 1 else y.copy()
+    for _ in range(k - 2):
+        out *= y
+    return out
+
+
 def gauss_moment(k):
     """E[Z^k] for standard normal Z: (k-1)!! for even k, 0 for odd k."""
     if k < 0:
@@ -210,12 +226,14 @@ class MonomialFeature:
     def step_values(self, t, y):
         """phi_{i,t}(y) for step values ``y`` of shape (..., d)."""
         y = np.asarray(y, dtype=float)
-        p = self.powers[t]
-        out = np.ones(y.shape[:-1])
-        for c, k in enumerate(p):
+        out = None
+        for c, k in enumerate(self.powers[t]):
             if k:
-                out = out * y[..., c] ** k
-        if t == 0:
+                v = _int_pow(y[..., c], k)
+                out = v if out is None else out * v
+        if out is None:
+            out = np.ones(y.shape[:-1])
+        if t == 0 and self.coef != 1.0:
             out = out * self.coef
         return out
 
@@ -449,7 +467,7 @@ def _expected_monomial_shifted(powers, shift, scale):
         acc = np.zeros(shift.shape[:-1])
         for j in range(0, k + 1, 2):
             mom = gauss_moment(j)
-            acc += math.comb(k, j) * mom * scale**j * shift[..., c] ** (k - j)
+            acc += math.comb(k, j) * mom * scale**j * _int_pow(shift[..., c], k - j)
         out = out * acc
     return out
 
@@ -551,14 +569,16 @@ def _feature_products(spec, pre, t):
     Revealed steps contribute their realized factors, the others their
     Gaussian means.
     """
-    n = pre.shape[0]
-    out = np.empty((n, len(spec.features)))
+    out = np.empty((pre.shape[0], len(spec.features)))
     for i, f in enumerate(spec.features):
-        v = np.ones(n)
+        v = 1.0
         for s in range(t):
-            v = v * f.step_values(s, pre[:, :, s])
+            sv = f.step_values(s, pre[:, :, s])
+            v = sv if s == 0 else v * sv
         for s in range(t, spec.T):
-            v = v * f.step_mean(s)
+            m = f.step_mean(s)
+            if m != 1.0:
+                v = v * m
         out[:, i] = v
     return out
 

@@ -18,7 +18,7 @@ from kernelval import kernels
 from kernelval.diagnostics import (_quad_form, normal_expectation_2step,
                                    population_fit)
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
-                               GaussPolyKernel, MonomialFeature)
+                               GaussPolyKernel, MonomialFeature, gauss_moment)
 from kernelval.krr import _extreme_eigenvalues, fit
 from kernelval.market import GT_HALF_WIDTH, GT_NODES, _normal_rule, payoff
 from kernelval.sampling import MeasureSpec, TrainingSet, build_training_set
@@ -247,6 +247,51 @@ def three_pass_clt_population(spec, payoff_fn, lam, phi_z, weight):
     m1 = float(normal_expectation_2step(g_vals))
     m2 = float(normal_expectation_2step(lambda p: g_vals(p) ** 2 / weight(p)))
     return h_pop, m2 - m1 * m1
+
+
+def pow_step_values(feature, t, y):
+    """``MonomialFeature.step_values`` with every power through ``pow``.
+
+    The original computation: a product started from ones, each integer
+    power ``y ** k`` rounded once, and the scalar applied at step 0 even
+    when it is 1.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.ones(y.shape[:-1])
+    for c, k in enumerate(feature.powers[t]):
+        if k:
+            out = out * y[..., c] ** k
+    if t == 0:
+        out = out * feature.coef
+    return out
+
+
+def pow_feature_products(spec, pre, t):
+    """``kernels._feature_products`` built on :func:`pow_step_values`.
+
+    Revealed steps contribute :func:`pow_step_values`, the others their
+    Gaussian means, every factor multiplied in, ones and all.
+    """
+    n = pre.shape[0]
+    out = np.empty((n, len(spec.features)))
+    for i, f in enumerate(spec.features):
+        v = np.ones(n)
+        for s in range(t):
+            v = v * pow_step_values(f, s, pre[:, :, s])
+        for s in range(t, spec.T):
+            v = v * f.step_mean(s)
+        out[:, i] = v
+    return out
+
+
+def pow_expected_monomial_shifted(powers, shift, scale):
+    """``kernels._expected_monomial_shifted`` with ``shift ** (k - j)`` through ``pow``."""
+    out = np.ones(shift.shape[:-1])
+    for c, k in enumerate(powers):
+        if k:
+            out = out * sum(math.comb(k, j) * gauss_moment(j) * scale**j
+                            * shift[..., c] ** (k - j) for j in range(0, k + 1, 2))
+    return out
 
 
 def quad_one_step_512(cfg, payoff_id, prefixes):

@@ -473,8 +473,10 @@ def test_diagnostics_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_diagnostics_is_thread_invariant(tmp_path, monkeypatch, capsys):
-    # at --threads 2 the reference's probe prediction, then the three checks
-    # on the reference fit, each start one helper thread
+    # at --threads 2 the reference's probe prediction, then the checks' map
+    # (the three checks on the reference fit and the CLT experiment), each
+    # start one helper thread; every report, diag_clt.json included, is the
+    # same bytes at either count
     p = tmp_path / "diag.cfg"
     p.write_text(TINY_DIAG)
     starts, start = [], threading.Thread.start

@@ -23,8 +23,8 @@ from kernelval.krr import fit
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, MixtureSampler,
                                 build_training_set, draw_paths)
-from support import (gram_offdiag_form, peak_bytes, primal_fit_coef,
-                     three_pass_clt_population, two_fit_drifts)
+from support import (gram_offdiag_form, peak_bytes, pow_feature_products,
+                     primal_fit_coef, three_pass_clt_population, two_fit_drifts)
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
@@ -396,6 +396,34 @@ class TestCltExperiment:
         assert rep.c2 == pytest.approx(oracle.c2, rel=1e-10, abs=0)
         np.testing.assert_allclose(rep.statistics, oracle.statistics, rtol=0,
                                    atol=1e-8)
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_grid_features_are_the_pow_oracle_bit_for_bit(self, degree):
+        # the nodes are multiples of 1/64, so every power and product of
+        # them is exact whichever way it is computed
+        spec = FeatureMapKernel(features=monomial_features(1, 2, degree), d=1, T=2)
+        for lo in (0, 480, diagnostics.CLT_NODES - 1):
+            paths, _ = diagnostics._grid_rows(lo, lo + diagnostics._CLT_ROWS)
+            assert (feature_matrix(spec, paths).tobytes()
+                    == pow_feature_products(spec, paths, 2).tobytes())
+
+    def test_multiplied_powers_move_the_statistics_in_their_last_bits(
+            self, monkeypatch):
+        # the study's degree-3 features; the pow oracle in place of the
+        # multiplied powers, for the fits, the mixture weights and the grid
+        spec = FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2)
+        kw = dict(lam=1e-3, n=150, n_repeats=9,
+                  sampler=MixtureSampler(spec, seed=0), probe_z=(0.3, -0.5),
+                  seed=12)
+        rep = clt_experiment(spec, CFG, "european_put", **kw)
+        monkeypatch.setattr(kernels, "_feature_products", pow_feature_products)
+        oracle = clt_experiment(spec, CFG, "european_put", **kw)
+        # the oracle reached the fits: their last bits moved
+        assert rep.statistics.tobytes() != oracle.statistics.tobytes()
+        np.testing.assert_allclose(rep.statistics, oracle.statistics,
+                                   rtol=1e-10, atol=0.0)
+        assert rep.var_theory == oracle.var_theory
+        assert rep.c2 == oracle.c2
 
     def test_population_moments_hold_one_block_not_the_grid(self):
         # the study's CLT: degree 3 features, the mixture sampler, and the

@@ -14,8 +14,9 @@ from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                gauss_moment, gauss_poly_features, gram,
                                monomial_features, tilted_diag, tilted_gram)
 from kernelval.sampling import MeasureSpec, MixtureSampler, draw_paths, rn_weight
-from support import (closed_form_tilted_gram, log_tail, term_by_term_gram,
-                     unfused_conditional_gram)
+from support import (closed_form_tilted_gram, log_tail,
+                     pow_expected_monomial_shifted, pow_feature_products,
+                     term_by_term_gram, unfused_conditional_gram)
 
 RNG = np.random.default_rng(20240817)
 
@@ -375,6 +376,70 @@ def test_conditional_feature_matrix_towers_to_step_means():
     for j, f in enumerate(feats):
         manual = f.step_values(0, pre[:, :, 0]) * f.step_mean(1)
         assert np.allclose(F1[:, j], manual, rtol=1e-12)
+
+
+def _weighted_monomials(d, T, degree, rng):
+    """Monomial features with scalars drawn in [0.5, 2], every other one kept at 1."""
+    feats = monomial_features(d, T, degree)
+    coefs = np.where(np.arange(len(feats)) % 2, rng.uniform(0.5, 2.0, len(feats)), 1.0)
+    return FeatureMapKernel(features=tuple(
+        MonomialFeature(powers=f.powers, coef=float(c)) for f, c in zip(feats, coefs)),
+        d=d, T=T)
+
+
+def _assert_matches_pow_oracle(got, want):
+    """Zeros (with their sign), infinities and NaNs as the oracle has them;
+    finite nonzero values within 1e-15 relative.
+
+    Powers by multiplication round once per product, ``pow`` once per power:
+    a deliberate rounding change of a few ulp."""
+    nan = np.isnan(want)
+    exact = nan | ~np.isfinite(want) | (want == 0.0)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[exact & ~nan], want[exact & ~nan])
+    np.testing.assert_array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+    np.testing.assert_allclose(got[~exact], want[~exact], rtol=1e-15, atol=0.0)
+
+
+def test_feature_products_match_the_pow_oracle():
+    rng = np.random.default_rng(29)
+    spec = _weighted_monomials(2, 2, 4, rng)
+    X = 1.5 * rng.standard_normal((3000, 2, 2))
+    _assert_matches_pow_oracle(feature_matrix(spec, X), pow_feature_products(spec, X, 2))
+    for t in range(spec.T + 1):
+        _assert_matches_pow_oracle(conditional_feature_matrix(spec, X, t),
+                                   pow_feature_products(spec, X, t))
+
+
+def test_feature_products_match_the_pow_oracle_on_special_inputs():
+    # every coordinate of every path from signed zeros, tiny values, values
+    # whose powers overflow to +-inf or underflow to +-0, infinities and NaN
+    values = [-0.0, 0.0, 1e-60, -1e-200, 1e103, 1e120, -1e120, np.inf, -np.inf,
+              np.nan, -2.5, 0.7, -1.3]
+    X = np.array(np.meshgrid(*[values] * 4, indexing="ij")).reshape(4, -1).T
+    X = X.reshape(-1, 2, 2)
+    spec = _weighted_monomials(2, 2, 4, np.random.default_rng(31))
+    with np.errstate(all="ignore"):
+        got = [conditional_feature_matrix(spec, X, t) for t in range(3)]
+        want = [pow_feature_products(spec, X, t) for t in range(3)]
+    for g, w in zip(got, want):
+        _assert_matches_pow_oracle(g, w)
+    full = want[2]
+    # each kind of special result occurs
+    assert np.isnan(full).any() and np.isposinf(full).any() and np.isneginf(full).any()
+    assert ((full == 0.0) & np.signbit(full)).any()
+    assert ((full == 0.0) & ~np.signbit(full)).any()
+
+
+def test_gauss_poly_u_factor_matches_the_pow_oracle():
+    # negative shifts, pow's slow path, and k - j = 0 terms
+    rng = np.random.default_rng(37)
+    shift = -np.abs(rng.standard_normal((400, 2)))
+    shift[::5] *= -1.0
+    for powers in [(0, 4), (3, 1), (2, 2), (4, 0), (1, 3), (3, 0)]:
+        got = kernels._expected_monomial_shifted(powers, shift, 0.6)
+        want = pow_expected_monomial_shifted(powers, shift, 0.6)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("shape", [(4, 2, 2), (4, 1, 1)],
