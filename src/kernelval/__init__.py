@@ -15,8 +15,8 @@ from .errors import (CapabilityError, DataError, InputError, KernelvalError,
 from .kernels import (FeatureMapKernel, GaussExpKernel, GaussPolyKernel,
                       MonomialFeature, cond_expect, gauss_poly_features, gram,
                       monomial_features, tilted_gram)
-from .krr import (Estimator, fit, fit_path, load_estimator,
-                  normal_equation_residual, predict, regularization_path)
+from .krr import (Estimator, fit, fit_path, load_estimator, predict,
+                  regularization_path)
 from .market import (BSConfig, GroundTruth, PAYOFF_IDS, nested_mc_estimate,
                      payoff, payoff_function, stock_path)
 from .sampling import (MeasureSpec, MixtureSampler, TrainingSet,
@@ -31,8 +31,8 @@ __all__ = [
     "GaussExpKernel", "GaussPolyKernel", "FeatureMapKernel", "MonomialFeature",
     "monomial_features", "gauss_poly_features", "gram", "tilted_gram",
     "cond_expect",
-    "Estimator", "fit", "fit_path", "predict", "normal_equation_residual",
-    "regularization_path", "load_estimator",
+    "Estimator", "fit", "fit_path", "predict", "regularization_path",
+    "load_estimator",
     "BSConfig", "PAYOFF_IDS", "GroundTruth", "nested_mc_estimate", "payoff",
     "payoff_function", "stock_path",
     "MeasureSpec", "MixtureSampler", "TrainingSet", "build_training_set",

@@ -352,8 +352,7 @@ def grid_search(config, payoff_id):
             rows.append(((a, b, l), err, None, est))
         return rows
 
-    scored = [row for rows in pool.pool_map(score, pairs.items(), config.threads)
-              for row in rows]
+    scored = [row for rows in pool.pool_map(score, pairs.items()) for row in rows]
     surface = tuple((*point, err) for point, err, _, _ in scored)
     failures = tuple((point, msg) for point, _, msg, _ in scored if msg is not None)
     if len(failures) == len(scored):
@@ -447,7 +446,8 @@ def _study(config, stage):
         return payoff_id, {"grid": grid, "gt": gt,
                            **stage(config, payoff_id, grid, gt, test_paths)}
 
-    return dict(pool.pool_map(one, config.payoffs, config.threads))
+    with pool.using(config.threads):
+        return dict(pool.pool_map(one, config.payoffs))
 
 
 def _table2_stage(config, payoff_id, grid, gt, test_paths):
@@ -514,29 +514,28 @@ def run_diagnostics(config):
         n, d["n_ref"], payoff_id=payoff_id, seed=seed,
     )
     with pool.using(config.threads):
-        probe = diagnostics.reference_probe(config.market, payoff_id, spec, meas,
+        probe = diagnostics.reference_probe(config.market, payoff_id, meas,
                                             reference, seed=seed)
-    feats = monomial_features(1, config.market.T,
-                              max_total_degree=d["clt_degree"])
-    fspec = FeatureMapKernel(features=feats, d=1, T=config.market.T)
-    mix = MixtureSampler(fspec, seed=seed)
-    # looked up at call time, so that wrappers set on the module apply
-    checks = {
-        "concentration": lambda: diagnostics.concentration_check(
-            config.market, payoff_id, spec, lam, n, d["conc_repeats"], meas,
-            probe=probe, seed=seed),
-        "mse_bound": lambda: diagnostics.mse_bound_check(
-            config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
-            probe=probe, seed=seed),
-        "clt": lambda: diagnostics.clt_experiment(
-            fspec, config.market, payoff_id, d["clt_lambda"], d["clt_n"],
-            d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=seed),
-        "robustness": lambda: diagnostics.robustness_check(
-            config.market, payoff_id, spec, lam, n, d["n_repeats"], meas,
-            eps=d["eps"], seed=seed),
-    }
-    reports = dict(zip(checks, pool.pool_map(lambda check: check(),
-                                             checks.values(), config.threads)))
+        feats = monomial_features(1, config.market.T,
+                                  max_total_degree=d["clt_degree"])
+        fspec = FeatureMapKernel(features=feats, d=1, T=config.market.T)
+        mix = MixtureSampler(fspec, seed=seed)
+        # looked up at call time, so that wrappers set on the module apply
+        checks = {
+            "concentration": lambda: diagnostics.concentration_check(
+                config.market, payoff_id, n, d["conc_repeats"], meas,
+                probe=probe, seed=seed),
+            "mse_bound": lambda: diagnostics.mse_bound_check(
+                config.market, payoff_id, n, d["n_repeats"], meas,
+                probe=probe, seed=seed),
+            "clt": lambda: diagnostics.clt_experiment(
+                fspec, config.market, payoff_id, d["clt_lambda"], d["clt_n"],
+                d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=seed),
+            "robustness": lambda: diagnostics.robustness_check(
+                spec, lam, n, d["n_repeats"], meas, eps=d["eps"], seed=seed),
+        }
+        reports = dict(zip(checks, pool.pool_map(lambda check: check(),
+                                                 checks.values())))
     return {name: reports[name]
             for name in ("mse_bound", "concentration", "clt", "robustness")}
 
@@ -767,7 +766,7 @@ def _diag_evals(d):
         "concentration": d["conc_repeats"] * d["n"],
         "clt": (d["clt_repeats"] * d["clt_n"] + diagnostics.PROBE_PATHS
                 + diagnostics.CLT_NODES**2),
-        "robustness": d["n_repeats"] * d["n"],
+        "robustness": 0,  # the perturbation's fits call no payoff oracle
     }
 
 

@@ -48,8 +48,6 @@ __all__ = [
     "robustness_check",
     "tilted_l2_norm",
     "feature_gram_exact",
-    "feature_payoff_moments",
-    "population_fit",
 ]
 
 
@@ -206,16 +204,16 @@ class ReferenceProbe:
             a.setflags(write=False)
 
 
-def reference_probe(cfg, payoff_id, spec, sampler, reference, seed=0):
+def reference_probe(cfg, payoff_id, sampler, reference, seed=0):
     """``reference`` on a :data:`PROBE_PATHS`-path probe sample and an
     :data:`L2_PROBE_PATHS`-path L2 probe, drawn once for both checks.
 
-    Holds ``reference``, the probe ``paths``, the tilted residual ``resid = f~ - f~_ref``
-    and the squared tilted diagonal ``kap_sq`` on them, and the
-    ``l2_paths`` with the reference's predictions ``l2_ref = f~_ref``.  The
-    large prediction runs on the :mod:`kernelval.pool`, each worker on whole
-    :data:`kernels.BLOCK`-row blocks, so the bits are those of one
-    :func:`krr.predict` call whatever the worker count.
+    Holds ``reference``, the probe ``paths``, the tilted residual
+    ``resid = f~ - f~_ref`` and the reference kernel's squared tilted diagonal
+    ``kap_sq`` on them, and the ``l2_paths`` with the reference's predictions
+    ``l2_ref = f~_ref``.  The large prediction runs on the :mod:`kernelval.pool`,
+    each worker on whole :data:`kernels.BLOCK`-row blocks, so the bits are
+    those of one :func:`krr.predict` call whatever the worker count.
     """
     f = payoff_function(cfg, payoff_id)
     probe = draw_paths(sampler, PROBE_PATHS, stream=("msebound", "probe"), seed=seed)
@@ -232,27 +230,28 @@ def reference_probe(cfg, payoff_id, spec, sampler, reference, seed=0):
         reference=reference,
         paths=probe,
         resid=_tilde_payoff(f, sampler, probe) - pred / np.sqrt(w),
-        kap_sq=kernels.tilted_diag(spec, probe, w),
+        kap_sq=kernels.tilted_diag(reference.kernel, probe, w),
         l2_paths=l2_paths,
         l2_ref=_tilde_predict(reference, sampler, l2_paths),
     )
 
 
-def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, probe,
-                    seed=0, n_jstar=3000):
+def mse_bound_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
+                    n_jstar=3000):
     """Root-mean-squared sample error against its 1/(lambda sqrt(n)) bound.
 
     The bound's numerator ``||(f - f_ref) kappa~||^2 - ||J~*(f - f_ref)||^2``
     is estimated on the tilted probe sample of ``probe``, the
     :func:`reference_probe` of a :func:`reference_estimator` fit ``f_ref``
     (the second term by an unbiased U-statistic, clipped at zero); the
-    empirical side refits ``n_repeats`` times and measures exact RKHS
-    distances to ``probe.reference``.
+    empirical side refits ``n_repeats`` times with the reference's kernel
+    and lambda and measures exact RKHS distances to ``probe.reference``.
     """
+    reference, resid, kap_sq = probe.reference, probe.resid, probe.kap_sq
+    spec, lam = reference.kernel, reference.lam
     if lam <= 0:
         raise InputError("the untruncated bound requires lambda > 0")
     f = payoff_function(cfg, payoff_id)
-    reference, resid, kap_sq = probe.reference, probe.resid, probe.kap_sq
     vals = resid**2 * kap_sq
     num_l2 = float(np.mean(vals))
     num_se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -313,16 +312,17 @@ def mse_bound_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, probe,
     )
 
 
-def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler,
-                        probe, seed=0, tau_grid=None):
+def concentration_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
+                        tau_grid=None):
     """Tail frequency of the sample error against 2 exp(-tau^2 n / (2 C2)).
 
     Applicable when the tilted kernel diagonal is bounded (beta <= gamma for
     the exponential family); the sample error enters through the safe proxy
     ``||f~_X - f~_ref||_2 / ||kappa~||_inf <= ||h_X - h_ref||``, with
-    ``f~_ref`` and the residual's sup norm taken from ``probe``, the
-    :func:`reference_probe` of a :func:`reference_estimator` fit.
+    ``f~_ref``, the residual's sup norm, the kernel and lambda taken from
+    ``probe``, the :func:`reference_probe` of a :func:`reference_estimator` fit.
     """
+    spec, lam = probe.reference.kernel, probe.reference.lam
     if lam <= 0:
         raise InputError("the untruncated tail bound requires lambda > 0")
     if isinstance(spec, GaussExpKernel) and spec.beta > spec.gamma:
@@ -387,19 +387,10 @@ def concentration_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler,
 # ---------------------------------------------------------------------------
 
 
-def normal_expectation_2step(fn):
-    """E[fn(X)] for X with two independent standard-normal steps (d = 1).
-
-    ``fn`` maps paths (N, 1, 2) to (N,) or (N, k); the grid is a tensor
-    trapezoid rule, accurate to ~1e-7 for payoff-style integrands.
-    """
-    paths, wts = _grid_rows(0, CLT_NODES)
-    return wts @ np.asarray(fn(paths))
-
-
 def _grid_rows(lo, hi):
-    """Nodes (N, 1, 2) and weights (N,) of :func:`normal_expectation_2step`'s
-    rule whose first step is ``x[lo:hi]``.
+    """Nodes (N, 1, 2) and weights (N,) of the rows ``x[lo:hi]`` of a tensor
+    trapezoid rule for two standard-normal steps (d = 1), accurate to ~1e-7
+    for payoff-style integrands.
 
     The whole grid, ``N = CLT_NODES**2``, is ``_grid_rows(0, CLT_NODES)``; a
     block holds its rows ``lo * CLT_NODES`` up to ``hi * CLT_NODES``, with the
@@ -428,32 +419,13 @@ def feature_gram_exact(spec):
     return G
 
 
-def feature_payoff_moments(spec, payoff_fn):
-    """b_i = E_mu[f phi_i] by tensor quadrature (two steps, d = 1)."""
-    if spec.d != 1 or spec.T != 2:
-        raise InputError("payoff moments implemented for d = 1, T = 2")
-
-    def integrand(paths):
-        return payoff_fn(paths)[:, None] * kernels.feature_matrix(spec, paths)
-
-    return normal_expectation_2step(integrand)
-
-
-def population_fit(spec, payoff_fn, lam):
-    """Exact regularized population coefficients h_lambda = (G + lambda)^-1 b."""
-    G = feature_gram_exact(spec)
-    b = feature_payoff_moments(spec, payoff_fn)
-    M = G + lam * np.eye(len(b))
-    return np.linalg.solve(M, b), G, b
-
-
 def _clt_population(spec, payoff_fn, lam, phi_z, weight):
     """``h_lambda`` and the exact asymptotic variance in direction ``phi_z``.
 
-    The expressions of :func:`population_fit`, ``b = E_mu[f Phi]``, and of
-    the variance ``Var_mu~[(f~ - f~_lambda) phi~^T u]`` with
-    ``u = (G + lambda)^-1 phi_z``: ``g = (f - Phi h_lambda) Phi u``, variance
-    ``E_mu[g^2 / w] - E_mu[g]^2``.  The quadrature grid is walked twice in
+    ``h_lambda = (G + lambda)^-1 b`` with ``b = E_mu[f Phi]``; the variance
+    ``Var_mu~[(f~ - f~_lambda) phi~^T u]`` with ``u = (G + lambda)^-1 phi_z``:
+    ``g = (f - Phi h_lambda) Phi u``, variance ``E_mu[g^2 / w] - E_mu[g]^2``.
+    The quadrature grid is walked twice in
     blocks of :data:`_CLT_ROWS` first-step rows.  The first pass accumulates
     ``b`` and keeps each node's payoff ``f`` and ``Phi u``, so the payoff is
     evaluated once per node; the second rebuilds each block's features for
@@ -624,21 +596,21 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
     )
 
 
-def robustness_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, eps,
-                     seed=0):
+def robustness_check(spec, lam, n, n_repeats, sampler, eps, seed=0):
     """Coefficient drift under the payoff perturbation f -> f + eps * g, g = 1.
 
-    Fits both payoffs on identical samples and measures the exact RKHS drift
-    ``(1/n) sqrt(a^T K~ a)`` from dual coefficient differences a.  The mean
-    drift must stay below ``(1/lambda) ||kappa~||_2 ||eps g||_2`` and, when
-    the tilted kernel diagonal is bounded, the RMS drift below
+    The fit is linear in the payoff, so the drift is the fit of ``eps g``
+    alone, whatever ``f``: each repeat fits the constant payoff ``eps`` and
+    measures the exact RKHS drift ``(1/n) sqrt(a^T K~ a)`` from its dual
+    coefficients a.  The mean drift must stay below
+    ``(1/lambda) ||kappa~||_2 ||eps g||_2`` and, when the tilted kernel
+    diagonal is bounded, the RMS drift below
     ``(1/lambda) ||kappa~||_inf ||eps g||_2``, where ``||g||_2 = 1``.
     """
     if lam <= 0:
         raise InputError("the perturbation bound requires lambda > 0")
     if not math.isfinite(eps):
         raise InputError(f"the perturbation size eps must be finite, got {eps}")
-    f = payoff_function(cfg, payoff_id)
     kap2 = tilted_l2_norm(spec)
     kinf = float("nan")
     if (isinstance(spec, GaussExpKernel) and spec.beta <= spec.gamma
@@ -646,16 +618,11 @@ def robustness_check(cfg, payoff_id, spec, lam, n, n_repeats, sampler, eps,
         kinf = (1.0 - 2.0 * spec.gamma) ** (-spec.d * spec.T / 4.0)
     drifts = np.empty(n_repeats)
     for r in range(n_repeats):
-        ts = build_training_set(sampler, f, n, payoff_id,
-                                stream=("robust", "repeat", r), seed=seed)
-        # both payoffs share the paths and weights, hence the dual system and
-        # its Cholesky factor: one factorization, two right-hand sides, the
-        # bumped one scaled as the system's own, f * (1 / sqrt(w))
+        ts = build_training_set(sampler, lambda paths: np.full(len(paths), eps),
+                                n, stream=("robust", "repeat", r), seed=seed)
         M, rhs, _, _ = _unsorted_system(ts, spec)
         M[np.diag_indices_from(M)] += lam
-        bumped = (ts.payoff_values + eps) * (1.0 / np.sqrt(ts.weights))
-        g, _ = _solve_spd(M, np.stack([rhs, bumped], axis=1), lam, "dual fit")
-        a = g[:, 0] - g[:, 1]
+        a, _ = _solve_spd(M, rhs, lam, "dual fit")
         drifts[r] = math.sqrt(max(_quad_form(spec, ts.paths, ts.weights, a), 0.0)) / n
     mean_bound = abs(eps) * kap2 / lam
     mean_drift = float(np.mean(drifts))

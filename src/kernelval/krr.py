@@ -44,7 +44,6 @@ __all__ = [
     "fit",
     "fit_path",
     "predict",
-    "normal_equation_residual",
     "regularization_path",
     "estimator_to_json",
     "estimator_from_json",
@@ -338,30 +337,19 @@ def _relative_residual(M, sol, rhs):
     return float(num / den) if den > 0 else float(num)
 
 
-def normal_equation_residual(est, ts):
-    """Relative residual of the fitted system, rebuilt from the training set."""
-    if est.mode not in _SYSTEMS:
-        raise InputError(f"unknown estimator mode {est.mode!r}")
-    M, rhs, _, _ = _SYSTEMS[est.mode][0](ts, est.kernel)
-    M[np.diag_indices_from(M)] += est.lam
-    coef = est.primal_coef if est.mode == "primal" else est.dual_coef
-    return _relative_residual(M, coef, rhs)
-
-
-def regularization_path(ts, spec, lambdas, mode="primal", eval_paths=None):
+def regularization_path(ts, spec, lambdas, mode="primal"):
     """Fits along a ridge path and measures drift from the ``lambda = 0`` fit.
 
     Returns ``(estimators, errors)`` where ``errors[i]`` is the RMS gap
-    between fit ``i`` and the unregularized fit on the evaluation paths
-    (training paths by default).  Requires the unregularized problem to be
-    well conditioned, so this is a finite-dimensional (primal) tool first.
+    between fit ``i`` and the unregularized fit on the training paths.
+    Requires the unregularized problem to be well conditioned, so this is a
+    finite-dimensional (primal) tool first.
     """
     fits = fit_path(ts, spec, [0.0] + [float(l) for l in lambdas], mode)
     _raise_failure(fits)
     base, ests = fits[0], fits[1:]
-    grid = ts.paths if eval_paths is None else eval_paths
-    base_vals = predict(base, grid)
-    errs = [float(np.sqrt(np.mean((predict(e, grid) - base_vals) ** 2)))
+    base_vals = predict(base, ts.paths)
+    errs = [float(np.sqrt(np.mean((predict(e, ts.paths) - base_vals) ** 2)))
             for e in ests]
     return ests, errs
 

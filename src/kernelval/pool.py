@@ -1,6 +1,6 @@
-"""The one worker pool.  Items of a threaded map run with a count of 1, so
-the maps they call run inline: a process runs at most the threads its
-outermost caller chose (``--threads``, else the usable CPU count)."""
+"""The one worker pool, as wide as the :func:`using` count, else all CPUs.
+Items of a threaded map run with a count of 1, so the maps they call run
+inline: a process runs at most the threads its outermost caller chose."""
 
 import contextlib
 import os
@@ -22,9 +22,9 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
-def workers(threads=None):
-    """Threads for a map here: the :func:`using` count, ``threads``, or all CPUs."""
-    return getattr(_STATE, "threads", None) or threads or usable_cores()
+def workers():
+    """Threads for a map here: the :func:`using` count, else all usable CPUs."""
+    return getattr(_STATE, "threads", None) or usable_cores()
 
 
 @contextlib.contextmanager
@@ -49,15 +49,15 @@ def block_chunks(n):
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def pool_map(fn, items, threads=None):
-    """``[fn(it) for it in items]`` on up to ``workers(threads)`` threads,
-    the caller among them, each taking the next item.  After a failure no
-    item starts; the lowest-index exception is raised once all have stopped.
+def pool_map(fn, items):
+    """``[fn(it) for it in items]`` on up to :func:`workers` threads, the
+    caller among them, each taking the next item.  After a failure no item
+    starts; the lowest-index exception is raised once all have stopped.
     """
     items = list(items)
-    n = min(workers(threads), len(items))
+    n = min(workers(), len(items))
     if n < 2:
-        with using(workers(threads)):
+        with using(workers()):
             return [fn(it) for it in items]
     results, errors = [None] * len(items), {}
     todo, lock = iter(range(len(items))), threading.Lock()

@@ -230,22 +230,6 @@ class TrainingSet:
     def n(self):
         return self.paths.shape[0]
 
-    def with_payoffs(self, values):
-        """Same paths and weights, different payoff values (counts new evals)."""
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if values.shape[0] != self.n:
-            raise DataError(
-                f"got {values.shape[0]} payoff values for {self.n} paths"
-            )
-        return TrainingSet(
-            paths=self.paths,
-            payoff_values=values,
-            weights=self.weights,
-            payoff_id=self.payoff_id,
-            gamma=self.gamma,
-            n_payoff_evals=self.n_payoff_evals + self.n,
-        )
-
     @property
     def d(self):
         return self.paths.shape[1]

@@ -174,13 +174,15 @@ def martingale_gap(est, n=100_000, seed=0, stream=("martingale",)):
     return v0, float(np.mean(vals)), se
 
 
-def doob_check(est, gt, test_paths, cfg=None, payoff_id=None, payoff_values=None):
+def doob_check(est, gt, test_paths, cfg, payoff_id):
     """Maximal-inequality consequence: half the L2 norm of the running maximum
     of |V_t - Vhat_t| must not exceed the terminal L2 payoff gap.
 
     Both sides are MC estimates on the same test paths; returns a dict with
     the two sides and their combined standard error.
     """
+    from .market import payoff_function
+
     X = kernels.as_paths(test_paths, est.kernel.d, est.kernel.T)
     truth = gt.v_series(X)
     approx = value_series_many(est, X)
@@ -189,11 +191,7 @@ def doob_check(est, gt, test_paths, cfg=None, payoff_id=None, payoff_values=None
     lhs = 0.5 * math.sqrt(m2)
     se_m2 = float(np.std(run_max**2, ddof=1)) / math.sqrt(len(run_max))
     se_lhs = 0.5 * se_m2 / (2 * math.sqrt(m2)) if m2 > 0 else 0.0
-    if payoff_values is None:
-        from .market import payoff_function
-
-        payoff_values = payoff_function(cfg, payoff_id)(X)
-    gap = payoff_errors(est, X, payoff_values)
+    gap = payoff_errors(est, X, payoff_function(cfg, payoff_id)(X))
     rhs, se_rhs = gap["abs"], gap["se_abs"]
     return {
         "lhs": lhs,

@@ -6,6 +6,7 @@ production code paths.
 """
 
 import csv
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -15,8 +16,8 @@ import scipy.linalg as sla
 from scipy.linalg import hadamard
 
 from kernelval import kernels
-from kernelval.diagnostics import (_quad_form, normal_expectation_2step,
-                                   population_fit)
+from kernelval.diagnostics import (CLT_NODES, _grid_rows, _quad_form,
+                                   feature_gram_exact)
 from kernelval.kernels import (EXP_GUARD, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, MonomialFeature, gauss_moment)
 from kernelval.krr import _extreme_eigenvalues, fit
@@ -229,23 +230,37 @@ def gram_offdiag_form(spec, P, w, c):
     return float(c @ K @ c) - float(c**2 @ np.diag(K))
 
 
+def whole_grid_expectation(fn):
+    """E[fn(X)] for two independent standard-normal steps (d = 1), on the
+    CLT's whole quadrature grid at once.
+
+    ``fn`` maps paths (N, 1, 2) to (N,) or (N, k).
+    """
+    paths, wts = _grid_rows(0, CLT_NODES)
+    return wts @ np.asarray(fn(paths))
+
+
 def three_pass_clt_population(spec, payoff_fn, lam, phi_z, weight):
     """``h_lambda`` and the CLT's exact asymptotic variance, grid by grid.
 
-    The original computation: :func:`population_fit` integrates ``f Phi`` on
-    the quadrature grid, then each of the two variance moments evaluates the
-    grid's features (twice) and payoffs again, with
-    ``g = (f - Phi h_lambda) Phi u`` and ``u = (G + lambda)^-1 phi_z``.
+    The original computation: ``b = E_mu[f Phi]`` integrated on the whole
+    quadrature grid, ``h_lambda = (G + lambda)^-1 b``, then each of the two
+    variance moments evaluates the grid's features (twice) and payoffs
+    again, with ``g = (f - Phi h_lambda) Phi u`` and
+    ``u = (G + lambda)^-1 phi_z``.
     """
-    h_pop, G, _ = population_fit(spec, payoff_fn, lam)
-    u = np.linalg.solve(G + lam * np.eye(len(phi_z)), phi_z)
+    M = feature_gram_exact(spec) + lam * np.eye(len(phi_z))
+    b = whole_grid_expectation(
+        lambda paths: payoff_fn(paths)[:, None] * kernels.feature_matrix(spec, paths))
+    h_pop = np.linalg.solve(M, b)
+    u = np.linalg.solve(M, phi_z)
 
     def g_vals(paths):
         resid = payoff_fn(paths) - kernels.feature_matrix(spec, paths) @ h_pop
         return resid * (kernels.feature_matrix(spec, paths) @ u)
 
-    m1 = float(normal_expectation_2step(g_vals))
-    m2 = float(normal_expectation_2step(lambda p: g_vals(p) ** 2 / weight(p)))
+    m1 = float(whole_grid_expectation(g_vals))
+    m2 = float(whole_grid_expectation(lambda p: g_vals(p) ** 2 / weight(p)))
     return h_pop, m2 - m1 * m1
 
 
@@ -322,16 +337,17 @@ def primal_fit_coef(ts, spec, lam):
 def two_fit_drifts(payoff_fn, spec, lam, n, n_repeats, sampler, eps, seed):
     """Robustness drifts from two separate dual fits per repeat.
 
-    The original loop: the base payoff and the payoff bumped by ``eps * 1``
-    are fitted one after the other, each with its own Gram and Cholesky
-    factor.
+    The base payoff and the payoff bumped by ``eps * 1`` are fitted one
+    after the other, each with its own Gram and Cholesky factor, and the
+    drift is taken from the difference of their coefficients.
     """
     drifts = np.empty(n_repeats)
     for r in range(n_repeats):
         ts = build_training_set(sampler, payoff_fn, n,
                                 stream=("robust", "repeat", r), seed=seed)
         base = fit(ts, spec, lam)
-        pert = fit(ts.with_payoffs(ts.payoff_values + eps * np.ones(n)), spec, lam)
+        pert = fit(dataclasses.replace(ts, payoff_values=ts.payoff_values + eps),
+                   spec, lam)
         a = base.dual_coef - pert.dual_coef
         drifts[r] = math.sqrt(max(_quad_form(spec, ts.paths, ts.weights, a), 0.0)) / n
     return drifts
@@ -360,6 +376,19 @@ def copying_route_system(ts, spec, mode="dual-unsorted"):
                 root_m * ts.payoff_values[first] / np.sqrt(sub_w))
     return (kernels.tilted_gram(spec, ts.paths, ts.weights) / ts.n,
             ts.payoff_values * inv_sqrt_w)
+
+
+def copying_route_residual(ts, spec, lam, coef, mode="dual-unsorted"):
+    """Relative residual ``|M coef - rhs| / |rhs|`` of the system a fit solves.
+
+    ``M`` is :func:`copying_route_system`'s matrix with ``lam`` added to its
+    diagonal and its lower triangle, the one the factorization reads,
+    mirrored into the upper one.
+    """
+    K, rhs = copying_route_system(ts, spec, mode)
+    K[np.diag_indices_from(K)] += lam
+    M = np.tril(K) + np.tril(K, -1).T
+    return float(np.linalg.norm(M @ coef - rhs) / np.linalg.norm(rhs))
 
 
 def copying_route_solutions(ts, spec, lambdas, mode="dual-unsorted"):

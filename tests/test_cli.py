@@ -122,7 +122,7 @@ def test_grid_search_equals_per_point_fits():
 
 def test_grid_search_builds_one_gram_per_pair(monkeypatch):
     # one worker, so that the pairs are fitted, and recorded, in grid order
-    cfg = load_config(text=FAILING, overrides={"threads": 1})
+    cfg = load_config(text=FAILING)
     square = []
     gram = kernels.gram
 
@@ -133,7 +133,8 @@ def test_grid_search_builds_one_gram_per_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "gram", counting)
-    grid_search(cfg, "european_put")
+    with pool.using(1):
+        grid_search(cfg, "european_put")
     assert square == [(0.0, 0.15), (2.0, 0.0), (2.0, 0.15)]
 
 
@@ -446,13 +447,14 @@ def test_diagnostics_small_run(tmp_path, capsys):
     assert names <= set(os.listdir(out))
     doc = json.loads((out / "diag_mse_bound.json").read_text())
     assert doc["violated"] is False
-    # the shared 100k probe counts once, under mse_bound, and the CLT's
-    # quadrature grid reaches the payoff oracle once
+    # the shared 100k probe counts once, under mse_bound, the CLT's
+    # quadrature grid reaches the payoff oracle once, and the robustness
+    # check fits the perturbation alone, with no oracle call
     man = json.loads((out / "manifest.json").read_text())
     assert man["payoff_evaluations"] == {
         "reference": 320, "mse_bound": 4 * 80 + 100_000,
         "concentration": 8 * 80, "clt": 12 * 200 + 100_000 + 1025**2,
-        "robustness": 4 * 80}
+        "robustness": 0}
 
 
 def test_diagnostics_leaves_scipy_stats_unloaded(tmp_path):

@@ -1,5 +1,6 @@
 """Error-bound checks: references, closed-form norms, limit experiments."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -8,12 +9,11 @@ import numpy as np
 import pytest
 
 from kernelval import diagnostics, kernels, krr, pool
-from kernelval.diagnostics import (_anderson_norm, _cross_form, _offdiag_form,
+from kernelval.diagnostics import (CLT_NODES, _anderson_norm, _clt_population,
+                                   _cross_form, _grid_rows, _offdiag_form,
                                    _quad_form, _tilde_payoff, _tilde_predict,
                                    clt_experiment, concentration_check,
-                                   feature_gram_exact,
-                                   feature_payoff_moments, mse_bound_check,
-                                   normal_expectation_2step, population_fit,
+                                   feature_gram_exact, mse_bound_check,
                                    reference_estimator, reference_probe,
                                    robustness_check, tilted_l2_norm)
 from kernelval.errors import InputError
@@ -68,8 +68,8 @@ def _reference(lam, n, seed):
                                seed=seed)
 
 
-def _probe(reference, seed):
-    return reference_probe(CFG, "european_put", SPEC, SAMPLER, reference, seed=seed)
+def _probe(reference, seed, sampler=SAMPLER):
+    return reference_probe(CFG, "european_put", sampler, reference, seed=seed)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -106,9 +106,9 @@ def test_quad_form_in_blocks_matches_tilted_gram(block, monkeypatch):
     f = payoff_function(CFG, "european_put")
     ts = build_training_set(SAMPLER, f, 40, stream=("hn",))
     e1 = fit(ts, SPEC, 1e-4)
-    e2 = fit(ts.with_payoffs(2.0 * ts.payoff_values), SPEC, 1e-4)
+    e2 = fit(dataclasses.replace(ts, payoff_values=2.0 * ts.payoff_values), SPEC, 1e-4)
     K = tilted_gram(SPEC, ts.paths, ts.weights)
-    # a fit's coefficients, and the coefficient gap the robustness check uses
+    # a fit's coefficients, and a coefficient gap
     for c in (e1.dual_coef, e1.dual_coef - e2.dual_coef):
         full = float(c @ K @ c)
         blocked = _quad_form(SPEC, ts.paths, ts.weights, c)
@@ -153,11 +153,11 @@ def test_offdiag_form_matches_the_gram_oracle(block, monkeypatch):
 
 
 def test_normal_expectation_oracles():
-    assert normal_expectation_2step(
-        lambda p: p[:, 0, 0] ** 2 * p[:, 0, 1] ** 2) == pytest.approx(1.0, abs=1e-9)
-    assert normal_expectation_2step(
-        lambda p: np.exp(0.1 * p.sum(axis=(1, 2)))) == pytest.approx(
-            math.exp(0.01), rel=1e-9)
+    # the CLT's quadrature rule on its whole grid
+    p, w = _grid_rows(0, CLT_NODES)
+    assert w @ (p[:, 0, 0] ** 2 * p[:, 0, 1] ** 2) == pytest.approx(1.0, abs=1e-9)
+    assert w @ np.exp(0.1 * p.sum(axis=(1, 2))) == pytest.approx(
+        math.exp(0.01), rel=1e-9)
 
 
 def test_feature_gram_exact_matches_monte_carlo():
@@ -173,22 +173,33 @@ def test_feature_gram_exact_matches_monte_carlo():
     assert ev.min() > 0
 
 
-def test_population_fit_recovers_in_span_target():
+def _population(spec, payoff_fn, lam):
+    """``_clt_population`` in the direction of a probe point's features."""
+    z = np.array([[[0.3, -0.5]]])
+    sampler = MeasureSpec(gamma=0.2, d=1, T=2, seed=0)
+    phi_z = feature_matrix(spec, z)[0] / math.sqrt(sampler.weight(z)[0])
+    return _clt_population(spec, payoff_fn, lam, phi_z, sampler.weight)
+
+
+def test_clt_population_recovers_in_span_target():
     spec = FeatureMapKernel(features=monomial_features(1, 2, 2), d=1, T=2)
     target = np.arange(1.0, len(spec.features) + 1.0)
 
     def f(paths):
         return feature_matrix(spec, paths) @ target
 
-    h, G, b = population_fit(spec, f, lam=1e-10)
+    h, var = _population(spec, f, lam=1e-10)
     assert np.allclose(h, target, atol=1e-6)
-    assert np.allclose(G @ target, b, atol=1e-7)
+    # the population residual f - Phi h vanishes, and its variance with it
+    assert abs(var) < 1e-10
 
 
-def test_feature_payoff_moments_constant_feature():
+def test_clt_population_constant_feature_moment():
     spec = FeatureMapKernel(features=monomial_features(1, 2, 1), d=1, T=2)
     f = payoff_function(CFG, "european_put")
-    b = feature_payoff_moments(spec, f)
+    lam = 1e-10
+    h, _ = _population(spec, f, lam)
+    b = (feature_gram_exact(spec) + lam * np.eye(len(h))) @ h
     # first feature is the constant, so b[0] = E[f] = time-0 value
     from kernelval.market import value_quadrature
     assert b[0] == pytest.approx(value_quadrature(CFG, "european_put", (), 0),
@@ -199,7 +210,7 @@ def test_feature_payoff_moments_constant_feature():
 class TestMseBound:
     def test_holds_on_reference_problem(self):
         ref = _reference(1e-3, 150, seed=1)
-        rep = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=150,
+        rep = mse_bound_check(CFG, "european_put", n=150,
                               n_repeats=4, sampler=SAMPLER, seed=1,
                               probe=_probe(ref, seed=1), **FAST)
         assert rep.kind == "mse_bound"
@@ -214,24 +225,47 @@ class TestMseBound:
         ref = reference_estimator(SAMPLER, f, SPEC, 1e-3, n=400, n_ref=1600,
                                   seed=2)
         probe = _probe(ref, seed=2)
-        a = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=100,
+        a = mse_bound_check(CFG, "european_put", n=100,
                             n_repeats=1, sampler=SAMPLER, seed=2,
                             probe=probe, **FAST)
-        b = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=400,
+        b = mse_bound_check(CFG, "european_put", n=400,
                             n_repeats=1, sampler=SAMPLER, seed=2,
                             probe=probe, **FAST)
         assert b.bound == a.bound / 2.0
         assert b.l2_kappa_residual == a.l2_kappa_residual
 
     def test_lambda_zero_rejected(self):
-        # lambda is refused before the reference and its probe are read
-        with pytest.raises(InputError):
-            mse_bound_check(CFG, "european_put", SPEC, 0.0, n=100, n_repeats=1,
-                            sampler=SAMPLER, probe=None)
+        # lambda comes from the reference, and is refused before any refit
+        ref = _reference(1e-3, 100, seed=3)
+        probe = dataclasses.replace(_probe(ref, seed=3),
+                                    reference=dataclasses.replace(ref, lam=0.0))
+        with pytest.raises(InputError, match="lambda > 0"):
+            mse_bound_check(CFG, "european_put", n=100, n_repeats=1,
+                            sampler=SAMPLER, probe=probe)
+
+    def test_kernel_and_lambda_come_from_the_reference(self):
+        # a reference of another kernel and lambda than the module's SPEC:
+        # the probe's diagonal and the report follow the reference
+        other = GaussExpKernel(alpha=2.0, beta=0.15, d=1, T=2, gamma=0.45)
+        ref = reference_estimator(SAMPLER, payoff_function(CFG, "european_put"),
+                                  other, 1e-2, n=100, n_ref=400, seed=15)
+        probe = _probe(ref, seed=15)
+        assert probe.kap_sq.tobytes() == kernels.tilted_diag(
+            other, probe.paths, SAMPLER.weight(probe.paths)).tobytes()
+        rep = mse_bound_check(CFG, "european_put", n=100, n_repeats=2,
+                              sampler=SAMPLER, seed=15, probe=probe, **FAST)
+        assert rep.lam == 1e-2
+        assert rep.bound == pytest.approx(math.sqrt(
+            max(rep.l2_kappa_residual**2 - rep.jstar_norm**2, 0.0) / 100) / 1e-2,
+            rel=1e-12)
+        conc = concentration_check(CFG, "european_put", n=100, n_repeats=2,
+                                   sampler=SAMPLER, seed=15, probe=probe)
+        assert conc.lam == 1e-2
+        assert conc.c2 == (2.0 / 1e-2) ** 2 * conc.sup_residual_kappa**2
 
     def test_report_serializes_to_strict_json(self):
         ref = _reference(1e-3, 100, seed=3)
-        rep = mse_bound_check(CFG, "european_put", SPEC, 1e-3, n=100,
+        rep = mse_bound_check(CFG, "european_put", n=100,
                               n_repeats=2, sampler=SAMPLER, seed=3,
                               probe=_probe(ref, seed=3), **FAST)
         doc = json.loads(rep.to_json())  # would raise on NaN/Infinity tokens
@@ -244,7 +278,7 @@ class TestMseBound:
 @pytest.mark.usefixtures("small_probes")
 class TestConcentration:
     def test_holds_and_reports_rows(self):
-        rep = concentration_check(CFG, "european_put", SPEC, 1e-3, n=150,
+        rep = concentration_check(CFG, "european_put", n=150,
                                   n_repeats=12, sampler=SAMPLER, seed=4,
                                   probe=_probe(_reference(1e-3, 150, seed=4), seed=4))
         assert rep.kind == "concentration"
@@ -256,7 +290,7 @@ class TestConcentration:
         assert rep.s_prob_lower <= 1.0
 
     def test_huge_tau_never_exceeded(self):
-        rep = concentration_check(CFG, "european_put", SPEC, 1e-3, n=120,
+        rep = concentration_check(CFG, "european_put", n=120,
                                   n_repeats=6, sampler=SAMPLER, seed=5,
                                   probe=_probe(_reference(1e-3, 120, seed=5), seed=5),
                                   tau_grid=[1e6])
@@ -268,10 +302,12 @@ class TestConcentration:
     def test_unbounded_diagonal_marked_inapplicable(self):
         heavy = GaussExpKernel(alpha=4.0, beta=0.45, d=1, T=2, gamma=0.3)
         light_sampler = MeasureSpec(gamma=0.3, d=1, T=2, seed=0)
-        # the check returns before it reads the probe
-        rep = concentration_check(CFG, "european_put", heavy, 1e-3, n=100,
-                                  n_repeats=2, sampler=light_sampler,
-                                  probe=None)
+        # the kernel comes from the reference
+        ref = reference_estimator(light_sampler, payoff_function(CFG, "european_put"),
+                                  heavy, 1e-3, n=100, n_ref=400)
+        rep = concentration_check(CFG, "european_put", n=100, n_repeats=2,
+                                  sampler=light_sampler,
+                                  probe=_probe(ref, seed=0, sampler=light_sampler))
         assert not rep.applicable
         assert not rep.violated
         assert "unbounded" in " ".join(rep.notes)
@@ -471,44 +507,49 @@ class TestCltExperiment:
 
 class TestRobustness:
     def test_zero_perturbation_gives_zero_drift(self):
-        rep = robustness_check(CFG, "european_put", SPEC, 1e-4, n=80,
+        rep = robustness_check(SPEC, 1e-4, n=80,
                                n_repeats=3, sampler=SAMPLER, eps=0.0, seed=8)
         assert rep.empirical_rms_h == 0.0
         assert not rep.violated
 
     def test_drift_is_linear_in_eps(self):
         kw = dict(n=80, n_repeats=3, sampler=SAMPLER, seed=9)
-        r1 = robustness_check(CFG, "european_put", SPEC, 1e-4, eps=0.01, **kw)
-        r2 = robustness_check(CFG, "european_put", SPEC, 1e-4, eps=0.02, **kw)
+        r1 = robustness_check(SPEC, 1e-4, eps=0.01, **kw)
+        r2 = robustness_check(SPEC, 1e-4, eps=0.02, **kw)
         assert r2.empirical_rms_h == pytest.approx(2.0 * r1.empirical_rms_h,
-                                                   rel=1e-6)
+                                                   rel=1e-12)
         assert r2.bound == pytest.approx(2.0 * r1.bound, rel=1e-12)
 
     def test_bound_holds_with_margin(self):
-        rep = robustness_check(CFG, "european_put", SPEC, 1e-4, n=120,
+        rep = robustness_check(SPEC, 1e-4, n=120,
                                n_repeats=5, sampler=SAMPLER, eps=0.05, seed=10)
         assert not rep.violated
         assert rep.empirical_rms_h < rep.bound
         assert rep.kappa_l2 == pytest.approx(tilted_l2_norm(SPEC), rel=1e-14)
 
     def test_one_factor_equals_two_fits(self):
-        # both right-hand sides solved on one factor: the drifts of two
-        # separate fits, bit for bit
+        # one fit of the perturbation alone against the difference of two
+        # separate fits: linearity makes them equal, and skipping the
+        # subtraction changes the rounding on purpose
         kw = dict(n=90, n_repeats=3, sampler=SAMPLER, eps=0.03, seed=13)
-        rep = robustness_check(CFG, "european_put", SPEC, 1e-4, **kw)
+        rep = robustness_check(SPEC, 1e-4, **kw)
         drifts = two_fit_drifts(payoff_function(CFG, "european_put"), SPEC, 1e-4,
                                 **kw)
-        assert rep.empirical_rms_h == float(np.sqrt(np.mean(drifts**2)))
-        assert f"mean drift {float(np.mean(drifts))!r} " in rep.notes[1]
+        assert rep.empirical_rms_h == pytest.approx(
+            float(np.sqrt(np.mean(drifts**2))), rel=1e-12, abs=0.0)
+        assert rep.empirical_se == pytest.approx(
+            float(np.std(drifts, ddof=1)) / math.sqrt(3), rel=1e-9, abs=0.0)
+        mean_drift = float(rep.notes[1].split()[2])
+        assert mean_drift == pytest.approx(float(np.mean(drifts)), rel=1e-12, abs=0.0)
 
     def test_lambda_zero_rejected(self):
         with pytest.raises(InputError):
-            robustness_check(CFG, "european_put", SPEC, 0.0, n=50, n_repeats=1,
+            robustness_check(SPEC, 0.0, n=50, n_repeats=1,
                              sampler=SAMPLER, eps=0.1)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_eps_rejected(self, eps):
         # every drift comparison is false on a NaN bound, which would pass
         with pytest.raises(InputError, match="eps must be finite"):
-            robustness_check(CFG, "european_put", SPEC, 1e-4, n=50, n_repeats=2,
+            robustness_check(SPEC, 1e-4, n=50, n_repeats=2,
                              sampler=SAMPLER, eps=eps)

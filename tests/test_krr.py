@@ -16,12 +16,12 @@ from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
                                tilted_gram)
 from kernelval.krr import (MAX_DUAL_SIZE, Estimator, estimator_from_json,
                            estimator_to_json, fit, fit_path, load_estimator,
-                           normal_equation_residual, predict,
-                           regularization_path)
+                           predict, regularization_path)
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, TrainingSet, build_training_set,
                                 draw_paths)
-from support import (copying_route_solutions, gram_predict, linear_rate_problem,
+from support import (copying_route_residual, copying_route_solutions,
+                     gram_predict, linear_rate_problem,
                      loglog_slope, max_rel_gap, peak_bytes,
                      ridge_gradient_descent, sqrt_rate_problem,
                      training_set_with_duplicates)
@@ -94,10 +94,11 @@ def test_near_interpolation_at_tiny_lambda():
 
 def test_fit_is_linear_in_the_payoff():
     ts = _ts(40)
-    other = ts.with_payoffs(np.cos(ts.paths.sum(axis=(1, 2))))
+    other = dataclasses.replace(ts, payoff_values=np.cos(ts.paths.sum(axis=(1, 2))))
     lam = 1e-4
     a, b = 2.0, -0.7
-    combo = ts.with_payoffs(a * ts.payoff_values + b * other.payoff_values)
+    combo = dataclasses.replace(
+        ts, payoff_values=a * ts.payoff_values + b * other.payoff_values)
     x = np.linspace(-1, 1, 7).reshape(-1, 1) * np.ones((7, 2))
     x = x.reshape(7, 1, 2)
     pa = predict(fit(ts, SPEC, lam, mode="dual-unsorted"), x)
@@ -125,10 +126,10 @@ def test_residual_reported_and_degraded_by_perturbation():
     ts = _ts(30)
     est = fit(ts, SPEC, 1e-5, mode="dual-unsorted")
     assert est.residual < 1e-10
-    assert normal_equation_residual(est, ts) == pytest.approx(est.residual,
-                                                              rel=1e-6)
-    bent = dataclasses.replace(est, dual_coef=est.dual_coef + 0.05)
-    assert normal_equation_residual(bent, ts) > 100 * est.residual
+    # the oracle's system is the fit's bit for bit, so is its residual
+    assert copying_route_residual(ts, SPEC, 1e-5, est.dual_coef) == est.residual
+    assert copying_route_residual(ts, SPEC, 1e-5, est.dual_coef + 0.05) > (
+        100 * est.residual)
 
 
 def test_sorted_mode_merges_duplicates():
@@ -142,7 +143,8 @@ def test_sorted_mode_merges_duplicates():
     pa = predict(sorted_est, x)
     pb = predict(unsorted_est, x)
     assert np.max(np.abs(pa - pb)) < 1e-9
-    assert normal_equation_residual(sorted_est, ts) < 1e-10
+    assert copying_route_residual(ts, SPEC, lam, sorted_est.dual_coef,
+                                  "dual-sorted") < 1e-10
 
 
 def test_sorted_equals_unsorted_without_duplicates():
@@ -252,10 +254,10 @@ def test_in_place_path_equals_the_copying_route(alpha, beta, n, mode):
     ts = _repeated_ts(n // 4, 4) if mode == "dual-sorted" else _ts(n)
     path = fit_path(ts, spec, PATH, mode=mode)
     oracle = copying_route_solutions(ts, spec, PATH, mode)
-    for est, sol in zip(path, oracle):
+    for lam, est, sol in zip(PATH, path, oracle):
         coef = est.primal_coef if mode == "primal" else est.dual_coef
         assert coef.tobytes() == sol.tobytes()
-        assert normal_equation_residual(est, ts) == est.residual
+        assert copying_route_residual(ts, spec, lam, coef, mode) == est.residual
 
 
 @pytest.mark.parametrize("alpha,beta,n,failure", [

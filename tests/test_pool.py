@@ -18,8 +18,9 @@ def test_results_come_in_item_order_and_every_item_runs_once():
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out["r"] = pool.pool_map(lambda i: calls.append(i) or i * i,
-                                     range(2000), 8)
+            with pool.using(8):
+                out["r"] = pool.pool_map(lambda i: calls.append(i) or i * i,
+                                         range(2000))
         finally:
             sys.setswitchinterval(saved)
 
@@ -32,11 +33,15 @@ def test_results_come_in_item_order_and_every_item_runs_once():
 
 
 def test_maps_inside_items_run_inline_and_inherit_inline_counts():
-    seen = pool.pool_map(lambda _: pool.workers(4), range(3), 3)
-    assert seen == [1, 1, 1]
-    assert pool.pool_map(lambda _: pool.workers(), range(3), 1) == [1, 1, 1]
+    with pool.using(3):
+        assert pool.pool_map(lambda _: pool.workers(), range(3)) == [1, 1, 1]
+    with pool.using(1):
+        assert pool.pool_map(lambda _: pool.workers(), range(3)) == [1, 1, 1]
     with pool.using(2):
-        assert pool.workers(5) == 2
+        assert pool.workers() == 2
+        # the innermost count holds, and the outer one returns after it
+        with pool.using(5):
+            assert pool.workers() == 5
         assert pool.pool_map(lambda _: pool.workers(), [0]) == [2]
     assert pool.workers() == pool.usable_cores()
 
@@ -51,11 +56,11 @@ def test_lowest_index_failure_propagates_and_no_thread_survives():
         return i
 
     before = threading.active_count()
-    with pytest.raises(ValueError, match="one"):
-        pool.pool_map(item, range(6), 3)
+    with pytest.raises(ValueError, match="one"), pool.using(3):
+        pool.pool_map(item, range(6))
     assert threading.active_count() == before
-    with pytest.raises(ValueError, match="three"):
-        pool.pool_map(item, [0, 3], 1)
+    with pytest.raises(ValueError, match="three"), pool.using(1):
+        pool.pool_map(item, [0, 3])
 
 
 @pytest.mark.parametrize("n, threads", [(0, 2), (1, 2), (15, 3), (3 * 16 + 1, 2),
