@@ -29,20 +29,18 @@ def main():
     # one high-budget fit stands in for the population solution in both
     # checks, predicted once on the probe samples they share; they take
     # its kernel and lambda from it
-    reference = reference_estimator(SAMPLER, payoff_function(CFG, "european_put"),
-                                    SPEC, LAM, N, 2000, payoff_id="european_put",
-                                    seed=5)
-    probe = reference_probe(CFG, "european_put", SAMPLER, reference, seed=5)
-    mse = mse_bound_check(CFG, "european_put", N, REPEATS, SAMPLER, probe,
-                          seed=5, n_jstar=800)
+    f = payoff_function(CFG, "european_put")
+    reference = reference_estimator(SAMPLER, f, SPEC, LAM, N, 2000,
+                                    payoff_id="european_put", seed=5)
+    probe = reference_probe(f, SAMPLER, reference, seed=5)
+    mse = mse_bound_check(f, N, REPEATS, SAMPLER, probe, seed=5, n_jstar=800)
     print(f"mean-squared-error bound   n={N}, {REPEATS} refits")
     print(f"  observed rms H-error  {mse.empirical_rms_h:.4f} "
           f"(se {mse.empirical_se:.4f})")
     print(f"  guaranteed bound      {mse.bound:.4f}"
           f"   -> {'holds' if not mse.violated else 'VIOLATED'}")
 
-    conc = concentration_check(CFG, "european_put", N, REPEATS, SAMPLER, probe,
-                               seed=5)
+    conc = concentration_check(f, N, REPEATS, SAMPLER, probe, seed=5)
     print(f"\nconcentration bound        exceedance rates over {REPEATS} refits")
     for tau, frac, limit in conc.exceedance:
         print(f"  P(err > {tau:6.3f})  observed {frac:4.2f}  allowed {limit:4.2f}")

@@ -24,8 +24,8 @@ LAMBDAS = np.logspace(-9, -2, 8)
 def main():
     cfg = BSConfig()
     spec = MeasureSpec(gamma=0.45, seed=7)
-    ts = build_training_set(spec, payoff_function(cfg, PAYOFF), N_TRAIN,
-                            payoff_id=PAYOFF)
+    f = payoff_function(cfg, PAYOFF)
+    ts = build_training_set(spec, f, N_TRAIN, payoff_id=PAYOFF)
 
     print(f"{PAYOFF}: relative validation error (%), "
           f"{N_TRAIN} training / {N_VAL} validation samples\n")
@@ -35,7 +35,7 @@ def main():
         errs = []
         for a, b in SHAPES:
             est = fit(ts, GaussExpKernel(a, b, gamma=spec.gamma), lam)
-            errs.append(payoff_l2_error(est, cfg, PAYOFF, N_VAL, seed=7))
+            errs.append(payoff_l2_error(est, f, N_VAL, seed=7))
         rows.append(errs)
         print(f"{lam:9.0e}" + "".join(f"  {100 * e:8.3f}%" for e in errs))
 

@@ -33,8 +33,8 @@ def kernel_errors(cfg, payoff_id, gt, test_paths, rep):
 
 
 def nested_errors(cfg, payoff_id, gt, rep):
-    est = nested_mc_estimate(cfg, payoff_id, N_OUTER, N_INNER, seed=2024,
-                             stream=("demo-nested", rep))
+    est = nested_mc_estimate(payoff_function(cfg, payoff_id), N_OUTER, N_INNER,
+                             seed=2024, stream=("demo-nested", rep))
     e0 = abs(est.v0_hat - gt.v0()) / gt.v0()
     e1 = np.mean(np.abs(est.v1_hat - gt.v1(est.outer_x1))) / gt.v0()
     return np.array([e0, e1])

@@ -137,7 +137,6 @@ class ExperimentConfig:
     fit_lambda: float = 1e-5
     master_seed: int = 2024
     out_dir: str = "out"
-    threads: int = field(default_factory=pool.usable_cores)
     diag: dict = field(default_factory=lambda: dict(_DIAG_DEFAULTS))
 
     def __post_init__(self):
@@ -160,7 +159,7 @@ class ExperimentConfig:
                 if not math.isfinite(v):
                     raise InputError(f"{name} must be finite, got {v}")
         for name in ("n_train", "n_val", "n_test", "n_repeats", "n_inner_gt",
-                     "nested_outer", "nested_inner", "threads"):
+                     "nested_outer", "nested_inner"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")
         if not self.payoffs:
@@ -282,7 +281,6 @@ class GridResult:
     beta: float
     lam: float
     surface: tuple  # rows (alpha, beta, lambda, rel_l2_error)
-    n_payoff_evals: int
     max_residual: float = float("nan")  # worst normal-equation residual seen
     failures: tuple = ()
     training_set: object = field(default=None, compare=False, repr=False)
@@ -303,29 +301,30 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
-def _training_set(config, payoff_id, stage):
-    """The ``n_train`` sample of one payoff on the ``(stage, payoff, "train")`` stream.
+def _training_set(config, f, stage):
+    """The ``n_train`` sample of the payoff oracle ``f`` on the
+    ``(stage, payoff, "train")`` stream.
 
     ``grid_search`` and the table2/figures refit share the ``"grid"`` sample;
     ``simulate``, ``fit`` and ``value`` share the ``"fit"`` sample.
     """
-    return build_training_set(config.measure(),
-                              payoff_function(config.market, payoff_id),
-                              config.n_train, payoff_id,
-                              stream=(stage, payoff_id, "train"),
+    return build_training_set(config.measure(), f, config.n_train, f.payoff_id,
+                              stream=(stage, f.payoff_id, "train"),
                               seed=config.master_seed)
 
 
-def grid_search(config, payoff_id):
+def grid_search(config, f):
     """Fixed-design search: one training and one validation sample per payoff.
 
-    Fits every grid point on the shared training sample, one ridge path per
-    (alpha, beta) pair, scores relative payoff L2 error on the shared
-    validation sample (drawn from the nominal measure), and returns the
-    argmin with first-occurrence tie-breaking in grid iteration order.
+    Both samples are priced by the payoff oracle ``f``
+    (:func:`market.payoff_function`).  Fits every grid point on the shared
+    training sample, one ridge path per (alpha, beta) pair, scores relative
+    payoff L2 error on the shared validation sample (drawn from the nominal
+    measure), and returns the argmin with first-occurrence tie-breaking in
+    grid iteration order.
     """
-    f = payoff_function(config.market, payoff_id)
-    ts = _training_set(config, payoff_id, "grid")
+    payoff_id = f.payoff_id
+    ts = _training_set(config, f, "grid")
     val_paths = draw_paths(config.nominal(), config.n_val,
                            stream=("grid", payoff_id, "val"),
                            seed=config.master_seed)
@@ -365,7 +364,6 @@ def grid_search(config, payoff_id):
         payoff_id=payoff_id,
         alpha=a, beta=b, lam=l,
         surface=surface,
-        n_payoff_evals=ts.n_payoff_evals + config.n_val,
         max_residual=float(np.max([est.residual for _, _, _, est in scored
                                    if est is not None])),
         failures=failures,
@@ -397,20 +395,19 @@ def _ground_truth(config, payoff_id):
                        n_inner=config.n_inner_gt, seed=config.master_seed)
 
 
-def run_nested(config, payoff_id, gt):
-    """Nested-MC baseline errors at t in {0, 1} over independent repeats."""
+def run_nested(config, f, gt):
+    """Nested-MC baseline errors at t in {0, 1} over independent repeats,
+    priced by the payoff oracle ``f`` (:func:`market.payoff_function`)."""
+    payoff_id = f.payoff_id
     v0 = gt.v0()
     errs = np.empty((config.n_repeats, 2))
-    evals = 0
     for r in range(config.n_repeats):
-        est = nested_mc_estimate(config.market, payoff_id,
-                                 config.nested_outer, config.nested_inner,
+        est = nested_mc_estimate(f, config.nested_outer, config.nested_inner,
                                  seed=config.master_seed,
                                  stream=("nested", payoff_id, r))
         truth1 = gt.v1(est.outer_x1)
         errs[r, 0] = abs(est.v0_hat - v0) / v0
         errs[r, 1] = float(np.mean(np.abs(est.v1_hat - truth1))) / v0
-        evals += est.n_payoff_evals
     arr = 100.0 * errs
     return ErrorReport(
         payoff_id=payoff_id,
@@ -419,7 +416,6 @@ def run_nested(config, payoff_id, gt):
         mean_pct=arr.mean(axis=0),
         std_pct=arr.std(axis=0, ddof=1) if config.n_repeats > 1
         else np.zeros(2),
-        n_payoff_evals=evals,
     )
 
 
@@ -434,31 +430,33 @@ def _star_estimator(grid):
 def _study(config, stage):
     """Grid search and ground truth for each payoff on the pool, then ``stage``.
 
-    The only caller of :func:`grid_search`.  ``stage(config, payoff_id, grid,
-    gt, test_paths)`` returns the payoff's further entries.  Returns
-    ``{payoff: {"grid": GridResult, "gt": GroundTruth, **entries}}``.
+    The only caller of :func:`grid_search`.  Each payoff gets one payoff
+    oracle ``f`` (:func:`market.payoff_function`), called from its own worker
+    only.  ``stage(config, f, grid, gt, test_paths)`` returns the payoff's
+    further entries.  Returns ``{payoff: {"grid": GridResult, "gt":
+    GroundTruth, **entries, "evals": paths the oracle priced}}``.
     """
     test_paths = _shared_test_paths(config)
 
     def one(payoff_id):
+        f = payoff_function(config.market, payoff_id)
         gt = _ground_truth(config, payoff_id)
-        grid = grid_search(config, payoff_id)
-        return payoff_id, {"grid": grid, "gt": gt,
-                           **stage(config, payoff_id, grid, gt, test_paths)}
+        grid = grid_search(config, f)
+        entries = stage(config, f, grid, gt, test_paths)
+        return payoff_id, {"grid": grid, "gt": gt, **entries, "evals": f.evals}
 
-    with pool.using(config.threads):
-        return dict(pool.pool_map(one, config.payoffs))
+    return dict(pool.pool_map(one, config.payoffs))
 
 
-def _table2_stage(config, payoff_id, grid, gt, test_paths):
+def _table2_stage(config, f, grid, gt, test_paths):
     """Repeated-fit kernel rows at the searched point, and nested-MC rows."""
     kernel_report, fits = repeat_experiment(
-        config.market, payoff_id, config.kernel_at(grid.alpha, grid.beta),
+        f, config.kernel_at(grid.alpha, grid.beta),
         grid.lam, config.measure(), config.n_train, test_paths, gt,
         n_repeats=config.n_repeats, n_val=config.n_val,
         master_seed=config.master_seed, mode=config.mode,
     )
-    return {"kernel": kernel_report, "nested": run_nested(config, payoff_id, gt),
+    return {"kernel": kernel_report, "nested": run_nested(config, f, gt),
             "fits": fits}
 
 
@@ -466,13 +464,13 @@ def run_table2(config):
     """Grid search + repeated-fit kernel rows + nested-MC rows per payoff.
 
     Returns ``{payoff: {"grid": GridResult, "gt": GroundTruth, "kernel":
-    ErrorReport, "nested": ErrorReport, "fits": [Estimator]}}``; artifact
-    writing is the caller's concern.
+    ErrorReport, "nested": ErrorReport, "fits": [Estimator], "evals": int}}``;
+    artifact writing is the caller's concern.
     """
     return _study(config, _table2_stage)
 
 
-def _figures_stage(config, payoff_id, grid, gt, test_paths):
+def _figures_stage(config, f, grid, gt, test_paths):
     """Figure data: (alpha, beta) cross-section, lambda sweep, trajectories.
 
     ``lambda_interior`` says whether the lambda sweep at the searched
@@ -504,40 +502,55 @@ def run_diagnostics(config):
     check draws from its own streams and the probe's chunks are whole blocks,
     so reports do not depend on the thread count.
     """
+    return _bound_suite(config)[0]
+
+
+def _bound_suite(config):
+    """:func:`run_diagnostics`'s reports, and the paths each one's payoff
+    oracle priced.
+
+    The reference fit and each check own one oracle, which only that check's
+    worker calls.  The shared probe is priced by the mse bound's oracle, so
+    it is counted once, under ``mse_bound``.  The robustness check's constant
+    payoff calls no oracle: its budget is 0.
+    """
     d = config.diag
     payoff_id = d["payoff"]
     spec = config.kernel_at(d["alpha"], d["beta"])
     meas = config.measure()
     lam, n, seed = d["lambda"], d["n"], config.master_seed
+    oracles = {name: payoff_function(config.market, payoff_id)
+               for name in ("reference", "mse_bound", "concentration", "clt")}
     reference = diagnostics.reference_estimator(
-        meas, payoff_function(config.market, payoff_id), spec, lam,
+        meas, oracles["reference"], spec, lam,
         n, d["n_ref"], payoff_id=payoff_id, seed=seed,
     )
-    with pool.using(config.threads):
-        probe = diagnostics.reference_probe(config.market, payoff_id, meas,
-                                            reference, seed=seed)
-        feats = monomial_features(1, config.market.T,
-                                  max_total_degree=d["clt_degree"])
-        fspec = FeatureMapKernel(features=feats, d=1, T=config.market.T)
-        mix = MixtureSampler(fspec, seed=seed)
-        # looked up at call time, so that wrappers set on the module apply
-        checks = {
-            "concentration": lambda: diagnostics.concentration_check(
-                config.market, payoff_id, n, d["conc_repeats"], meas,
-                probe=probe, seed=seed),
-            "mse_bound": lambda: diagnostics.mse_bound_check(
-                config.market, payoff_id, n, d["n_repeats"], meas,
-                probe=probe, seed=seed),
-            "clt": lambda: diagnostics.clt_experiment(
-                fspec, config.market, payoff_id, d["clt_lambda"], d["clt_n"],
-                d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=seed),
-            "robustness": lambda: diagnostics.robustness_check(
-                spec, lam, n, d["n_repeats"], meas, eps=d["eps"], seed=seed),
-        }
-        reports = dict(zip(checks, pool.pool_map(lambda check: check(),
-                                                 checks.values())))
-    return {name: reports[name]
-            for name in ("mse_bound", "concentration", "clt", "robustness")}
+    probe = diagnostics.reference_probe(oracles["mse_bound"], meas, reference,
+                                        seed=seed)
+    feats = monomial_features(1, config.market.T, max_total_degree=d["clt_degree"])
+    fspec = FeatureMapKernel(features=feats, d=1, T=config.market.T)
+    mix = MixtureSampler(fspec, seed=seed)
+    # looked up at call time, so that wrappers set on the module apply
+    checks = {
+        "concentration": lambda: diagnostics.concentration_check(
+            oracles["concentration"], n, d["conc_repeats"], meas,
+            probe=probe, seed=seed),
+        "mse_bound": lambda: diagnostics.mse_bound_check(
+            oracles["mse_bound"], n, d["n_repeats"], meas, probe=probe,
+            seed=seed),
+        "clt": lambda: diagnostics.clt_experiment(
+            fspec, oracles["clt"], d["clt_lambda"], d["clt_n"],
+            d["clt_repeats"], mix, probe_z=(0.3, -0.5), seed=seed),
+        "robustness": lambda: diagnostics.robustness_check(
+            spec, lam, n, d["n_repeats"], meas, eps=d["eps"], seed=seed),
+    }
+    reports = dict(zip(checks, pool.pool_map(lambda check: check(),
+                                             checks.values())))
+    budgets = {name: f.evals for name, f in oracles.items()}
+    budgets["robustness"] = 0
+    return ({name: reports[name]
+             for name in ("mse_bound", "concentration", "clt", "robustness")},
+            budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +586,11 @@ def _write_outputs(config, command, config_path, files, payoff_evals,
     ``files`` maps each output file name to its text.  ``manifest.json``
     records inputs, seeds, payoff budgets, the BLAS setup
     (:data:`kernelval.blas.SETUP`) and the sorted output names, plus
-    ``extra``.  Thread count and output directory are deliberately left out
-    of the recorded config: outputs must not depend on them.
+    ``extra``.  The recorded config leaves out the output directory and holds
+    no thread count: outputs must not depend on either.
     """
     recorded = asdict(config)
-    del recorded["threads"], recorded["out_dir"]
+    del recorded["out_dir"]
     doc = {
         "command": command,
         "package_version": __version__,
@@ -606,9 +619,10 @@ def _write_outputs(config, command, config_path, files, payoff_evals,
 def _cmd_simulate(config, config_path):
     files, evals = {}, {}
     for payoff_id in config.payoffs:
-        ts = _training_set(config, payoff_id, "fit")
+        f = payoff_function(config.market, payoff_id)
+        ts = _training_set(config, f, "fit")
         files[f"train_{payoff_id}.csv"] = training_set_to_csv(ts)
-        evals[payoff_id] = ts.n_payoff_evals
+        evals[payoff_id] = f.evals
     _write_outputs(config, "simulate", config_path, files, evals)
     return 0
 
@@ -617,14 +631,15 @@ def _cmd_fit(config, config_path):
     files, evals = {}, {}
     spec = config.kernel_at(config.fit_alpha, config.fit_beta)
     for payoff_id in config.payoffs:
-        ts = _training_set(config, payoff_id, "fit")
+        f = payoff_function(config.market, payoff_id)
+        ts = _training_set(config, f, "fit")
         est = krr.fit(ts, spec, config.fit_lambda, mode=config.mode,
                       payoff_id=payoff_id)
         files[f"train_{payoff_id}.csv"] = training_set_to_csv(ts)
         files[f"estimator_{payoff_id}.json"] = krr.estimator_to_json(est)
         print(f"fit {payoff_id}: alpha={config.fit_alpha} beta={config.fit_beta} "
               f"lambda={config.fit_lambda} normal-eq residual={est.residual:.3e}")
-        evals[payoff_id] = ts.n_payoff_evals
+        evals[payoff_id] = f.evals
     _write_outputs(config, "fit", config_path, files, evals)
     return 0
 
@@ -638,7 +653,8 @@ def _cmd_value(config, config_path):
             raise InputError(
                 f"no saved estimator at {est_path}; run the fit command first"
             )
-        ts = _training_set(config, payoff_id, "fit")
+        f = payoff_function(config.market, payoff_id)
+        ts = _training_set(config, f, "fit")
         est = krr.load_estimator(est_path, ts)
         series = valuation.value_series_many(est, test_paths)
         lines = ["path_id,t,value"]
@@ -646,7 +662,7 @@ def _cmd_value(config, config_path):
             for t in range(series.shape[1]):
                 lines.append(f"{i},{t},{float(series[i, t])!r}")
         files[f"value_{payoff_id}.csv"] = "\n".join(lines) + "\n"
-        evals[payoff_id] = ts.n_payoff_evals
+        evals[payoff_id] = f.evals
         print(f"value {payoff_id}: V0 = {float(series[0, 0])!r} "
               f"({series.shape[0]} paths x {series.shape[1]} times)")
     fit_record = _fit_record(config.out_dir)
@@ -688,7 +704,7 @@ def _cmd_grid_search(config, config_path):
         grid = doc["grid"]
         _report_grid_failures("grid-search", grid)
         files[f"grid_{payoff_id}.csv"] = grid.surface_csv()
-        evals[payoff_id] = grid.n_payoff_evals
+        evals[payoff_id] = doc["evals"]
         print(f"grid-search {payoff_id}: alpha*={grid.alpha} "
               f"beta*={grid.beta} lambda*={grid.lam}")
     _write_outputs(config, "grid-search", config_path, files, evals,
@@ -708,8 +724,7 @@ def _cmd_table2(config, config_path):
         files[f"train_{payoff_id}.csv"] = training_set_to_csv(ts)
         files[f"estimator_{payoff_id}.json"] = krr.estimator_to_json(est)
         files[f"gt_{payoff_id}.csv"] = doc["gt"].to_csv()
-        evals[payoff_id] = (grid.n_payoff_evals + kernel.n_payoff_evals
-                            + nested.n_payoff_evals)
+        evals[payoff_id] = doc["evals"]
         means = ", ".join(f"{v:.3f}" for v in kernel.mean_pct)
         nmeans = ", ".join(f"{v:.3f}" for v in nested.mean_pct)
         print(f"table2 {payoff_id}: stars=({grid.alpha}, {grid.beta}, "
@@ -734,7 +749,7 @@ def _cmd_figures(config, config_path):
         _report_grid_failures("figures", doc["grid"])
         for fig in ("fig1", "fig2", "fig3"):
             files[f"{fig}_{payoff_id}.csv"] = doc[fig]
-        evals[payoff_id] = doc["grid"].n_payoff_evals
+        evals[payoff_id] = doc["evals"]
         print(f"figures {payoff_id}: lambda minimum "
               f"{'interior' if interior[payoff_id] else 'on the boundary'}")
     _write_outputs(config, "figures", config_path, files, evals,
@@ -745,10 +760,10 @@ def _cmd_figures(config, config_path):
 def _cmd_nested_mc(config, config_path):
     evals, reports = {}, []
     for payoff_id in config.payoffs:
-        gt = _ground_truth(config, payoff_id)
-        rep = run_nested(config, payoff_id, gt)
+        f = payoff_function(config.market, payoff_id)
+        rep = run_nested(config, f, _ground_truth(config, payoff_id))
         reports.append(rep)
-        evals[payoff_id] = rep.n_payoff_evals
+        evals[payoff_id] = f.evals
         means = ", ".join(f"{v:.2f}" for v in rep.mean_pct)
         stds = ", ".join(f"{v:.2f}" for v in rep.std_pct)
         print(f"nested-mc {payoff_id}: mean%=({means}) std%=({stds})")
@@ -757,21 +772,8 @@ def _cmd_nested_mc(config, config_path):
     return 0
 
 
-def _diag_evals(d):
-    """Payoff-oracle calls of the bound suite, probe samples included."""
-    return {
-        "reference": d["n_ref"],
-        # the shared reference probe is counted once, under mse_bound
-        "mse_bound": d["n_repeats"] * d["n"] + diagnostics.PROBE_PATHS,
-        "concentration": d["conc_repeats"] * d["n"],
-        "clt": (d["clt_repeats"] * d["clt_n"] + diagnostics.PROBE_PATHS
-                + diagnostics.CLT_NODES**2),
-        "robustness": 0,  # the perturbation's fits call no payoff oracle
-    }
-
-
 def _cmd_diagnostics(config, config_path):
-    reports = run_diagnostics(config)
+    reports, budgets = _bound_suite(config)
     files, failed = {}, []
     for name, rep in reports.items():
         files[f"diag_{name}.json"] = rep.to_json() + "\n"
@@ -782,8 +784,7 @@ def _cmd_diagnostics(config, config_path):
         if not ok:
             failed.append(name)
         print(f"diagnostics {name}: {'PASS' if ok else 'FAIL'}")
-    _write_outputs(config, "diagnostics", config_path, files,
-                   _diag_evals(config.diag))
+    _write_outputs(config, "diagnostics", config_path, files, budgets)
     if failed:
         raise DataError(f"bound checks failed: {', '.join(failed)}")
     return 0
@@ -851,12 +852,16 @@ def main(argv=None):
         return 1
     # every other flag's dest is the ExperimentConfig field it overrides
     overrides = {key: value for key, value in vars(args).items()
-                 if key not in ("command", "config", "payoff") and value is not None}
+                 if key not in ("command", "config", "payoff", "threads")
+                 and value is not None}
     if args.payoff is not None:
         overrides["payoffs"] = (args.payoff,)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise InputError("threads must be at least 1")
         config = load_config(path=args.config, overrides=overrides)
-        with pool.using(config.threads):
+        # None: all usable CPUs
+        with pool.using(args.threads):
             return _COMMANDS[args.command](config, args.config)
     except InputError as exc:
         print(f"kernelval: input error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from .errors import InputError
 from .kernels import FeatureMapKernel, GaussExpKernel
 from .krr import (Estimator, _check_fit_inputs, _primal_system, _solve_spd,
                   _unsorted_system, fit, predict)
-from .market import _normal_rule, payoff_function
+from .market import _normal_rule
 from .sampling import build_training_set, draw_paths
 
 __all__ = [
@@ -204,9 +204,12 @@ class ReferenceProbe:
             a.setflags(write=False)
 
 
-def reference_probe(cfg, payoff_id, sampler, reference, seed=0):
+def reference_probe(f, sampler, reference, seed=0):
     """``reference`` on a :data:`PROBE_PATHS`-path probe sample and an
     :data:`L2_PROBE_PATHS`-path L2 probe, drawn once for both checks.
+
+    The payoff oracle ``f`` (:func:`market.payoff_function`) prices the
+    probe sample, and only it.
 
     Holds ``reference``, the probe ``paths``, the tilted residual
     ``resid = f~ - f~_ref`` and the reference kernel's squared tilted diagonal
@@ -215,7 +218,6 @@ def reference_probe(cfg, payoff_id, sampler, reference, seed=0):
     each worker on whole :data:`kernels.BLOCK`-row blocks, so the bits are
     those of one :func:`krr.predict` call whatever the worker count.
     """
-    f = payoff_function(cfg, payoff_id)
     probe = draw_paths(sampler, PROBE_PATHS, stream=("msebound", "probe"), seed=seed)
     pred = np.empty(len(probe))
 
@@ -236,8 +238,7 @@ def reference_probe(cfg, payoff_id, sampler, reference, seed=0):
     )
 
 
-def mse_bound_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
-                    n_jstar=3000):
+def mse_bound_check(f, n, n_repeats, sampler, probe, seed=0, n_jstar=3000):
     """Root-mean-squared sample error against its 1/(lambda sqrt(n)) bound.
 
     The bound's numerator ``||(f - f_ref) kappa~||^2 - ||J~*(f - f_ref)||^2``
@@ -245,13 +246,13 @@ def mse_bound_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
     :func:`reference_probe` of a :func:`reference_estimator` fit ``f_ref``
     (the second term by an unbiased U-statistic, clipped at zero); the
     empirical side refits ``n_repeats`` times with the reference's kernel
-    and lambda and measures exact RKHS distances to ``probe.reference``.
+    and lambda, on samples the payoff oracle ``f`` prices, and measures
+    exact RKHS distances to ``probe.reference``.
     """
     reference, resid, kap_sq = probe.reference, probe.resid, probe.kap_sq
     spec, lam = reference.kernel, reference.lam
     if lam <= 0:
         raise InputError("the untruncated bound requires lambda > 0")
-    f = payoff_function(cfg, payoff_id)
     vals = resid**2 * kap_sq
     num_l2 = float(np.mean(vals))
     num_se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -271,7 +272,7 @@ def mse_bound_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
                        c_ref) / reference.n_train**2
     h_sq, l2_sq = [], []
     for r in range(n_repeats):
-        ts = build_training_set(sampler, f, n, payoff_id,
+        ts = build_training_set(sampler, f, n, f.payoff_id,
                                 stream=("msebound", "refit", r), seed=seed)
         est = fit(ts, spec, lam)
         c1 = _tilde_coef(est)
@@ -312,8 +313,7 @@ def mse_bound_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
     )
 
 
-def concentration_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
-                        tau_grid=None):
+def concentration_check(f, n, n_repeats, sampler, probe, seed=0, tau_grid=None):
     """Tail frequency of the sample error against 2 exp(-tau^2 n / (2 C2)).
 
     Applicable when the tilted kernel diagonal is bounded (beta <= gamma for
@@ -321,6 +321,8 @@ def concentration_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
     ``||f~_X - f~_ref||_2 / ||kappa~||_inf <= ||h_X - h_ref||``, with
     ``f~_ref``, the residual's sup norm, the kernel and lambda taken from
     ``probe``, the :func:`reference_probe` of a :func:`reference_estimator` fit.
+    The refits' samples are priced by the payoff oracle ``f``
+    (:func:`market.payoff_function`).
     """
     spec, lam = probe.reference.kernel, probe.reference.lam
     if lam <= 0:
@@ -331,7 +333,6 @@ def concentration_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
             notes=("tilted kernel diagonal unbounded (beta > gamma); "
                    "bound not applicable",),
         )
-    f = payoff_function(cfg, payoff_id)
     kap_sq = probe.kap_sq
     sup_rk = float(np.max(np.abs(probe.resid) * np.sqrt(kap_sq)))
     if (isinstance(spec, GaussExpKernel)
@@ -345,7 +346,7 @@ def concentration_check(cfg, payoff_id, n, n_repeats, sampler, probe, seed=0,
 
     proxies = np.empty(n_repeats)
     for r in range(n_repeats):
-        ts = build_training_set(sampler, f, n, payoff_id,
+        ts = build_training_set(sampler, f, n, f.payoff_id,
                                 stream=("conc", "refit", r), seed=seed)
         est = fit(ts, spec, lam)
         gap = math.sqrt(float(np.mean(
@@ -534,19 +535,19 @@ def _anderson_norm(x):
     return float(a2), float(np.interp(a2, critical, _AD_NORM_SIG / 100))
 
 
-def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
-                   seed=0):
+def clt_experiment(spec, f, lam, n, n_repeats, sampler, probe_z, seed=0):
     """Distribution of sqrt(n) (f~_X(z) - f~_lambda(z)) over independent fits.
 
     Runs on a finite-dimensional feature map so the population solution is
-    exact (Gaussian moment matrix plus payoff quadrature); reports the sample
+    exact (Gaussian moment matrix plus payoff quadrature); the payoff oracle
+    ``f`` (:func:`market.payoff_function`) prices the quadrature grid, the
+    repeats' samples and the tail constant's probe.  Reports the sample
     mean (must vanish), an Anderson-Darling normality statistic, the exact
     asymptotic variance, and the tail-constant comparison 4 ||Q|| <= C2 in
     the probe direction.
     """
     if not isinstance(spec, FeatureMapKernel):
         raise InputError("the limit experiment requires a FeatureMapKernel")
-    f = payoff_function(cfg, payoff_id)
     z = kernels.as_path(probe_z, spec.d, spec.T)
     phi_z = kernels.feature_matrix(spec, z[None])[0]
     wz = float(sampler.weight(z))
@@ -557,7 +558,7 @@ def clt_experiment(spec, cfg, payoff_id, lam, n, n_repeats, sampler, probe_z,
 
     stats = np.empty(n_repeats)
     for r in range(n_repeats):
-        ts = build_training_set(sampler, f, n, payoff_id,
+        ts = build_training_set(sampler, f, n, f.payoff_id,
                                 stream=("clt", "repeat", r), seed=seed)
         stats[r] = math.sqrt(n) * (float(phi_z @ _primal_coef(ts, spec, lam))
                                    / math.sqrt(wz) - f_pop_z)

@@ -421,16 +421,13 @@ def _conditional_gram(spec, pre, Y, t):
 # ---------------------------------------------------------------------------
 
 
-def tilted_gram(spec, X, wx, Y=None, wy=None):
-    """Tilted kernel matrix ``k(X_i, Y_j) / sqrt(wx_i wy_j)``.
-
-    ``wx`` and ``wy`` are the sampling weights of the paths.  ``Y=None``
-    means ``Y=X`` and ``wy=wx``.
-    """
-    K = gram(spec, X, Y)
-    inv_x = 1.0 / np.sqrt(wx)
-    K *= inv_x[:, None]
-    K *= (inv_x if Y is None else 1.0 / np.sqrt(wy))[None, :]
+def tilted_gram(spec, X, w):
+    """Tilted kernel matrix ``k(X_i, X_j) / sqrt(w_i w_j)``, where ``w`` are
+    the sampling weights of the paths."""
+    K = gram(spec, X)
+    inv = 1.0 / np.sqrt(w)
+    K *= inv[:, None]
+    K *= inv[None, :]
     return K
 
 

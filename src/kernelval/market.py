@@ -148,11 +148,31 @@ def payoff(cfg, payoff_id, x):
     return float(vals[0]) if single else vals
 
 
+class _PayoffOracle:
+    """``f(x)`` is ``payoff(cfg, payoff_id, x)``; ``evals`` counts the paths
+    priced so far: the rows of a batch, 1 for a single path.
+
+    The count is a plain increment, not locked: every pipeline calls an
+    oracle from one thread at a time (one oracle per payoff in a study, one
+    per check in the bound suite).
+    """
+
+    def __init__(self, cfg, payoff_id):
+        if payoff_id not in PAYOFF_IDS:
+            raise InputError(f"unknown payoff id {payoff_id!r}; known: {PAYOFF_IDS}")
+        self.cfg, self.payoff_id, self.evals = cfg, payoff_id, 0
+
+    def __call__(self, x):
+        vals = payoff(self.cfg, self.payoff_id, x)
+        self.evals += np.size(vals)
+        return vals
+
+
 def payoff_function(cfg, payoff_id):
-    """Vectorized closure ``paths -> values`` for use as a payoff oracle."""
-    if payoff_id not in PAYOFF_IDS:
-        raise InputError(f"unknown payoff id {payoff_id!r}; known: {PAYOFF_IDS}")
-    return lambda x: payoff(cfg, payoff_id, x)
+    """The payoff as a counted oracle ``paths -> values``: the one source of
+    every payoff-evaluation budget.  The ground truth calls :func:`payoff`
+    directly, so it stays out of the count."""
+    return _PayoffOracle(cfg, payoff_id)
 
 
 # ---------------------------------------------------------------------------
@@ -353,30 +373,24 @@ class NestedMC:
     v0_hat: float
     outer_x1: np.ndarray
     v1_hat: np.ndarray
-    n_payoff_evals: int
 
 
-def nested_mc_estimate(cfg, payoff_id, n_outer, n_inner, seed=0, stream=("nested",)):
+def nested_mc_estimate(f, n_outer, n_inner, seed=0, stream=("nested",)):
     """Naive two-level Monte Carlo under the nominal measure.
 
     Draws ``n_outer`` first increments; from each, ``n_inner`` independent
-    tails.  ``v1_hat[i]`` is the inner mean at outer point ``i`` and
-    ``v0_hat`` the grand mean over all ``n_outer * n_inner`` payoffs.  The
-    total budget is exactly ``n_outer * n_inner`` payoff evaluations.
+    tails of the market ``f.cfg``.  ``v1_hat[i]`` is the inner mean at outer
+    point ``i`` and ``v0_hat`` the grand mean over all ``n_outer * n_inner``
+    payoffs, priced by the oracle ``f`` (:func:`payoff_function`) in one call.
     """
     if n_outer < 1 or n_inner < 1:
         raise InputError("n_outer and n_inner must be positive")
+    T = f.cfg.T
     rng = derive_rng(seed, *stream)
     x1 = rng.standard_normal(n_outer)
-    tails = rng.standard_normal((n_outer, n_inner, cfg.T - 1))
+    tails = rng.standard_normal((n_outer, n_inner, T - 1))
     full = np.concatenate(
         [np.repeat(x1, n_inner).reshape(n_outer, n_inner, 1), tails], axis=2
-    ).reshape(n_outer * n_inner, cfg.T)
-    vals = payoff(cfg, payoff_id, full).reshape(n_outer, n_inner)
-    v1 = vals.mean(axis=1)
-    return NestedMC(
-        v0_hat=float(vals.mean()),
-        outer_x1=x1,
-        v1_hat=v1,
-        n_payoff_evals=n_outer * n_inner,
-    )
+    ).reshape(n_outer * n_inner, T)
+    vals = f(full).reshape(n_outer, n_inner)
+    return NestedMC(v0_hat=float(vals.mean()), outer_x1=x1, v1_hat=vals.mean(axis=1))

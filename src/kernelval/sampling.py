@@ -210,17 +210,13 @@ class TrainingSet:
     """Simulated paths with payoff values and sampling weights.
 
     ``payoff_values[i] = f(paths[i])`` and ``weights[i] = w(paths[i])`` for
-    the sampling measure's Radon-Nikodym weight ``w``.  ``n_payoff_evals``
-    counts oracle calls (one per path); the payoff is the costly object in
-    this setting, so budgets are tracked explicitly.
+    the sampling measure's Radon-Nikodym weight ``w``.
     """
 
     paths: np.ndarray
     payoff_values: np.ndarray
     weights: np.ndarray
     payoff_id: str
-    gamma: float | None
-    n_payoff_evals: int
 
     def __post_init__(self):
         for arr in (self.paths, self.payoff_values, self.weights):
@@ -264,15 +260,8 @@ def build_training_set(sampler, payoff_fn, n, payoff_id="", stream=("train",), s
             indices=bad,
         )
     weights = np.asarray(sampler.weight(paths), dtype=float).reshape(-1)
-    gamma = getattr(sampler, "gamma", None)
-    return TrainingSet(
-        paths=paths,
-        payoff_values=values,
-        weights=weights,
-        payoff_id=payoff_id,
-        gamma=gamma,
-        n_payoff_evals=n,
-    )
+    return TrainingSet(paths=paths, payoff_values=values, weights=weights,
+                       payoff_id=payoff_id)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernels, pool
 from .errors import DataError, InputError
+from .krr import fit, predict
 from .sampling import MeasureSpec, build_training_set, derive_rng, draw_paths
 
 __all__ = [
@@ -57,7 +58,6 @@ class ErrorReport:
     mean_pct: np.ndarray
     std_pct: np.ndarray
     l2_rel: float = float("nan")
-    n_payoff_evals: int = 0
 
     def __post_init__(self):
         self.mean_pct.setflags(write=False)
@@ -116,8 +116,6 @@ def payoff_errors(est, paths, values):
     the absolute gap, for use in one-sided bound checks.
     """
     paths = kernels.as_paths(paths, est.kernel.d, est.kernel.T)
-    from .krr import predict
-
     pred = predict(est, paths)
     sq = (values - pred) ** 2
     mean_sq = float(np.mean(sq))
@@ -136,16 +134,14 @@ def payoff_errors(est, paths, values):
     }
 
 
-def payoff_l2_error(est, cfg, payoff_id, n_val, seed=None, stream=("validation",)):
-    """Relative L2 payoff error on n_val fresh nominal-measure paths."""
-    from .market import payoff_function
-
+def payoff_l2_error(est, f, n_val, seed=None, stream=("validation",)):
+    """Relative L2 payoff error on n_val fresh nominal-measure paths, priced
+    by the payoff oracle ``f`` (:func:`market.payoff_function`)."""
     if n_val < 1:
         raise InputError("n_val must be at least 1")
     nominal = MeasureSpec(gamma=0.0, d=est.kernel.d, T=est.kernel.T,
                           seed=0 if seed is None else seed)
     X = draw_paths(nominal, n_val, stream=stream, seed=seed)
-    f = payoff_function(cfg, payoff_id)
     return payoff_errors(est, X, f(X))["rel"]
 
 
@@ -174,15 +170,14 @@ def martingale_gap(est, n=100_000, seed=0, stream=("martingale",)):
     return v0, float(np.mean(vals)), se
 
 
-def doob_check(est, gt, test_paths, cfg, payoff_id):
+def doob_check(est, gt, test_paths):
     """Maximal-inequality consequence: half the L2 norm of the running maximum
     of |V_t - Vhat_t| must not exceed the terminal L2 payoff gap.
 
-    Both sides are MC estimates on the same test paths; returns a dict with
-    the two sides and their combined standard error.
+    Both sides are MC estimates on the same test paths, whose payoff is the
+    ground truth's last column; returns a dict with the two sides and their
+    combined standard error.
     """
-    from .market import payoff_function
-
     X = kernels.as_paths(test_paths, est.kernel.d, est.kernel.T)
     truth = gt.v_series(X)
     approx = value_series_many(est, X)
@@ -191,7 +186,7 @@ def doob_check(est, gt, test_paths, cfg, payoff_id):
     lhs = 0.5 * math.sqrt(m2)
     se_m2 = float(np.std(run_max**2, ddof=1)) / math.sqrt(len(run_max))
     se_lhs = 0.5 * se_m2 / (2 * math.sqrt(m2)) if m2 > 0 else 0.0
-    gap = payoff_errors(est, X, payoff_function(cfg, payoff_id)(X))
+    gap = payoff_errors(est, X, truth[:, -1])
     rhs, se_rhs = gap["abs"], gap["se_abs"]
     return {
         "lhs": lhs,
@@ -201,42 +196,37 @@ def doob_check(est, gt, test_paths, cfg, payoff_id):
     }
 
 
-def repeat_experiment(cfg, payoff_id, spec, lam, sampler, n_train, test_paths, gt,
+def repeat_experiment(f, spec, lam, sampler, n_train, test_paths, gt,
                       n_repeats=10, n_val=500, master_seed=0, mode="dual-unsorted"):
     """Full error pipeline over independent training samples.
 
-    Per repeat: draw a training sample from ``sampler``, fit, measure the
+    Per repeat: draw a training sample from ``sampler``, price it with the
+    payoff oracle ``f`` (:func:`market.payoff_function`), fit, measure the
     value-process error on the shared test paths and the payoff L2 error on a
     fresh validation sample.  Returns ``(report, fits)``: per-time mean and
     standard deviation as percentages of the ground-truth time-0 value, and
     the repeats' estimators.
     """
-    from .krr import fit
-    from .market import payoff_function
-
     if n_repeats < 1:
         raise InputError("n_repeats must be at least 1")
-    f = payoff_function(cfg, payoff_id)
-    per_t, l2s, evals, fits = [], [], 0, []
+    per_t, l2s, fits = [], [], []
     for r in range(n_repeats):
-        ts = build_training_set(sampler, f, n_train, payoff_id,
+        ts = build_training_set(sampler, f, n_train, f.payoff_id,
                                 stream=("repeat", r, "train"), seed=master_seed)
         est = fit(ts, spec, lam, mode=mode)
         per_t.append(value_process_error(est, gt, test_paths))
         if n_val > 0:
-            l2s.append(payoff_l2_error(est, cfg, payoff_id, n_val, seed=master_seed,
+            l2s.append(payoff_l2_error(est, f, n_val, seed=master_seed,
                                        stream=("repeat", r, "validation")))
-        evals += ts.n_payoff_evals + n_val
         fits.append(est)
     arr = 100.0 * np.asarray(per_t)
     report = ErrorReport(
-        payoff_id=payoff_id,
+        payoff_id=f.payoff_id,
         estimator="kernel",
         times=tuple(range(spec.T + 1)),
         mean_pct=arr.mean(axis=0),
         std_pct=arr.std(axis=0, ddof=1) if n_repeats > 1 else np.zeros(arr.shape[1]),
         l2_rel=float(np.mean(l2s)) if l2s else float("nan"),
-        n_payoff_evals=evals,
     )
     return report, fits
 

@@ -74,8 +74,6 @@ def _toy_training_set(spec, paths, target_coefs):
         payoff_values=values,
         weights=np.ones(paths.shape[0]),
         payoff_id="toy",
-        gamma=None,
-        n_payoff_evals=paths.shape[0],
     )
 
 
@@ -226,7 +224,7 @@ def gram_offdiag_form(spec, P, w, c):
     The mse check's original U-statistic sum: ``c @ K~ @ c`` minus the
     diagonal of ``K~`` weighted by ``c**2``.
     """
-    K = kernels.tilted_gram(spec, P, w, P, w)
+    K = kernels.tilted_gram(spec, P, w)
     return float(c @ K @ c) - float(c**2 @ np.diag(K))
 
 
@@ -421,8 +419,7 @@ def training_set_with_duplicates(d, T, gamma, n=40, n_dup=15):
                             "synthetic", stream=("fused",))
     keep = np.r_[np.arange(n), np.arange(n_dup)]
     return TrainingSet(paths=ts.paths[keep], payoff_values=ts.payoff_values[keep],
-                       weights=ts.weights[keep], payoff_id="synthetic",
-                       gamma=gamma, n_payoff_evals=n + n_dup)
+                       weights=ts.weights[keep], payoff_id="synthetic")
 
 
 def max_rel_gap(a, b):

@@ -186,8 +186,7 @@ def test_criterion_5_solver_equivalences(pipeline):
     reps = np.tile(np.arange(half.n), 2)
     dup = TrainingSet(paths=half.paths[reps],
                       payoff_values=half.payoff_values[reps],
-                      weights=half.weights[reps], payoff_id=pid,
-                      gamma=half.gamma, n_payoff_evals=2 * half.n)
+                      weights=half.weights[reps], payoff_id=pid)
     eval_paths = draw_paths(config.nominal(), 500,
                             stream=("acceptance", "eval"),
                             seed=config.master_seed)
@@ -301,8 +300,7 @@ def test_criterion_8_martingale_and_maximal(pipeline):
         if abs(v0 - mc) >= 3 * se:
             issues.append(f"{pid} tower gap {abs(v0 - mc):.2e} >= 3se "
                           f"{3 * se:.2e}")
-        doob = doob_check(est, doc["gt"], test_paths, cfg=config.market,
-                          payoff_id=pid)
+        doob = doob_check(est, doc["gt"], test_paths)
         if not doob["holds_3se"]:
             issues.append(f"{pid} maximal-inequality check failed "
                           f"(lhs {doob['lhs']:.4f} rhs {doob['rhs']:.4f})")

@@ -95,8 +95,8 @@ FOUR_BLOCKS = TINY.replace("n_test = 40", f"n_test = {3 * kernels.BLOCK + 5}")
 def test_grid_search_equals_per_point_fits():
     cfg = load_config(text=FAILING)
     pid = "european_put"
-    grid = grid_search(cfg, pid)
-    ts = cli._training_set(cfg, pid, "grid")
+    grid = grid_search(cfg, payoff_function(cfg.market, pid))
+    ts = cli._training_set(cfg, payoff_function(cfg.market, pid), "grid")
     val = draw_paths(cfg.nominal(), cfg.n_val, stream=("grid", pid, "val"),
                      seed=cfg.master_seed)
     truth = payoff_function(cfg.market, pid)(val)
@@ -134,7 +134,7 @@ def test_grid_search_builds_one_gram_per_pair(monkeypatch):
 
     monkeypatch.setattr(kernels, "gram", counting)
     with pool.using(1):
-        grid_search(cfg, "european_put")
+        grid_search(cfg, payoff_function(cfg.market, "european_put"))
     assert square == [(0.0, 0.15), (2.0, 0.0), (2.0, 0.15)]
 
 
@@ -167,6 +167,18 @@ def test_missing_config_exit_1(tmp_path, capsys):
     assert "absent.cfg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_1(threads, tiny_cfg, tmp_path, capsys):
+    # pool.using(0) would mean every usable CPU: the flag is refused instead
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", str(tiny_cfg), "--out", str(out),
+                "--threads", threads) == 1
+    captured = capsys.readouterr()
+    assert "input error: threads must be at least 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unknown_config_key_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("[market]\nvolatility = 0.2\n")
@@ -193,7 +205,7 @@ def test_simulate_produces_loadable_csv(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "sim"
     assert _run("simulate", "--config", str(tiny_cfg), "--out", str(out)) == 0
     cfg = load_config(path=str(tiny_cfg))
-    ts = cli._training_set(cfg, "european_put", "fit")
+    ts = cli._training_set(cfg, payoff_function(cfg.market, "european_put"), "fit")
     assert ts.n == 60 and ts.T == 2
     assert (ts.weights > 0).all()
     assert ((out / "train_european_put.csv").read_bytes()
@@ -297,9 +309,10 @@ def test_nested_maps_share_one_pool(tiny_cfg, monkeypatch):
     # test sample of four row blocks, so an outermost map would split it
     config = load_config(path=str(tiny_cfg),
                          overrides={"payoffs": ("european_put", "asian_put"),
-                                    "threads": 2, "n_test": 3 * kernels.BLOCK + 5})
+                                    "n_test": 3 * kernels.BLOCK + 5})
     before = threading.active_count()
-    cli.run_table2(config)
+    with pool.using(2):
+        cli.run_table2(config)
     assert inner and set(inner) == {1}
     assert alive and max(alive) <= before + 2
 
@@ -384,10 +397,6 @@ def test_non_finite_or_negative_lambda_exit_1(command, old, new, tiny_cfg,
     assert not out.exists()
 
 
-def test_default_threads_is_the_usable_cpu_count():
-    assert load_config().threads == len(os.sched_getaffinity(0))
-
-
 def test_seed_override_changes_results(tiny_cfg, tmp_path, capsys):
     a, b = tmp_path / "s1", tmp_path / "s2"
     assert _run("grid-search", "--config", str(tiny_cfg), "--out", str(a)) == 0
@@ -447,9 +456,9 @@ def test_diagnostics_small_run(tmp_path, capsys):
     assert names <= set(os.listdir(out))
     doc = json.loads((out / "diag_mse_bound.json").read_text())
     assert doc["violated"] is False
-    # the shared 100k probe counts once, under mse_bound, the CLT's
-    # quadrature grid reaches the payoff oracle once, and the robustness
-    # check fits the perturbation alone, with no oracle call
+    # counted at each check's payoff oracle: the shared 100k probe once,
+    # under mse_bound, the CLT's quadrature grid once, and nothing for the
+    # robustness check, which fits the perturbation alone
     man = json.loads((out / "manifest.json").read_text())
     assert man["payoff_evaluations"] == {
         "reference": 320, "mse_bound": 4 * 80 + 100_000,
@@ -524,6 +533,17 @@ def test_diagnostics_config_rejects_bad_values(key, value, tmp_path,
     capsys.readouterr()
 
 
+# the paths each command's payoff oracles price on TINY (n_train 60, n_val 20,
+# n_repeats 2, nested 20 x 5); the ground truth is not counted
+TINY_BUDGETS = {
+    "simulate": 60, "fit": 60, "value": 60,
+    "grid-search": 60 + 20, "figures": 60 + 20,
+    # the grid, the repeats' training and validation samples, nested MC
+    "table2": 60 + 20 + 2 * (60 + 20) + 2 * 20 * 5,
+    "nested-mc": 2 * 20 * 5,
+}
+
+
 @pytest.mark.parametrize("command", ["simulate", "fit", "value", "grid-search",
                                      "table2", "figures", "nested-mc",
                                      "diagnostics"])
@@ -539,6 +559,8 @@ def test_manifest_lists_exactly_the_files_written(command, tmp_path, capsys):
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == command
     assert man["outputs"] == sorted(written)
+    if command != "diagnostics":  # test_diagnostics_small_run checks its budget
+        assert man["payoff_evaluations"] == {"european_put": TINY_BUDGETS[command]}
     capsys.readouterr()
 
 

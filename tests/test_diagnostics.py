@@ -18,7 +18,8 @@ from kernelval.diagnostics import (CLT_NODES, _anderson_norm, _clt_population,
                                    robustness_check, tilted_l2_norm)
 from kernelval.errors import InputError
 from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
-                               feature_matrix, monomial_features, tilted_gram)
+                               feature_matrix, gram, monomial_features,
+                               tilted_gram)
 from kernelval.krr import fit
 from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, MixtureSampler,
@@ -68,8 +69,12 @@ def _reference(lam, n, seed):
                                seed=seed)
 
 
+def _put():
+    return payoff_function(CFG, "european_put")
+
+
 def _probe(reference, seed, sampler=SAMPLER):
-    return reference_probe(CFG, "european_put", sampler, reference, seed=seed)
+    return reference_probe(_put(), sampler, reference, seed=seed)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -82,9 +87,11 @@ def test_reference_probe_equals_one_serial_prediction(threads, monkeypatch):
     calls, predict = [], krr.predict
     monkeypatch.setattr(diagnostics, "predict",
                         lambda est, x: calls.append(len(x)) or predict(est, x))
+    f = _put()
     with pool.using(threads):
-        probe = _probe(ref, seed=14)
+        probe = reference_probe(f, SAMPLER, ref, seed=14)
     assert len(calls) == min(threads, 4) + 1  # the chunks, then the L2 probe
+    assert f.evals == 3 * BLOCK + 37  # the probe is priced, the L2 probe is not
     # the residual as each check computed it, with one serial prediction
     paths = draw_paths(SAMPLER, 3 * BLOCK + 37, stream=("msebound", "probe"), seed=14)
     serial = (_tilde_payoff(payoff_function(CFG, "european_put"), SAMPLER, paths)
@@ -116,8 +123,8 @@ def test_quad_form_in_blocks_matches_tilted_gram(block, monkeypatch):
     # the mse check's cross form against a second fit on other paths
     ts3 = build_training_set(SAMPLER, f, 30, stream=("hn", 3))
     e3 = fit(ts3, SPEC, 1e-4)
-    full = float(e1.dual_coef @ tilted_gram(SPEC, ts.paths, ts.weights, ts3.paths,
-                                            ts3.weights) @ e3.dual_coef)
+    K13 = gram(SPEC, ts.paths, ts3.paths) / np.sqrt(np.outer(ts.weights, ts3.weights))
+    full = float(e1.dual_coef @ K13 @ e3.dual_coef)
     blocked = _cross_form(SPEC, ts.paths, ts.weights, e1.dual_coef, ts3.paths,
                           ts3.weights, e3.dual_coef)
     assert abs(blocked - full) <= 1e-12 * abs(full)
@@ -210,7 +217,7 @@ def test_clt_population_constant_feature_moment():
 class TestMseBound:
     def test_holds_on_reference_problem(self):
         ref = _reference(1e-3, 150, seed=1)
-        rep = mse_bound_check(CFG, "european_put", n=150,
+        rep = mse_bound_check(_put(), n=150,
                               n_repeats=4, sampler=SAMPLER, seed=1,
                               probe=_probe(ref, seed=1), **FAST)
         assert rep.kind == "mse_bound"
@@ -225,10 +232,10 @@ class TestMseBound:
         ref = reference_estimator(SAMPLER, f, SPEC, 1e-3, n=400, n_ref=1600,
                                   seed=2)
         probe = _probe(ref, seed=2)
-        a = mse_bound_check(CFG, "european_put", n=100,
+        a = mse_bound_check(_put(), n=100,
                             n_repeats=1, sampler=SAMPLER, seed=2,
                             probe=probe, **FAST)
-        b = mse_bound_check(CFG, "european_put", n=400,
+        b = mse_bound_check(_put(), n=400,
                             n_repeats=1, sampler=SAMPLER, seed=2,
                             probe=probe, **FAST)
         assert b.bound == a.bound / 2.0
@@ -240,7 +247,7 @@ class TestMseBound:
         probe = dataclasses.replace(_probe(ref, seed=3),
                                     reference=dataclasses.replace(ref, lam=0.0))
         with pytest.raises(InputError, match="lambda > 0"):
-            mse_bound_check(CFG, "european_put", n=100, n_repeats=1,
+            mse_bound_check(_put(), n=100, n_repeats=1,
                             sampler=SAMPLER, probe=probe)
 
     def test_kernel_and_lambda_come_from_the_reference(self):
@@ -252,20 +259,20 @@ class TestMseBound:
         probe = _probe(ref, seed=15)
         assert probe.kap_sq.tobytes() == kernels.tilted_diag(
             other, probe.paths, SAMPLER.weight(probe.paths)).tobytes()
-        rep = mse_bound_check(CFG, "european_put", n=100, n_repeats=2,
+        rep = mse_bound_check(_put(), n=100, n_repeats=2,
                               sampler=SAMPLER, seed=15, probe=probe, **FAST)
         assert rep.lam == 1e-2
         assert rep.bound == pytest.approx(math.sqrt(
             max(rep.l2_kappa_residual**2 - rep.jstar_norm**2, 0.0) / 100) / 1e-2,
             rel=1e-12)
-        conc = concentration_check(CFG, "european_put", n=100, n_repeats=2,
+        conc = concentration_check(_put(), n=100, n_repeats=2,
                                    sampler=SAMPLER, seed=15, probe=probe)
         assert conc.lam == 1e-2
         assert conc.c2 == (2.0 / 1e-2) ** 2 * conc.sup_residual_kappa**2
 
     def test_report_serializes_to_strict_json(self):
         ref = _reference(1e-3, 100, seed=3)
-        rep = mse_bound_check(CFG, "european_put", n=100,
+        rep = mse_bound_check(_put(), n=100,
                               n_repeats=2, sampler=SAMPLER, seed=3,
                               probe=_probe(ref, seed=3), **FAST)
         doc = json.loads(rep.to_json())  # would raise on NaN/Infinity tokens
@@ -278,7 +285,7 @@ class TestMseBound:
 @pytest.mark.usefixtures("small_probes")
 class TestConcentration:
     def test_holds_and_reports_rows(self):
-        rep = concentration_check(CFG, "european_put", n=150,
+        rep = concentration_check(_put(), n=150,
                                   n_repeats=12, sampler=SAMPLER, seed=4,
                                   probe=_probe(_reference(1e-3, 150, seed=4), seed=4))
         assert rep.kind == "concentration"
@@ -290,7 +297,7 @@ class TestConcentration:
         assert rep.s_prob_lower <= 1.0
 
     def test_huge_tau_never_exceeded(self):
-        rep = concentration_check(CFG, "european_put", n=120,
+        rep = concentration_check(_put(), n=120,
                                   n_repeats=6, sampler=SAMPLER, seed=5,
                                   probe=_probe(_reference(1e-3, 120, seed=5), seed=5),
                                   tau_grid=[1e6])
@@ -305,9 +312,10 @@ class TestConcentration:
         # the kernel comes from the reference
         ref = reference_estimator(light_sampler, payoff_function(CFG, "european_put"),
                                   heavy, 1e-3, n=100, n_ref=400)
-        rep = concentration_check(CFG, "european_put", n=100, n_repeats=2,
-                                  sampler=light_sampler,
+        f = _put()
+        rep = concentration_check(f, n=100, n_repeats=2, sampler=light_sampler,
                                   probe=_probe(ref, seed=0, sampler=light_sampler))
+        assert f.evals == 0  # no refit: nothing priced, nothing counted
         assert not rep.applicable
         assert not rep.violated
         assert "unbounded" in " ".join(rep.notes)
@@ -321,7 +329,7 @@ class TestCltExperiment:
 
     def test_report_fields_and_bound(self):
         spec, sampler = self._setup()
-        rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=400,
+        rep = clt_experiment(spec, _put(), lam=1e-3, n=400,
                              n_repeats=24, sampler=sampler,
                              probe_z=(0.3, -0.5), seed=6)
         assert not rep.degenerate
@@ -337,7 +345,7 @@ class TestCltExperiment:
         spec, sampler = self._setup()
         with warnings.catch_warnings():
             warnings.simplefilter("error", FutureWarning)
-            rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=200,
+            rep = clt_experiment(spec, _put(), lam=1e-3, n=200,
                                  n_repeats=12, sampler=sampler,
                                  probe_z=(0.3, -0.5), seed=6)
         assert 0.0 < rep.ad_pvalue <= 1.0
@@ -369,7 +377,7 @@ class TestCltExperiment:
         if not mixture:
             sampler = MeasureSpec(gamma=0.2, d=1, T=2, seed=0)
         z = np.array([[[1.7, 0.9]]])
-        rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=100,
+        rep = clt_experiment(spec, _put(), lam=1e-3, n=100,
                              n_repeats=4, sampler=sampler, probe_z=z[0], seed=3)
         # the hand-written tilted diagonal the bound used before
         phi = feature_matrix(spec, z)[0]
@@ -378,7 +386,7 @@ class TestCltExperiment:
 
     def test_too_few_repeats_degenerate(self):
         spec, sampler = self._setup()
-        rep = clt_experiment(spec, CFG, "european_put", lam=1e-3, n=200,
+        rep = clt_experiment(spec, _put(), lam=1e-3, n=200,
                              n_repeats=4, sampler=sampler,
                              probe_z=(0.0, 0.0), seed=7)
         assert rep.degenerate
@@ -394,7 +402,6 @@ class TestCltExperiment:
             sampler = MeasureSpec(gamma=0.2, d=1, T=2, seed=0)
         grid, grid_rows = [], diagnostics._grid_rows
         sizes, grid_sizes, feature_matrix = [], [], kernels.feature_matrix
-        payoff_evals = []
 
         def recording_rows(lo, hi):
             paths, wts = grid_rows(lo, hi)
@@ -407,27 +414,23 @@ class TestCltExperiment:
                 grid_sizes.append(paths.shape[0])
             return feature_matrix(spec, paths)
 
-        def counting_payoff(cfg, payoff_id):
-            fn = payoff_function(cfg, payoff_id)
-            return lambda x: (payoff_evals.append(np.shape(x)[0]), fn(x))[1]
-
         monkeypatch.setattr(diagnostics, "_grid_rows", recording_rows)
         monkeypatch.setattr(kernels, "feature_matrix", counting)
-        monkeypatch.setattr(diagnostics, "payoff_function", counting_payoff)
         kw = dict(lam=1e-3, n=150, n_repeats=9, sampler=sampler,
                   probe_z=(0.3, -0.5), seed=12)
-        rep = clt_experiment(spec, CFG, "european_put", **kw)
+        f = _put()
+        rep = clt_experiment(spec, f, **kw)
         assert max(sizes) <= diagnostics._CLT_ROWS * diagnostics.CLT_NODES
         # each node's features twice, for b and then for g: one pass over the
         # payoffs, two over the features
         assert sum(grid_sizes) == (2 + weight_calls) * diagnostics.CLT_NODES**2
         # the payoff once per training path, probe path and grid node
-        assert sum(payoff_evals) == (150 * 9 + diagnostics.PROBE_PATHS
-                                     + diagnostics.CLT_NODES**2)
+        assert f.evals == (150 * 9 + diagnostics.PROBE_PATHS
+                           + diagnostics.CLT_NODES**2)
         # the grid-by-grid oracle in place of the blocked passes: the blocks
         # sum the grid in another order, a deliberate rounding change
         monkeypatch.setattr(diagnostics, "_clt_population", three_pass_clt_population)
-        oracle = clt_experiment(spec, CFG, "european_put", **kw)
+        oracle = clt_experiment(spec, _put(), **kw)
         assert rep.var_theory == pytest.approx(oracle.var_theory, rel=1e-10, abs=0)
         assert rep.c2 == pytest.approx(oracle.c2, rel=1e-10, abs=0)
         np.testing.assert_allclose(rep.statistics, oracle.statistics, rtol=0,
@@ -451,9 +454,9 @@ class TestCltExperiment:
         kw = dict(lam=1e-3, n=150, n_repeats=9,
                   sampler=MixtureSampler(spec, seed=0), probe_z=(0.3, -0.5),
                   seed=12)
-        rep = clt_experiment(spec, CFG, "european_put", **kw)
+        rep = clt_experiment(spec, _put(), **kw)
         monkeypatch.setattr(kernels, "_feature_products", pow_feature_products)
-        oracle = clt_experiment(spec, CFG, "european_put", **kw)
+        oracle = clt_experiment(spec, _put(), **kw)
         # the oracle reached the fits: their last bits moved
         assert rep.statistics.tobytes() != oracle.statistics.tobytes()
         np.testing.assert_allclose(rep.statistics, oracle.statistics,
@@ -484,10 +487,10 @@ class TestCltExperiment:
         monkeypatch.setattr(krr, "content_hash", counting)
         kw = dict(lam=1e-3, n=150, n_repeats=9, sampler=sampler,
                   probe_z=(0.3, -0.5), seed=12)
-        rep = clt_experiment(spec, CFG, "european_put", **kw)
+        rep = clt_experiment(spec, _put(), **kw)
         assert hashes == []
         monkeypatch.setattr(diagnostics, "_primal_coef", primal_fit_coef)
-        oracle = clt_experiment(spec, CFG, "european_put", **kw)
+        oracle = clt_experiment(spec, _put(), **kw)
         assert hashes == [150] * 9
         assert rep.statistics.tobytes() == oracle.statistics.tobytes()
         assert rep.to_json() == oracle.to_json()
@@ -496,12 +499,12 @@ class TestCltExperiment:
     def test_rejects_a_bad_lambda(self, lam):
         spec, sampler = self._setup()
         with pytest.raises(InputError):
-            clt_experiment(spec, CFG, "european_put", lam=lam, n=50, n_repeats=2,
+            clt_experiment(spec, _put(), lam=lam, n=50, n_repeats=2,
                            sampler=sampler, probe_z=(0.0, 0.0))
 
     def test_requires_feature_kernel(self):
         with pytest.raises(InputError):
-            clt_experiment(SPEC, CFG, "european_put", lam=1e-3, n=100,
+            clt_experiment(SPEC, _put(), lam=1e-3, n=100,
                            n_repeats=2, sampler=SAMPLER, probe_z=(0.0, 0.0))
 
 

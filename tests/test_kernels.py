@@ -143,14 +143,9 @@ def test_tilted_gram_matches_the_gaussian_tilt_closed_form(d, T):
     m = MeasureSpec(gamma=0.45, d=d, T=T)
     spec = GaussExpKernel(alpha=4.0, beta=0.3, d=d, T=T)
     X = RNG.standard_normal((15, d, T)) * 2.0
-    Y = RNG.standard_normal((7, d, T)) * 2.0
-    expect = closed_form_tilted_gram(spec, m.gamma, X, Y)
-    got = tilted_gram(spec, X, rn_weight(m, X), Y, rn_weight(m, Y))
+    expect = closed_form_tilted_gram(spec, m.gamma, X, X)
+    got = tilted_gram(spec, X, rn_weight(m, X))
     assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
-    # Y=None means Y=X with the same weights
-    wx = rn_weight(m, X)
-    assert np.allclose(tilted_gram(spec, X, wx), tilted_gram(spec, X, wx, X, wx),
-                       rtol=1e-14, atol=0.0)
 
 
 def test_tilted_gram_matches_explicit_weight_division():
@@ -158,10 +153,9 @@ def test_tilted_gram_matches_explicit_weight_division():
     spec = FeatureMapKernel(features=monomial_features(1, 2, 2), d=1, T=2)
     sampler = MixtureSampler(spec, seed=3)
     X = draw_paths(sampler, 12, stream=("x",))
-    Y = draw_paths(sampler, 5, stream=("y",))
-    wx, wy = sampler.weight(X), sampler.weight(Y)
-    expect = gram(spec, X, Y) / np.sqrt(np.outer(wx, wy))
-    assert np.allclose(tilted_gram(spec, X, wx, Y, wy), expect, rtol=1e-12, atol=0.0)
+    w = sampler.weight(X)
+    expect = gram(spec, X) / np.sqrt(np.outer(w, w))
+    assert np.allclose(tilted_gram(spec, X, w), expect, rtol=1e-12, atol=0.0)
 
 
 def test_tilted_diag_at_origin_is_inverse_weight():

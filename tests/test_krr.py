@@ -43,8 +43,7 @@ def _repeated_ts(k, times):
     base = _ts(k)
     reps = np.repeat(np.arange(k), times)
     return TrainingSet(paths=base.paths[reps], payoff_values=base.payoff_values[reps],
-                       weights=base.weights[reps], payoff_id=base.payoff_id,
-                       gamma=base.gamma, n_payoff_evals=k * times)
+                       weights=base.weights[reps], payoff_id=base.payoff_id)
 
 
 def test_three_point_system_solved_by_hand():

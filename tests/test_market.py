@@ -234,22 +234,44 @@ def test_ground_truth_validation():
         value_quadrature(CFG, "european_put", (), 3)
 
 
+def test_payoff_oracle_counts_the_paths_it_prices():
+    f = payoff_function(CFG, "asian_call")
+    assert (f.cfg, f.payoff_id, f.evals) == (CFG, "asian_call", 0)
+    x = np.random.default_rng(4).standard_normal((9, 1, 2))
+    assert f(x).tobytes() == payoff(CFG, "asian_call", x).tobytes()
+    assert f.evals == 9  # the rows of a batch
+    assert f(x[0, 0]) == payoff(CFG, "asian_call", x[0, 0])
+    assert f.evals == 10  # one single path
+    f(x[:3, 0])  # (N, T) batches count their rows too
+    assert f.evals == 13
+    # the ground truth prices through `payoff`, outside every oracle
+    gt = GroundTruth(CFG, "asian_call")
+    gt.v_series(x)
+    assert f.evals == 13
+    with pytest.raises(InputError):
+        f(np.zeros((2, 3)))
+    assert f.evals == 13  # a refused batch prices nothing
+
+
 def test_nested_mc_budget_and_shapes():
-    est = nested_mc_estimate(CFG, "european_put", n_outer=50, n_inner=7, seed=3)
+    f = payoff_function(CFG, "european_put")
+    est = nested_mc_estimate(f, n_outer=50, n_inner=7, seed=3)
     assert isinstance(est, NestedMC)
-    assert est.n_payoff_evals == 350
+    assert f.evals == 350
     assert est.outer_x1.shape == (50,)
     assert est.v1_hat.shape == (50,)
     # grand mean equals the mean of inner means at equal inner counts
     assert est.v0_hat == pytest.approx(est.v1_hat.mean(), rel=1e-12)
     with pytest.raises(InputError):
-        nested_mc_estimate(CFG, "european_put", 0, 5)
+        nested_mc_estimate(f, 0, 5)
+    assert f.evals == 350
 
 
 def test_nested_mc_is_unbiased():
     v0 = value_quadrature(CFG, "european_put", (), 0)
-    reps = [nested_mc_estimate(CFG, "european_put", 200, 10, seed=r,
-                               stream=("bias", r)).v0_hat for r in range(40)]
+    f = payoff_function(CFG, "european_put")
+    reps = [nested_mc_estimate(f, 200, 10, seed=r, stream=("bias", r)).v0_hat
+            for r in range(40)]
     reps = np.asarray(reps)
     se = reps.std() / math.sqrt(reps.size)
     assert abs(reps.mean() - v0) < 3 * se

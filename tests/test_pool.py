@@ -1,5 +1,6 @@
 """The worker pool: order, nesting, failures and thread lifetime."""
 
+import os
 import sys
 import threading
 import time
@@ -43,7 +44,7 @@ def test_maps_inside_items_run_inline_and_inherit_inline_counts():
         with pool.using(5):
             assert pool.workers() == 5
         assert pool.pool_map(lambda _: pool.workers(), [0]) == [2]
-    assert pool.workers() == pool.usable_cores()
+    assert pool.workers() == pool.usable_cores() == len(os.sched_getaffinity(0))
 
 
 def test_lowest_index_failure_propagates_and_no_thread_survives():

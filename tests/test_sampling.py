@@ -126,8 +126,6 @@ def test_build_training_set_counts_and_weights():
     m = MeasureSpec(gamma=0.45, d=1, T=2, seed=0)
     ts = build_training_set(m, _payoff, 50, payoff_id="abs", stream=("t",))
     assert ts.n == 50 and ts.d == 1 and ts.T == 2
-    assert ts.n_payoff_evals == 50
-    assert ts.gamma == 0.45
     assert np.allclose(ts.weights, rn_weight(m, ts.paths))
     assert np.allclose(ts.payoff_values, _payoff(ts.paths))
     with pytest.raises(InputError):
@@ -178,7 +176,7 @@ def test_csv_text_equals_cell_by_cell_rendering(d, T):
     values = np.array(ts.payoff_values)
     values[2] = -0.0
     odd = TrainingSet(paths=paths, payoff_values=values, weights=np.array(ts.weights),
-                      payoff_id="", gamma=0.3, n_payoff_evals=25)
+                      payoff_id="")
     for s in (ts, odd):
         assert training_set_to_csv(s) == csv_writer_training_set(s)
     assert "\n0,-0.0," in training_set_to_csv(odd)

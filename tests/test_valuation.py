@@ -223,13 +223,15 @@ def test_payoff_errors_fields_and_zero_norm():
 
 def test_payoff_l2_error_reproducible():
     est = _fit(n=200)
-    a = payoff_l2_error(est, CFG, "european_put", 300, seed=9)
-    b = payoff_l2_error(est, CFG, "european_put", 300, seed=9)
-    c = payoff_l2_error(est, CFG, "european_put", 300, seed=10)
+    f = payoff_function(CFG, "european_put")
+    a = payoff_l2_error(est, f, 300, seed=9)
+    b = payoff_l2_error(est, f, 300, seed=9)
+    c = payoff_l2_error(est, f, 300, seed=10)
     assert a == b
     assert a != c
+    assert f.evals == 900
     with pytest.raises(InputError):
-        payoff_l2_error(est, CFG, "european_put", 0)
+        payoff_l2_error(est, f, 0)
 
 
 def test_value_process_error_converges_with_n():
@@ -279,9 +281,12 @@ def test_doob_inequality_on_fitted_model():
     gt = GroundTruth(CFG, "asian_put")
     est = _fit(n=600, payoff_id="asian_put")
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=44), 1500)
-    out = doob_check(est, gt, X, cfg=CFG, payoff_id="asian_put")
+    out = doob_check(est, gt, X)
     assert out["holds_3se"], out
     assert out["lhs"] <= out["rhs"] + 3 * out["se"]
+    # the payoff side is the ground truth's last column: the oracle's bits
+    gap = payoff_errors(est, X, payoff_function(CFG, "asian_put")(X))
+    assert out["rhs"] == gap["abs"]
 
 
 def test_trajectory_csv_layout():
@@ -298,30 +303,29 @@ def test_trajectory_csv_layout():
 def test_repeat_experiment_budget_and_shape():
     gt = GroundTruth(CFG, "european_put")
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=61), 200)
+    f = payoff_function(CFG, "european_put")
     rep, fits = repeat_experiment(
-        CFG, "european_put", SPEC, 1e-5, MEASURE, n_train=80, test_paths=X,
+        f, SPEC, 1e-5, MEASURE, n_train=80, test_paths=X,
         gt=gt, n_repeats=3, n_val=40, master_seed=7)
     assert rep.estimator == "kernel"
+    assert rep.payoff_id == "european_put"
     assert rep.times == (0, 1, 2)
-    assert rep.n_payoff_evals == 3 * (80 + 40)
+    assert f.evals == 3 * (80 + 40)  # the ground truth is not counted
     assert len(fits) == 3
     assert not math.isnan(rep.l2_rel)
     # distinct repeats draw distinct training data
     assert not np.array_equal(fits[0].paths, fits[1].paths)
     with pytest.raises(InputError):
-        repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE, 80, X, gt,
-                          n_repeats=0)
+        repeat_experiment(f, SPEC, 1e-5, MEASURE, 80, X, gt, n_repeats=0)
 
 
 def test_repeat_experiment_is_deterministic_in_master_seed():
     gt = GroundTruth(CFG, "european_put")
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=61), 100)
     kw = dict(n_train=60, test_paths=X, gt=gt, n_repeats=2, n_val=30)
-    a, _ = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
-                             master_seed=5, **kw)
-    b, _ = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
-                             master_seed=5, **kw)
-    c, _ = repeat_experiment(CFG, "european_put", SPEC, 1e-5, MEASURE,
-                             master_seed=6, **kw)
+    f = payoff_function(CFG, "european_put")
+    a, _ = repeat_experiment(f, SPEC, 1e-5, MEASURE, master_seed=5, **kw)
+    b, _ = repeat_experiment(f, SPEC, 1e-5, MEASURE, master_seed=5, **kw)
+    c, _ = repeat_experiment(f, SPEC, 1e-5, MEASURE, master_seed=6, **kw)
     assert np.array_equal(a.mean_pct, b.mean_pct)
     assert not np.array_equal(a.mean_pct, c.mean_pct)
