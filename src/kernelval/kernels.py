@@ -77,11 +77,10 @@ __all__ = [
 EXP_GUARD = 700.0
 
 # Rows per block of a kernel-times-vector product: memory O(BLOCK x columns).
-# At n = 2000 columns a block's exponent is 4 MB and stays in cache, where a
-# single BLAS thread is fastest.  The block boundaries fix the bits: another
-# block size can move a row's last bit (128 against 256 rows does).  Every
-# blocked evaluator reads it at call time.
-BLOCK = 256
+# A block's exponent is 1 MB at n = 2000 columns and 2 MB at n = 4000, within
+# a 2 MB per-core L2.  The bits depend on the block size only through BLAS:
+# see conditional_gram_dot.  Every blocked evaluator reads it at call time.
+BLOCK = 64
 
 _POLY_BETA_CAP = 4
 _POLY_DIM_CAP = 8
@@ -543,6 +542,15 @@ def conditional_gram_dot(spec, prefixes, Y, t, coef):
     guard's max, one ``exp`` and one matrix-vector product.  The overflow
     guards are the same as :func:`conditional_gram`'s.  Other kernel
     families multiply each block of the conditional Gram by ``coef``.
+
+    A row's bits do not depend on the block size when ``Y`` has a multiple
+    of 8 rows and every block but the last has a multiple of 8 rows (as
+    measured with OpenBLAS 0.3.31): the matrix-vector product then gives each
+    row the same bits, and so does the exponent's matrix product.  For other
+    column counts the exponent product's rounding depends on the block's row
+    count, and a row can move in its last bits (about 1e-15 relative, up to
+    1e-12 where the sum cancels).  A last block of one row goes through a
+    vector product and may move too.
     """
     Y = as_paths(Y, spec.d, spec.T)
     pre = _prefixes(spec, prefixes, t)

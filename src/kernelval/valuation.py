@@ -161,11 +161,19 @@ def martingale_gap(est, n=100_000, seed=0, stream=("martingale",)):
     """Tower check at the root: MC mean of Vhat_1 against the exact Vhat_0.
 
     Returns (v0, mc_mean, se); a correct conditional-expectation stack keeps
-    |v0 - mc_mean| within a few se.
+    |v0 - mc_mean| within a few se.  The ``n`` values of Vhat_1 are split
+    over the :mod:`kernelval.pool` as in :func:`value_series_many`, so the
+    bits do not depend on the worker count.
     """
     rng = derive_rng(seed, *stream)
     v0 = value_at_zero(est)
-    vals = _values_at(est, rng.standard_normal((n, est.kernel.d, 1)), 1)
+    x1 = rng.standard_normal((n, est.kernel.d, 1))
+    vals = np.empty(n)
+
+    def chunk(s):
+        vals[s] = _values_at(est, x1[s], 1)
+
+    pool.pool_map(chunk, pool.block_chunks(n))
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
     return v0, float(np.mean(vals)), se
 

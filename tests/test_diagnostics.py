@@ -136,14 +136,15 @@ def test_quadratic_forms_hold_one_block_not_the_gram():
     P, Q = rng.standard_normal((2, n, 1, 2))
     wp, wq = rng.uniform(0.5, 2.0, (2, n))
     c, v = rng.standard_normal((2, n))
-    # an n x n Gram with its exponent temporary (144 MB) is 23 blocks of BLOCK rows
+    # an n x n Gram with its exponent temporary is 144 MB; two BLOCK-row blocks
+    # are 3 MB
     limit = 2 * BLOCK * n * 8
     assert peak_bytes(_quad_form, SPEC, P, wp, c) < limit
     assert peak_bytes(_cross_form, SPEC, P, wp, c, Q, wq, v) < limit
     assert peak_bytes(_offdiag_form, SPEC, P, wp, c) < limit
 
 
-@pytest.mark.parametrize("block", [7, BLOCK])
+@pytest.mark.parametrize("block", [7, BLOCK, 256])
 def test_offdiag_form_matches_the_gram_oracle(block, monkeypatch):
     # the mse check's J~* sum on its own residuals, where the diagonal is a
     # large part of the quadratic form, and on random coefficients

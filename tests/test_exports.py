@@ -1,5 +1,6 @@
-"""Every name a kernelval module exports resolves, and the private names
-modules take from each other are the listed ones."""
+"""Every name a kernelval module exports resolves, every name the benchmark's
+tracer wraps resolves, and the private names modules take from each other are
+the listed ones."""
 
 import ast
 import importlib
@@ -19,6 +20,28 @@ def test_exported_names_resolve(module):
     mod = importlib.import_module(module)
     assert mod.__all__
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def _traced_targets():
+    """``TARGETS`` of ``perfbench/tracing.py``, read from its source."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+TRACED = _traced_targets()
+
+
+@pytest.mark.parametrize("span", sorted(TRACED))
+def test_traced_names_resolve(span):
+    # module, then attribute, then the method of a "Class.method" attribute
+    module, attr = TRACED[span]
+    obj = importlib.import_module(module)
+    for name in attr.split("."):
+        obj = getattr(obj, name)
+    assert callable(obj)
 
 
 # Private names one kernelval module takes from another, as (user, owner,

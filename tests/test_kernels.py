@@ -260,6 +260,37 @@ def test_conditional_gram_dot_matches_unfused_product():
                            rtol=1e-12, atol=0.0)
 
 
+def _dot_by_block_size(monkeypatch, n_train, t):
+    """conditional_gram_dot on 5,003 paths at blocks of 8, 64 and 256 rows."""
+    spec = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2)
+    Y = draw_paths(MeasureSpec(gamma=0.45, d=1, T=2, seed=2), n_train)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=12), 5003)
+    coef = np.random.default_rng(2).uniform(size=n_train)
+    got = {}
+    for block in (8, 64, 256):
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        got[block] = conditional_gram_dot(spec, X[:, :, :t], Y, t, coef)
+    return got
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_conditional_gram_dot_bits_do_not_depend_on_the_block_size(t, monkeypatch):
+    # n_train a multiple of 8, as at every study size: BLAS gives each row
+    # the same bits for any block of a multiple of 8 rows
+    got = _dot_by_block_size(monkeypatch, 2000, t)
+    assert np.array_equal(got[8], got[256])
+    assert np.array_equal(got[64], got[256])
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_conditional_gram_dot_block_size_moves_last_bits_only(t, monkeypatch):
+    # n_train not a multiple of 8: the exponent product's rounding follows
+    # the block's row count
+    got = _dot_by_block_size(monkeypatch, 1500, t)
+    for block in (8, 64):
+        assert np.allclose(got[block], got[256], rtol=1e-12, atol=0.0), block
+
+
 def test_conditional_gram_dot_when_the_folded_exponent_passes_the_guard():
     # with |x|^2 factored out, the exponent would be (a+b)|x|^2 = 726.7 at
     # x = y = 13; the kernel exponent itself is b|x|^2 = 50.7

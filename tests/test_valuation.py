@@ -93,9 +93,10 @@ def _series_estimator(kind):
 
 @pytest.mark.parametrize("kind", ["dual-unsorted", "dual-sorted", "gauss-poly",
                                   "primal"])
-@pytest.mark.parametrize("n", [3 * BLOCK + 5, BLOCK - 3])
+@pytest.mark.parametrize("n", [773, 253, BLOCK - 3])
 def test_series_is_bitwise_equal_at_any_worker_count(kind, n, monkeypatch):
-    # chunks start on block boundaries, so each block holds the same rows
+    # chunks start on block boundaries, so each block holds the same rows;
+    # 773 and 253 rows are many blocks with a short last one, BLOCK - 3 is one
     est = _series_estimator(kind)
     X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=16), n)
     starts = []
@@ -108,7 +109,7 @@ def test_series_is_bitwise_equal_at_any_worker_count(kind, n, monkeypatch):
             series[workers] = value_series_many(est, X)
     assert np.array_equal(series[1], series[2])
     assert np.array_equal(series[1], series[3])
-    # 1 + 2 helper threads for the four blocks; none for a single block
+    # 1 + 2 helper threads for several blocks; none for a single block
     assert len(starts) == (3 if n > BLOCK else 0)
 
 
@@ -121,14 +122,14 @@ def test_overflow_in_a_later_chunk_propagates_and_no_thread_survives():
     est = Estimator(mode="dual-unsorted", kernel=spec, lam=0.0, n_train=3,
                     paths=Y, eval_coef=np.ones(3))
     X = np.zeros((3 * BLOCK + 5, 1, 2))
-    X[2 * BLOCK + 100, 0, 0] = 80.0  # second of two chunks: rows 512 on
+    X[2 * BLOCK + BLOCK // 2, 0, 0] = 80.0  # second of two chunks: rows 2 * BLOCK on
     before = threading.active_count()
     with pool.using(2):
         with pytest.raises(OverflowError, match="838"):
             value_series_many(est, X)
         assert threading.active_count() == before
         # both chunks fail: the first chunk's exception is raised
-        X[100, 0, 0] = 70.0
+        X[BLOCK // 2, 0, 0] = 70.0
         with pytest.raises(OverflowError, match="810"):
             value_series_many(est, X)
     assert threading.active_count() == before
@@ -207,6 +208,16 @@ def test_martingale_gap_within_se():
     v0, mc, se = martingale_gap(est, n=200_000, seed=4)
     assert se > 0
     assert abs(v0 - mc) < 3 * se
+
+
+@pytest.mark.parametrize("kind", ["dual-unsorted", "primal"])
+def test_martingale_gap_is_bitwise_equal_at_any_worker_count(kind):
+    est = _series_estimator(kind)
+    gaps = []
+    for workers in (1, 2, 3):
+        with pool.using(workers):
+            gaps.append(martingale_gap(est, n=3 * BLOCK + 5, seed=6))
+    assert gaps[0] == gaps[1] == gaps[2]
 
 
 def test_payoff_errors_fields_and_zero_norm():
