@@ -33,7 +33,7 @@ def main():
     reference = reference_estimator(SAMPLER, f, SPEC, LAM, N, 2000,
                                     payoff_id="european_put", seed=5)
     probe = reference_probe(f, SAMPLER, reference, seed=5)
-    mse = mse_bound_check(f, N, REPEATS, SAMPLER, probe, seed=5, n_jstar=800)
+    mse = mse_bound_check(f, N, REPEATS, SAMPLER, probe, seed=5)
     print(f"mean-squared-error bound   n={N}, {REPEATS} refits")
     print(f"  observed rms H-error  {mse.empirical_rms_h:.4f} "
           f"(se {mse.empirical_se:.4f})")

@@ -32,8 +32,7 @@ from .market import (BSConfig, PAYOFF_IDS, GroundTruth, nested_mc_estimate,
                      payoff_function)
 from .sampling import (MeasureSpec, MixtureSampler, build_training_set,
                        draw_paths, training_set_to_csv)
-from .valuation import (ErrorReport, error_reports_to_csv, repeat_experiment,
-                        trajectory_csv)
+from .valuation import ErrorReport, repeat_experiment
 
 __all__ = [
     "ExperimentConfig",
@@ -295,10 +294,7 @@ class GridResult:
         return [(l, e) for a, b, l, e in self.surface if a == alpha and b == beta]
 
     def surface_csv(self):
-        lines = ["alpha,beta,lambda,rel_l2_error"]
-        for a, b, l, e in self.surface:
-            lines.append(f"{a!r},{b!r},{l!r},{e!r}")
-        return "\n".join(lines) + "\n"
+        return _csv(("alpha", "beta", "lambda", "rel_l2_error"), self.surface)
 
 
 def _training_set(config, f, stage):
@@ -476,16 +472,14 @@ def _figures_stage(config, f, grid, gt, test_paths):
     ``lambda_interior`` says whether the lambda sweep at the searched
     (alpha*, beta*) has an interior minimum.
     """
-    fig1 = ["alpha,beta,rel_l2_error"] + [
-        f"{a!r},{b!r},{e!r}" for a, b, l, e in grid.surface if l == grid.lam]
     sweep = grid.lambda_slice(grid.alpha, grid.beta)
-    fig2 = ["lambda,rel_l2_error"] + [f"{l!r},{e!r}" for l, e in sweep]
     errs = [e for _, e in sweep]
     _, est = _star_estimator(grid)
     return {
-        "fig1": "\n".join(fig1) + "\n",
-        "fig2": "\n".join(fig2) + "\n",
-        "fig3": trajectory_csv(est, gt, test_paths),
+        "fig1": _csv(("alpha", "beta", "rel_l2_error"),
+                     [(a, b, e) for a, b, l, e in grid.surface if l == grid.lam]),
+        "fig2": _csv(("lambda", "rel_l2_error"), sweep),
+        "fig3": _trajectory_csv(est, gt, test_paths),
         "lambda_interior": 0 < int(np.argmin(errs)) < len(errs) - 1,
     }
 
@@ -556,6 +550,33 @@ def _bound_suite(config):
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
+
+
+def _csv(header, rows):
+    """CSV text: the ``header`` line, then one line per row.  Cells are
+    written with ``str``, which gives a float's ``repr``; no cell here holds
+    a comma, quote or newline, so none is quoted."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _series_csv(header, series):
+    """``header``, then a row ``i, t, series[i, t]`` per path i and time t."""
+    return _csv(header, [(i, t, v) for i, row in enumerate(series.tolist())
+                         for t, v in enumerate(row)])
+
+
+def _error_reports_csv(reports):
+    """Rows `payoff, estimator, t, mean_pct, std_pct`, one per (report, t)."""
+    return _csv(("payoff", "estimator", "t", "mean_pct", "std_pct"), [
+        (rep.payoff_id, rep.estimator, *row) for rep in reports
+        for row in zip(rep.times, rep.mean_pct.tolist(), rep.std_pct.tolist())])
+
+
+def _trajectory_csv(est, gt, test_paths):
+    """Per-path relative value gaps: rows `trajectory_id, t, (V_t - Vhat_t)/V0`."""
+    truth = gt.v_series(test_paths)
+    rel = (truth - valuation.value_series_many(est, test_paths)) / truth[0, 0]
+    return _series_csv(("trajectory_id", "t", "rel_gap"), rel)
 
 
 def _git_commit():
@@ -657,11 +678,7 @@ def _cmd_value(config, config_path):
         ts = _training_set(config, f, "fit")
         est = krr.load_estimator(est_path, ts)
         series = valuation.value_series_many(est, test_paths)
-        lines = ["path_id,t,value"]
-        for i in range(series.shape[0]):
-            for t in range(series.shape[1]):
-                lines.append(f"{i},{t},{float(series[i, t])!r}")
-        files[f"value_{payoff_id}.csv"] = "\n".join(lines) + "\n"
+        files[f"value_{payoff_id}.csv"] = _series_csv(("path_id", "t", "value"), series)
         evals[payoff_id] = f.evals
         print(f"value {payoff_id}: V0 = {float(series[0, 0])!r} "
               f"({series.shape[0]} paths x {series.shape[1]} times)")
@@ -729,7 +746,7 @@ def _cmd_table2(config, config_path):
         nmeans = ", ".join(f"{v:.3f}" for v in nested.mean_pct)
         print(f"table2 {payoff_id}: stars=({grid.alpha}, {grid.beta}, "
               f"{grid.lam}) kernel%=({means}) nested%=({nmeans})")
-    files["table2.csv"] = error_reports_to_csv(reports)
+    files["table2.csv"] = _error_reports_csv(reports)
     _write_outputs(config, "table2", config_path, files, evals,
                    extra=_optimal(results))
     return 0
@@ -768,7 +785,7 @@ def _cmd_nested_mc(config, config_path):
         stds = ", ".join(f"{v:.2f}" for v in rep.std_pct)
         print(f"nested-mc {payoff_id}: mean%=({means}) std%=({stds})")
     _write_outputs(config, "nested-mc", config_path,
-                   {"nested.csv": error_reports_to_csv(reports)}, evals)
+                   {"nested.csv": _error_reports_csv(reports)}, evals)
     return 0
 
 

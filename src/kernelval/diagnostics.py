@@ -83,10 +83,7 @@ class BoundReport:
     notes: tuple = ()
 
     def to_json(self):
-        doc = asdict(self)
-        doc["exceedance"] = [list(map(float, row)) for row in self.exceedance]
-        doc["notes"] = list(self.notes)
-        return json.dumps(_finite_or_none(doc), indent=2, sort_keys=True)
+        return json.dumps(_finite_or_none(asdict(self)), indent=2, sort_keys=True)
 
 
 def _finite_or_none(obj):
@@ -107,6 +104,9 @@ REFERENCE_FACTOR = 4
 # prediction gaps to the reference.
 PROBE_PATHS = 100_000
 L2_PROBE_PATHS = 5000
+# The first JSTAR_PATHS probe paths carry the mse check's U-statistic of
+# ||J~* r||^2: about 9M kernel evaluations.
+JSTAR_PATHS = 3000
 
 # Nodes per step of the CLT experiment's trapezoid rule on [-8, 8].
 CLT_NODES = 1025
@@ -214,17 +214,13 @@ def reference_probe(f, sampler, reference, seed=0):
     Holds ``reference``, the probe ``paths``, the tilted residual
     ``resid = f~ - f~_ref`` and the reference kernel's squared tilted diagonal
     ``kap_sq`` on them, and the ``l2_paths`` with the reference's predictions
-    ``l2_ref = f~_ref``.  The large prediction runs on the :mod:`kernelval.pool`,
-    each worker on whole :data:`kernels.BLOCK`-row blocks, so the bits are
-    those of one :func:`krr.predict` call whatever the worker count.
+    ``l2_ref = f~_ref``.  The large prediction runs on the :mod:`kernelval.pool`
+    (:func:`pool.fill_rows`), so the bits are those of one :func:`krr.predict`
+    call whatever the worker count.
     """
     probe = draw_paths(sampler, PROBE_PATHS, stream=("msebound", "probe"), seed=seed)
-    pred = np.empty(len(probe))
-
-    def chunk(s):
-        pred[s] = predict(reference, probe[s])
-
-    pool.pool_map(chunk, pool.block_chunks(len(probe)))
+    pred = pool.fill_rows(np.empty(len(probe)),
+                          lambda s: predict(reference, probe[s]))
     w = sampler.weight(probe)
     l2_paths = draw_paths(sampler, L2_PROBE_PATHS, stream=("msebound", "l2probe"),
                           seed=seed)
@@ -238,7 +234,7 @@ def reference_probe(f, sampler, reference, seed=0):
     )
 
 
-def mse_bound_check(f, n, n_repeats, sampler, probe, seed=0, n_jstar=3000):
+def mse_bound_check(f, n, n_repeats, sampler, probe, seed=0):
     """Root-mean-squared sample error against its 1/(lambda sqrt(n)) bound.
 
     The bound's numerator ``||(f - f_ref) kappa~||^2 - ||J~*(f - f_ref)||^2``
@@ -259,9 +255,9 @@ def mse_bound_check(f, n, n_repeats, sampler, probe, seed=0, n_jstar=3000):
     kinf = float(np.sqrt(np.max(kap_sq)))
 
     # ||J~* r||^2 = E[r(Z) r(Z') k~(Z, Z')] over independent Z, Z'
-    sub = probe.paths[:n_jstar]
-    total = _offdiag_form(spec, sub, sampler.weight(sub), resid[:n_jstar])
-    jstar_sq = max(total / (n_jstar * (n_jstar - 1)), 0.0)
+    sub = probe.paths[:JSTAR_PATHS]
+    total = _offdiag_form(spec, sub, sampler.weight(sub), resid[:JSTAR_PATHS])
+    jstar_sq = max(total / (JSTAR_PATHS * (JSTAR_PATHS - 1)), 0.0)
 
     bound = math.sqrt(max(num_l2 - jstar_sq, 0.0) / n) / lam
     bound_dropped = math.sqrt(num_l2 / n) / lam
@@ -313,7 +309,7 @@ def mse_bound_check(f, n, n_repeats, sampler, probe, seed=0, n_jstar=3000):
     )
 
 
-def concentration_check(f, n, n_repeats, sampler, probe, seed=0, tau_grid=None):
+def concentration_check(f, n, n_repeats, sampler, probe, seed=0):
     """Tail frequency of the sample error against 2 exp(-tau^2 n / (2 C2)).
 
     Applicable when the tilted kernel diagonal is bounded (beta <= gamma for
@@ -352,9 +348,8 @@ def concentration_check(f, n, n_repeats, sampler, probe, seed=0, tau_grid=None):
         gap = math.sqrt(float(np.mean(
             (_tilde_predict(est, sampler, probe.l2_paths) - probe.l2_ref) ** 2)))
         proxies[r] = gap / kinf
-    if tau_grid is None:
-        tau_grid = [float(np.quantile(proxies, q)) for q in (0.5, 0.75, 0.9)]
-        tau_grid.append(2.0 * float(np.max(proxies)))
+    tau_grid = [float(np.quantile(proxies, q)) for q in (0.5, 0.75, 0.9)]
+    tau_grid.append(2.0 * float(np.max(proxies)))
     rows, violated = [], False
     for tau in tau_grid:
         emp = float(np.mean(proxies >= tau))
@@ -491,8 +486,6 @@ class NormalityReport:
     def to_json(self):
         doc = asdict(self)
         doc["statistics"] = [float(v) for v in self.statistics]
-        doc["probe"] = list(self.probe)
-        doc["notes"] = list(self.notes)
         doc["mean_within_3se"] = bool(self.mean_within_3se)
         doc["normality_accepted_1pct"] = bool(self.normality_accepted_1pct)
         return json.dumps(_finite_or_none(doc), indent=2, sort_keys=True)

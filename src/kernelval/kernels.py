@@ -492,8 +492,8 @@ def cond_expect(spec, prefix, y, t):
     y = as_path(y, spec.d, spec.T)
     if not 0 <= t <= spec.T:
         raise InputError(f"t must lie in [0, {spec.T}], got {t}")
-    pre = np.asarray(prefix, dtype=float).reshape(spec.d, t) if t else np.zeros((spec.d, 0))
-    return float(_conditional_gram(spec, pre[None], y[None], t)[0, 0])
+    pre = np.asarray(prefix, dtype=float).reshape(1, spec.d, t)
+    return float(conditional_gram(spec, pre, y[None], t)[0, 0])
 
 
 def _prefixes(spec, prefixes, t):

@@ -298,34 +298,26 @@ class GroundTruth:
 
     def v1(self, x1):
         """Conditional values after the first increment; vectorized."""
-        if self.cfg.T < 1:
-            raise InputError("v1 needs at least one step")
         arr = np.atleast_1d(np.asarray(x1, dtype=float))
-        out = np.empty(arr.shape[0])
+        key_arr = arr + 0.0  # -0.0 and 0.0 share one cache entry and stream
+        keys = key_arr.tolist()
+        missing = [i for i, key in enumerate(keys) if key not in self._v1_cache]
         if self.method == "quadrature" and self.cfg.T == 2:
-            missing = [i for i, v in enumerate(arr) if float(v) not in self._v1_cache]
-            if missing:
-                vals = _quad_one_step(self.cfg, self.payoff_id, arr[missing][:, None])
-                for i, v in zip(missing, vals):
-                    self._v1_cache[float(arr[i])] = float(v)
-            for i, v in enumerate(arr):
-                out[i] = self._v1_cache[float(v)]
+            # one batch, duplicates included
+            vals = _quad_one_step(self.cfg, self.payoff_id, arr[missing][:, None])
+        elif self.method == "quadrature":
+            vals = [value_quadrature(self.cfg, self.payoff_id, [keys[i]], 1)
+                    for i in missing]
         else:
-            for i, v in enumerate(arr):
-                key = float(v) + 0.0  # -0.0 and 0.0 share one cache entry and stream
-                if key not in self._v1_cache:
-                    if self.method == "quadrature":
-                        val = value_quadrature(self.cfg, self.payoff_id, [key], 1)
-                    else:
-                        # the inner stream is keyed by the value's bits, not its
-                        # batch position, so a value does not depend on call order
-                        bits = int(np.float64(key).view(np.uint64))
-                        val = ground_truth_value(
-                            self.cfg, self.payoff_id, [key], 1, self.n_inner,
-                            seed=self.seed, stream=("gt", self.payoff_id, 1, bits),
-                        )
-                    self._v1_cache[key] = float(val)
-                out[i] = self._v1_cache[key]
+            # the inner stream is keyed by the value's bits, not its batch
+            # position, so a value does not depend on call order
+            bits = key_arr.view(np.uint64)
+            vals = [ground_truth_value(self.cfg, self.payoff_id, [keys[i]], 1,
+                                       self.n_inner, seed=self.seed,
+                                       stream=("gt", self.payoff_id, 1, int(bits[i])))
+                    for i in missing]
+        self._v1_cache.update((keys[i], float(v)) for i, v in zip(missing, vals))
+        out = np.array([self._v1_cache[key] for key in keys])
         return out if np.asarray(x1).ndim else float(out[0])
 
     def v_series(self, paths):

@@ -8,7 +8,8 @@ import threading
 
 from . import kernels
 
-__all__ = ["usable_cores", "workers", "using", "block_chunks", "pool_map"]
+__all__ = ["usable_cores", "workers", "using", "block_chunks", "pool_map",
+           "fill_rows"]
 
 # per thread: the count `using` set for the maps started on that thread
 _STATE = threading.local()
@@ -85,3 +86,13 @@ def pool_map(fn, items):
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def fill_rows(out, fn):
+    """Sets ``out[s] = fn(s)`` on the pool for each :func:`block_chunks`
+    slice ``s`` of ``out``'s rows, one per worker, and returns ``out``."""
+    def fill(s):
+        out[s] = fn(s)
+
+    pool_map(fill, block_chunks(len(out)))
+    return out

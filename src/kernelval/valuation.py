@@ -16,8 +16,6 @@ standard deviations over independent training samples.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -38,8 +36,6 @@ __all__ = [
     "repeat_experiment",
     "martingale_gap",
     "doob_check",
-    "error_reports_to_csv",
-    "trajectory_csv",
 ]
 
 
@@ -87,21 +83,12 @@ def _values_at(est, pre, t):
 
 
 def value_series_many(est, X):
-    """Vhat_t for a batch of paths; returns shape (N, T+1).
-
-    Each :mod:`kernelval.pool` worker fills one chunk of whole
-    :data:`kernels.BLOCK`-row blocks, so the bits do not depend on the
-    worker count.
-    """
+    """Vhat_t for a batch of paths; returns shape (N, T+1), filled on the
+    :mod:`kernelval.pool` (:func:`pool.fill_rows`)."""
     X = kernels.as_paths(X, est.kernel.d, est.kernel.T)
-    out = np.empty((len(X), est.kernel.T + 1))
-
-    def chunk(s):
-        for t in range(est.kernel.T + 1):
-            out[s, t] = _values_at(est, X[s, :, :t], t)
-
-    pool.pool_map(chunk, pool.block_chunks(len(X)))
-    return out
+    times = range(est.kernel.T + 1)
+    return pool.fill_rows(np.empty((len(X), len(times))), lambda s: np.stack(
+        [_values_at(est, X[s, :, :t], t) for t in times], axis=1))
 
 
 def value_at_zero(est):
@@ -162,18 +149,12 @@ def martingale_gap(est, n=100_000, seed=0, stream=("martingale",)):
 
     Returns (v0, mc_mean, se); a correct conditional-expectation stack keeps
     |v0 - mc_mean| within a few se.  The ``n`` values of Vhat_1 are split
-    over the :mod:`kernelval.pool` as in :func:`value_series_many`, so the
-    bits do not depend on the worker count.
+    over the :mod:`kernelval.pool` as in :func:`value_series_many`.
     """
     rng = derive_rng(seed, *stream)
     v0 = value_at_zero(est)
     x1 = rng.standard_normal((n, est.kernel.d, 1))
-    vals = np.empty(n)
-
-    def chunk(s):
-        vals[s] = _values_at(est, x1[s], 1)
-
-    pool.pool_map(chunk, pool.block_chunks(n))
+    vals = pool.fill_rows(np.empty(n), lambda s: _values_at(est, x1[s], 1))
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
     return v0, float(np.mean(vals)), se
 
@@ -223,9 +204,8 @@ def repeat_experiment(f, spec, lam, sampler, n_train, test_paths, gt,
                                 stream=("repeat", r, "train"), seed=master_seed)
         est = fit(ts, spec, lam, mode=mode)
         per_t.append(value_process_error(est, gt, test_paths))
-        if n_val > 0:
-            l2s.append(payoff_l2_error(est, f, n_val, seed=master_seed,
-                                       stream=("repeat", r, "validation")))
+        l2s.append(payoff_l2_error(est, f, n_val, seed=master_seed,
+                                   stream=("repeat", r, "validation")))
         fits.append(est)
     arr = 100.0 * np.asarray(per_t)
     report = ErrorReport(
@@ -234,38 +214,6 @@ def repeat_experiment(f, spec, lam, sampler, n_train, test_paths, gt,
         times=tuple(range(spec.T + 1)),
         mean_pct=arr.mean(axis=0),
         std_pct=arr.std(axis=0, ddof=1) if n_repeats > 1 else np.zeros(arr.shape[1]),
-        l2_rel=float(np.mean(l2s)) if l2s else float("nan"),
+        l2_rel=float(np.mean(l2s)),
     )
     return report, fits
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization
-# ---------------------------------------------------------------------------
-
-
-def error_reports_to_csv(reports):
-    """Rows `payoff, estimator, t, mean_pct, std_pct`, one per (report, t)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["payoff", "estimator", "t", "mean_pct", "std_pct"])
-    for rep in reports:
-        for i, t in enumerate(rep.times):
-            w.writerow([rep.payoff_id, rep.estimator, t,
-                        repr(float(rep.mean_pct[i])), repr(float(rep.std_pct[i]))])
-    return buf.getvalue()
-
-
-def trajectory_csv(est, gt, test_paths):
-    """Per-path relative value gaps: rows `trajectory_id, t, (V_t - Vhat_t)/V0`."""
-    X = kernels.as_paths(test_paths, est.kernel.d, est.kernel.T)
-    truth = gt.v_series(X)
-    approx = value_series_many(est, X)
-    rel = (truth - approx) / truth[0, 0]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["trajectory_id", "t", "rel_gap"])
-    for i in range(rel.shape[0]):
-        for t in range(rel.shape[1]):
-            w.writerow([i, t, repr(float(rel[i, t]))])
-    return buf.getvalue()

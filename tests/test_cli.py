@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, file outputs, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -13,8 +14,11 @@ import pytest
 from kernelval import cli, kernels, krr, pool, valuation
 from kernelval.cli import grid_search, load_config, main
 from kernelval.errors import InputError, SolverError
-from kernelval.market import payoff_function
-from kernelval.sampling import content_hash, draw_paths, training_set_to_csv
+from kernelval.kernels import GaussExpKernel
+from kernelval.market import BSConfig, GroundTruth, payoff_function
+from kernelval.sampling import (MeasureSpec, build_training_set, content_hash,
+                                draw_paths, training_set_to_csv)
+from kernelval.valuation import ErrorReport
 
 TINY = """
 [market]
@@ -431,6 +435,54 @@ def test_figures_row_counts(tiny_cfg, tmp_path, capsys):
         lam_rows = list(csv.reader(fh))
     assert len(lam_rows) == 1 + 2  # one row per lambda
     capsys.readouterr()
+
+
+def test_csv_writes_cells_with_str_and_floats_as_repr():
+    text = cli._csv(("name", "t", "value"),
+                    [("kernel", 0, 0.1), ("nested-mc", 1, float("inf")),
+                     ("kernel", 2, 1e-05)])
+    assert text == "name,t,value\nkernel,0,0.1\nnested-mc,1,inf\nkernel,2,1e-05\n"
+
+
+def test_error_report_csv():
+    rep = ErrorReport(
+        payoff_id="european_put",
+        estimator="kernel",
+        times=(0, 1, 2),
+        mean_pct=np.array([0.1, 0.2, 0.3]),
+        std_pct=np.array([0.01, 0.02, 0.03]),
+    )
+    rows = list(csv.reader(io.StringIO(cli._error_reports_csv([rep]))))
+    assert rows[0] == ["payoff", "estimator", "t", "mean_pct", "std_pct"]
+    assert len(rows) == 4
+    assert rows[1][:3] == ["european_put", "kernel", "0"]
+    assert float(rows[3][3]) == 0.3
+
+
+def test_error_reports_csv_stacks_estimators():
+    mk = lambda est_name, times: ErrorReport(
+        payoff_id="asian_put", estimator=est_name, times=times,
+        mean_pct=np.ones(len(times)), std_pct=np.zeros(len(times)))
+    text = cli._error_reports_csv([mk("kernel", (0, 1, 2)), mk("nested-mc", (0, 1))])
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) == 1 + 3 + 2
+    assert rows[4][1] == "nested-mc"
+
+
+def test_trajectory_csv_layout():
+    cfg = BSConfig()
+    gt = GroundTruth(cfg, "european_put")
+    ts = build_training_set(MeasureSpec(gamma=0.45, d=1, T=2, seed=100),
+                            payoff_function(cfg, "european_put"), 150,
+                            "european_put", stream=("vfit",))
+    est = krr.fit(ts, GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45),
+                  1e-5)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=2), 7)
+    rows = list(csv.reader(io.StringIO(cli._trajectory_csv(est, gt, X))))
+    assert rows[0] == ["trajectory_id", "t", "rel_gap"]
+    assert len(rows) == 1 + 7 * 3
+    assert rows[1][:2] == ["0", "0"]
+    assert rows[-1][:2] == ["6", "2"]
 
 
 def test_nested_mc_budget_in_manifest(tiny_cfg, tmp_path, capsys):

@@ -223,6 +223,21 @@ def test_mc_ground_truth_does_not_depend_on_batch_position():
     assert a.v1([0.1])[0] == b.v1([0.5, 0.1])[1]
 
 
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+def test_ground_truth_keys_a_signed_zero_as_zero(method):
+    # whichever zero arrives first, the cache holds one entry written "0.0"
+    def csv_after(*batches):
+        gt = GroundTruth(CFG, "european_put", method=method, n_inner=200)
+        for batch in batches:
+            gt.v1(np.array(batch))
+        return gt.to_csv()
+
+    text = csv_after([0.0, 0.5])
+    assert "\n1,0.0," in text and "-0.0" not in text
+    for batches in ([[-0.0, 0.5]], [[0.5, -0.0]], [[-0.0, 0.5], [0.0]]):
+        assert csv_after(*batches) == text, batches
+
+
 def test_ground_truth_validation():
     with pytest.raises(InputError):
         GroundTruth(CFG, "unknown_payoff")

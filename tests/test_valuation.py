@@ -1,7 +1,5 @@
 """Value-process evaluation: series, errors, martingale checks, repeats."""
 
-import csv
-import io
 import math
 import threading
 from pathlib import Path
@@ -18,11 +16,10 @@ from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
 from kernelval.krr import Estimator, fit, predict
 from kernelval.market import BSConfig, GroundTruth, payoff_function
 from kernelval.sampling import MeasureSpec, build_training_set, draw_paths
-from kernelval.valuation import (ErrorReport, doob_check, error_reports_to_csv,
-                                 martingale_gap, payoff_errors, payoff_l2_error,
-                                 repeat_experiment, trajectory_csv,
-                                 value_at_zero, value_process_error,
-                                 value_series_many)
+from kernelval.valuation import (ErrorReport, doob_check, martingale_gap,
+                                 payoff_errors, payoff_l2_error,
+                                 repeat_experiment, value_at_zero,
+                                 value_process_error, value_series_many)
 from support import (max_rel_gap, training_set_with_duplicates,
                      unfused_value_series)
 
@@ -257,35 +254,12 @@ def test_value_process_error_converges_with_n():
     assert errs[1600].sum() < errs[100].sum()
 
 
-def test_error_report_validation_and_csv():
-    rep = ErrorReport(
-        payoff_id="european_put",
-        estimator="kernel",
-        times=(0, 1, 2),
-        mean_pct=np.array([0.1, 0.2, 0.3]),
-        std_pct=np.array([0.01, 0.02, 0.03]),
-    )
-    text = error_reports_to_csv([rep])
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["payoff", "estimator", "t", "mean_pct", "std_pct"]
-    assert len(rows) == 4
-    assert rows[1][:3] == ["european_put", "kernel", "0"]
-    assert float(rows[3][3]) == 0.3
+def test_error_report_validation():
     with pytest.raises(DataError):
         ErrorReport(
             payoff_id="x", estimator="kernel", times=(0,),
             mean_pct=np.array([-0.1]), std_pct=np.array([0.0]),
         )
-
-
-def test_error_reports_csv_stacks_estimators():
-    mk = lambda est_name, times: ErrorReport(
-        payoff_id="asian_put", estimator=est_name, times=times,
-        mean_pct=np.ones(len(times)), std_pct=np.zeros(len(times)))
-    text = error_reports_to_csv([mk("kernel", (0, 1, 2)), mk("nested-mc", (0, 1))])
-    rows = list(csv.reader(io.StringIO(text)))
-    assert len(rows) == 1 + 3 + 2
-    assert rows[4][1] == "nested-mc"
 
 
 def test_doob_inequality_on_fitted_model():
@@ -298,17 +272,6 @@ def test_doob_inequality_on_fitted_model():
     # the payoff side is the ground truth's last column: the oracle's bits
     gap = payoff_errors(est, X, payoff_function(CFG, "asian_put")(X))
     assert out["rhs"] == gap["abs"]
-
-
-def test_trajectory_csv_layout():
-    gt = GroundTruth(CFG, "european_put")
-    est = _fit(n=150)
-    X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=2), 7)
-    rows = list(csv.reader(io.StringIO(trajectory_csv(est, gt, X))))
-    assert rows[0] == ["trajectory_id", "t", "rel_gap"]
-    assert len(rows) == 1 + 7 * 3
-    assert rows[1][:2] == ["0", "0"]
-    assert rows[-1][:2] == ["6", "2"]
 
 
 def test_repeat_experiment_budget_and_shape():
