@@ -34,7 +34,7 @@ from .kernels import FeatureMapKernel, GaussExpKernel
 from .krr import (Estimator, _check_fit_inputs, _primal_system, _solve_spd,
                   _unsorted_system, fit, predict)
 from .market import _normal_rule
-from .sampling import build_training_set, draw_paths
+from .sampling import MixtureSampler, build_training_set, draw_paths
 
 __all__ = [
     "BoundReport",
@@ -415,7 +415,7 @@ def feature_gram_exact(spec):
     return G
 
 
-def _clt_population(spec, payoff_fn, lam, phi_z, weight):
+def _clt_population(spec, payoff_fn, lam, phi_z, sampler):
     """``h_lambda`` and the exact asymptotic variance in direction ``phi_z``.
 
     ``h_lambda = (G + lambda)^-1 b`` with ``b = E_mu[f Phi]``; the variance
@@ -425,7 +425,9 @@ def _clt_population(spec, payoff_fn, lam, phi_z, weight):
     blocks of :data:`_CLT_ROWS` first-step rows.  The first pass accumulates
     ``b`` and keeps each node's payoff ``f`` and ``Phi u``, so the payoff is
     evaluated once per node; the second rebuilds each block's features for
-    ``g``.  Memory is two grid-length vectors plus one block's features.
+    ``g``, and a :class:`MixtureSampler` of ``spec`` takes its weight
+    ``w`` from them.  Memory is two grid-length vectors plus one block's
+    features.
     """
     if spec.d != 1 or spec.T != 2:
         raise InputError("payoff moments implemented for d = 1, T = 2")
@@ -442,13 +444,16 @@ def _clt_population(spec, payoff_fn, lam, phi_z, weight):
         phi_u[rows] = phi @ u
         b += wts @ (f[rows, None] * phi)
     h_pop = np.linalg.solve(M, b)
+    mixture = isinstance(sampler, MixtureSampler) and sampler.spec == spec
     m1 = m2 = 0.0
     for lo in starts:
         paths, wts = _grid_rows(lo, lo + _CLT_ROWS)
         rows = slice(lo * CLT_NODES, lo * CLT_NODES + len(wts))
-        g = (f[rows] - kernels.feature_matrix(spec, paths) @ h_pop) * phi_u[rows]
+        phi = kernels.feature_matrix(spec, paths)
+        g = (f[rows] - phi @ h_pop) * phi_u[rows]
+        w = sampler.feature_weight(phi) if mixture else sampler.weight(paths)
         m1 += float(wts @ g)
-        m2 += float(wts @ (g**2 / weight(paths)))
+        m2 += float(wts @ (g**2 / w))
     return h_pop, m2 - m1 * m1
 
 
@@ -546,7 +551,7 @@ def clt_experiment(spec, f, lam, n, n_repeats, sampler, probe_z, seed=0):
     wz = float(sampler.weight(z))
     # exact asymptotic variance <Q k~(., z), k~(., z)> by quadrature
     h_pop, var_theory = _clt_population(spec, f, lam, phi_z / math.sqrt(wz),
-                                        sampler.weight)
+                                        sampler)
     f_pop_z = float(phi_z @ h_pop) / math.sqrt(wz)
 
     stats = np.empty(n_repeats)

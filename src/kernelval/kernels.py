@@ -82,6 +82,10 @@ EXP_GUARD = 700.0
 # see conditional_gram_dot.  Every blocked evaluator reads it at call time.
 BLOCK = 64
 
+# Blocks per group in conditional_gram_dot: the exponent's row side and the
+# overflow bound are built once per group, a (GROUP * BLOCK, d t + 2) array.
+GROUP = 16
+
 _POLY_BETA_CAP = 4
 _POLY_DIM_CAP = 8
 
@@ -335,35 +339,76 @@ def _gauss_poly_expansion(d, T, b):
 # ---------------------------------------------------------------------------
 
 
+def _gauss_exp_rows(a, c, pre, t):
+    """Row side ``[c x, -a|x|^2, 1]`` of the fused exponent over the first
+    ``t`` steps, and the rows' squared norms ``|x|^2``."""
+    Xs = pre[:, :, :t].reshape(pre.shape[0], -1)
+    nx = np.einsum("ij,ij->i", Xs, Xs)
+    return np.column_stack([c * Xs, -a * nx, np.ones_like(nx)]), nx
+
+
 def _gauss_exp_columns(a, Y, t):
-    """Column side of the fused exponent over the first ``t`` steps.
+    """Column side ``[y, 1, -a|y|^2]`` of the fused exponent, and ``|y|^2``.
 
     The exponent ``c<x, y> - a|x|^2 - a|y|^2`` is one matrix product of
-    :func:`_gauss_exp_block`'s row side with these columns, the two norm
-    terms riding along as two extra columns.
+    :func:`_gauss_exp_rows` with these columns, the two norm terms riding
+    along as two extra columns.
     """
     Ys = Y[:, :, :t].reshape(Y.shape[0], -1)
     ny = np.einsum("ij,ij->i", Ys, Ys)
-    return np.column_stack([Ys, np.ones_like(ny), -a * ny])
+    return np.column_stack([Ys, np.ones_like(ny), -a * ny]), ny
 
 
-def _gauss_exp_block(a, c, pre, cols, t, log_tail=None):
-    """``exp(c<x, y> - a|x|^2 - a|y|^2)`` for a block of prefixes, (N, M).
+def _exponent_bound(a, c, k, nx, ny, log_tail=None):
+    """Upper bound on every computed entry of the fused exponent over ``k``
+    coordinates, rows of squared norms ``nx`` against columns ``ny``, with
+    and without its column's log tail; O(rows + columns).
 
-    ``c`` is ``2a + b`` for the Gaussian-exponentiated kernel and ``2a`` for
-    the Gaussian-polynomial kernel's Gaussian factor.  An entry later
+    ``c<x, y> - a|x|^2 - a|y|^2 = -a|x - y|^2 + (c - 2a)<x, y>`` is at most
+    ``(c - 2a)|x||y|``: 0 for the Gaussian-polynomial factor (``c = 2a``).
+    Rounding moves a computed entry, its sum with the log tail and this
+    bound by less than ``(2k + 8) eps`` times
+    ``c|x||y| + a|x|^2 + a|y|^2 + EXP_GUARD``, and that much is added.
+    """
+    if not (nx.size and ny.size):
+        return -math.inf
+    x2 = np.max(nx)
+    xy = np.sqrt(x2 * ny)
+    tol = (2 * k + 8) * np.finfo(float).eps
+    tail = 0.0 if log_tail is None else np.maximum(log_tail, 0.0)
+    return float(np.max((c - 2.0 * a) * xy + tail
+                        + tol * (c * xy + a * (x2 + ny) + EXP_GUARD)))
+
+
+def _gauss_exp_block(rows, cols, bound, log_tail=None):
+    """``exp(rows @ cols.T)``: one block of the fused exponent, guarded.
+
+    While ``bound`` (:func:`_exponent_bound` of the block's rows) stays below
+    :data:`EXP_GUARD` no entry can pass the guard and no check is made.
+    Otherwise the block's largest exponent is checked, and an entry later
     multiplied by ``exp(log_tail_j)`` has the guard cover that sum too: the
     block's largest exponent plus the largest log tail bounds every column's
     sum, and the exact per-column maximum is taken only when it passes.
     """
-    Xs = pre[:, :, :t].reshape(pre.shape[0], -1)
-    nx = np.einsum("ij,ij->i", Xs, Xs)
-    e = np.column_stack([c * Xs, -a * nx, np.ones_like(nx)]) @ cols.T
-    m = np.max(e) if e.size else 0.0
-    _check_exponent(m)
-    if log_tail is not None and e.size and m + np.max(log_tail) > EXP_GUARD:
-        _check_exponent(np.max(np.max(e, axis=0) + log_tail))
+    e = rows @ cols.T
+    if not bound < EXP_GUARD:  # so e is not empty
+        m = np.max(e)
+        _check_exponent(m)
+        if log_tail is not None and m + np.max(log_tail) > EXP_GUARD:
+            _check_exponent(np.max(np.max(e, axis=0) + log_tail))
     return np.exp(e, out=e)
+
+
+def _gauss_exp_gram(a, c, pre, Y, t, log_tail=None):
+    """``exp(c<x, y> - a|x|^2 - a|y|^2)`` for prefixes against paths, (N, M).
+
+    ``c`` is ``2a + b`` for the Gaussian-exponentiated kernel and ``2a`` for
+    the Gaussian-polynomial kernel's Gaussian factor.
+    """
+    rows, nx = _gauss_exp_rows(a, c, pre, t)
+    cols, ny = _gauss_exp_columns(a, Y, t)
+    bound = _exponent_bound(a, c, pre.shape[1] * t, nx, ny, log_tail)
+    return _gauss_exp_block(rows, cols, bound, log_tail)
 
 
 def _log_tail(spec, Y, t):
@@ -389,8 +434,7 @@ def _conditional_gram(spec, pre, Y, t):
     if isinstance(spec, GaussExpKernel):
         a = spec.alpha
         log_tail = _log_tail(spec, Y, t)
-        K = _gauss_exp_block(a, 2.0 * a + spec.beta, pre,
-                             _gauss_exp_columns(a, Y, t), t, log_tail)
+        K = _gauss_exp_gram(a, 2.0 * a + spec.beta, pre, Y, t, log_tail)
         K *= _guarded_exp(log_tail)[None, :]
         return K
 
@@ -409,7 +453,7 @@ def _conditional_gram(spec, pre, Y, t):
                 B[:, i] *= _gauss_poly_u(spec, f, s, Y[:, :, s])
         # the Gaussian factor over the revealed steps factors out of the feature sum
         a = spec.alpha
-        G = _gauss_exp_block(a, 2.0 * a, pre, _gauss_exp_columns(a, Y, t), t)
+        G = _gauss_exp_gram(a, 2.0 * a, pre, Y, t)
         return G * (A @ B.T)
 
     raise InputError(f"unknown kernel spec {type(spec).__name__}")
@@ -523,11 +567,13 @@ def conditional_gram(spec, prefixes, Y, t):
     return _conditional_gram(spec, _prefixes(spec, prefixes, t), Y, t)
 
 
-def _by_row_blocks(fn, X):
-    """``fn`` of each consecutive :data:`BLOCK`-row block of ``X``, as one (N,) vector."""
+def _by_row_blocks(fn, X, rows=None):
+    """``fn`` of each consecutive ``rows``-row block of ``X`` (default
+    :data:`BLOCK`), as one (N,) vector."""
+    rows = rows or BLOCK
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], BLOCK):
-        out[lo:lo + BLOCK] = fn(X[lo:lo + BLOCK])
+    for lo in range(0, X.shape[0], rows):
+        out[lo:lo + rows] = fn(X[lo:lo + rows])
     return out
 
 
@@ -538,10 +584,11 @@ def conditional_gram_dot(spec, prefixes, Y, t, coef):
     O(BLOCK x M) and no (N, M) matrix is built.  For the
     Gaussian-exponentiated kernel the column side of the exponent and the
     tail factor are computed once, the tail factor moves into the
-    coefficient vector, and each block costs one matrix product, the
-    guard's max, one ``exp`` and one matrix-vector product.  The overflow
-    guards are the same as :func:`conditional_gram`'s.  Other kernel
-    families multiply each block of the conditional Gram by ``coef``.
+    coefficient vector, the row side and the overflow bound once per
+    :data:`GROUP` blocks, and each block costs one matrix product, one
+    ``exp`` and one matrix-vector product.  The overflow guards are the
+    same as :func:`conditional_gram`'s.  Other kernel families multiply
+    each block of the conditional Gram by ``coef``.
 
     A row's bits do not depend on the block size when ``Y`` has a multiple
     of 8 rows and every block but the last has a multiple of 8 rows (as
@@ -556,10 +603,15 @@ def conditional_gram_dot(spec, prefixes, Y, t, coef):
     pre = _prefixes(spec, prefixes, t)
     if isinstance(spec, GaussExpKernel):
         a, c = spec.alpha, 2.0 * spec.alpha + spec.beta
-        cols, log_tail = _gauss_exp_columns(a, Y, t), _log_tail(spec, Y, t)
+        (cols, ny), log_tail = _gauss_exp_columns(a, Y, t), _log_tail(spec, Y, t)
         w = _guarded_exp(log_tail) * coef
-        return _by_row_blocks(
-            lambda rows: _gauss_exp_block(a, c, rows, cols, t, log_tail) @ w, pre)
+
+        def group(part):
+            rows, nx = _gauss_exp_rows(a, c, part, t)
+            bound = _exponent_bound(a, c, spec.d * t, nx, ny, log_tail)
+            return _by_row_blocks(
+                lambda r: _gauss_exp_block(r, cols, bound, log_tail) @ w, rows)
+        return _by_row_blocks(group, pre, GROUP * BLOCK)
     return _by_row_blocks(lambda rows: _conditional_gram(spec, rows, Y, t) @ coef, pre)
 
 

@@ -27,6 +27,7 @@ and the solve restores it from the other.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -124,8 +125,15 @@ def _mirror_lower(M):
         hi = min(lo + kernels.BLOCK, n)
         M[lo:hi, hi:] = M[hi:, lo:hi].T
         block = M[lo:hi, lo:hi]
-        upper = np.triu_indices(hi - lo, 1)
-        block[upper] = block.T[upper]
+        np.copyto(block, block.T, where=_strict_upper(hi - lo))
+
+
+@functools.cache
+def _strict_upper(n):
+    """Read-only mask of the strict upper triangle of an ``n x n`` block."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _abs_column_sums_max(M):

@@ -193,11 +193,15 @@ class MixtureSampler:
 
     def weight(self, paths):
         X = as_paths(paths, self.d, self.T)
-        phi = kernels.feature_matrix(self.spec, X)
-        out = np.einsum("nm,nm->n", phi, phi) / self.kappa_sq_norm
+        out = self.feature_weight(kernels.feature_matrix(self.spec, X))
         if np.asarray(paths).ndim <= 2 and X.shape[0] == 1:
             return float(out[0])
         return out
+
+    def feature_weight(self, phi):
+        """The weight at paths whose rows of ``feature_matrix(self.spec, .)``
+        are ``phi``, (N, m) -> (N,)."""
+        return np.einsum("nm,nm->n", phi, phi) / self.kappa_sq_norm
 
 
 # ---------------------------------------------------------------------------

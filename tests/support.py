@@ -238,7 +238,7 @@ def whole_grid_expectation(fn):
     return wts @ np.asarray(fn(paths))
 
 
-def three_pass_clt_population(spec, payoff_fn, lam, phi_z, weight):
+def three_pass_clt_population(spec, payoff_fn, lam, phi_z, sampler):
     """``h_lambda`` and the CLT's exact asymptotic variance, grid by grid.
 
     The original computation: ``b = E_mu[f Phi]`` integrated on the whole
@@ -258,7 +258,7 @@ def three_pass_clt_population(spec, payoff_fn, lam, phi_z, weight):
         return resid * (kernels.feature_matrix(spec, paths) @ u)
 
     m1 = float(whole_grid_expectation(g_vals))
-    m2 = float(whole_grid_expectation(lambda p: g_vals(p) ** 2 / weight(p)))
+    m2 = float(whole_grid_expectation(lambda p: g_vals(p) ** 2 / sampler.weight(p)))
     return h_pop, m2 - m1 * m1
 
 

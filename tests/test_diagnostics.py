@@ -25,7 +25,8 @@ from kernelval.market import BSConfig, payoff_function
 from kernelval.sampling import (MeasureSpec, MixtureSampler,
                                 build_training_set, draw_paths)
 from support import (gram_offdiag_form, peak_bytes, pow_feature_products,
-                     primal_fit_coef, three_pass_clt_population, two_fit_drifts)
+                     primal_fit_coef, three_pass_clt_population,
+                     training_set_with_duplicates, two_fit_drifts)
 
 CFG = BSConfig()
 SPEC = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
@@ -185,7 +186,7 @@ def _population(spec, payoff_fn, lam):
     z = np.array([[[0.3, -0.5]]])
     sampler = MeasureSpec(gamma=0.2, d=1, T=2, seed=0)
     phi_z = feature_matrix(spec, z)[0] / math.sqrt(sampler.weight(z)[0])
-    return _clt_population(spec, payoff_fn, lam, phi_z, sampler.weight)
+    return _clt_population(spec, payoff_fn, lam, phi_z, sampler)
 
 
 def test_clt_population_recovers_in_span_target():
@@ -394,8 +395,9 @@ class TestCltExperiment:
         assert math.isnan(rep.ad_statistic)
         assert not rep.normality_accepted_1pct
 
-    # the mixture sampler's weight evaluates the features once more
-    @pytest.mark.parametrize("mixture, weight_calls", [(True, 1), (False, 0)])
+    # neither weight builds features of its own: the mixture sampler's is
+    # taken from the grid block's features
+    @pytest.mark.parametrize("mixture, weight_calls", [(True, 0), (False, 0)])
     def test_one_grid_pass_equals_the_three_pass_computation(
             self, monkeypatch, mixture, weight_calls):
         spec, sampler = self._setup()
@@ -474,7 +476,7 @@ class TestCltExperiment:
         phi_z = feature_matrix(spec, z)[0] / math.sqrt(sampler.weight(z)[0])
         peak = peak_bytes(diagnostics._clt_population, spec,
                           payoff_function(CFG, "european_put"), 1e-3, phi_z,
-                          sampler.weight)
+                          sampler)
         assert peak < 48 * 2**20
 
     def test_repeat_fits_equal_full_primal_fits_without_hashing(self, monkeypatch):
@@ -557,3 +559,21 @@ class TestRobustness:
         with pytest.raises(InputError, match="eps must be finite"):
             robustness_check(SPEC, 1e-4, n=50, n_repeats=2,
                              sampler=SAMPLER, eps=eps)
+
+
+def test_sorted_reference_has_the_unsorted_rkhs_norm():
+    # a dual-sorted fit folds each repeated path into one support path with
+    # its multiplicity; through _tilde_coef its RKHS norm is the unsorted one
+    spec = GaussExpKernel(alpha=2.0, beta=0.3, d=1, T=2, gamma=0.45)
+    ts = training_set_with_duplicates(1, 2, 0.45)
+    norms = {}
+    for mode in ("dual-unsorted", "dual-sorted"):
+        est = fit(ts, spec, 1e-3, mode=mode)
+        norms[mode] = _quad_form(spec, est.paths, est.weights,
+                                 diagnostics._tilde_coef(est)) / est.n_train**2
+    assert len(fit(ts, spec, 1e-3, mode="dual-sorted").paths) < ts.n
+    assert norms["dual-sorted"] == pytest.approx(norms["dual-unsorted"], rel=1e-9, abs=0)
+    with pytest.raises(InputError):
+        fspec = FeatureMapKernel(features=monomial_features(1, 2, 2), d=1, T=2,
+                                 gamma=0.45)
+        diagnostics._tilde_coef(fit(ts, fspec, 1e-3, mode="primal"))

@@ -332,6 +332,110 @@ def test_conditional_gram_maxima_in_different_columns_still_evaluate():
     assert np.allclose(got, K @ np.array([1.0, -1.0]), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(4.0, 0.3), (0.5, 0.45), (0.01, 0.45),
+                                         (0.0, 0.45), (2.0, 0.0)])
+def test_overflow_bound_is_never_below_the_computed_exponent(alpha, beta):
+    # tilted paths at three scales, each row also against itself (x = y is
+    # where |x - y|^2 vanishes and the bound is tight), at every t; the
+    # Gaussian-polynomial factor (c = 2a) has no log tail and the bound 0
+    spec = GaussExpKernel(alpha=alpha, beta=beta, d=2, T=3)
+    X = draw_paths(MeasureSpec(gamma=0.45, d=2, T=3, seed=31), 200)
+    P = np.concatenate([X, 5.0 * X[:50], 25.0 * X[:50]])
+    for t in range(spec.T + 1):
+        for c, tail in ((2.0 * alpha + beta, kernels._log_tail(spec, P, t)),
+                        (2.0 * alpha, None)):
+            rows, nx = kernels._gauss_exp_rows(alpha, c, P, t)
+            cols, ny = kernels._gauss_exp_columns(alpha, P, t)
+            e = rows @ cols.T
+            bound = kernels._exponent_bound(alpha, c, spec.d * t, nx, ny, tail)
+            assert bound >= e.max(), (t, c)
+            if tail is not None:
+                assert bound >= np.max(e.max(axis=0) + tail), t
+
+
+def test_overflow_bound_passes_at_the_study_sizes():
+    # the (4, 0.3) fit on gamma = 0.45 paths priced on nominal paths: every
+    # group of blocks skips the exact check
+    spec = GaussExpKernel(alpha=4.0, beta=0.3, d=1, T=2, gamma=0.45)
+    Y = draw_paths(MeasureSpec(gamma=0.45, d=1, T=2, seed=2), 2000)
+    X = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=12), 20_000)
+    c = 2.0 * spec.alpha + spec.beta
+    for t in (1, 2):
+        nx = kernels._gauss_exp_rows(spec.alpha, c, X, t)[1]
+        ny = kernels._gauss_exp_columns(spec.alpha, Y, t)[1]
+        tail = kernels._log_tail(spec, Y, t)
+        assert kernels._exponent_bound(spec.alpha, c, t, nx, ny, tail) < EXP_GUARD
+
+
+def _guarded_outcomes(spec, pre, Y, t, coef, monkeypatch):
+    """(outcome, blocks evaluated) of conditional_gram and conditional_gram_dot:
+    the values' bytes, or the OverflowError's message."""
+    blocks, block = [], kernels._gauss_exp_block
+
+    def counting(*args):
+        blocks.append(1)
+        return block(*args)
+
+    monkeypatch.setattr(kernels, "_gauss_exp_block", counting)
+    out = []
+    for fn in (lambda: conditional_gram(spec, pre, Y, t),
+               lambda: conditional_gram_dot(spec, pre, Y, t, coef)):
+        blocks.clear()
+        try:
+            got = fn().tobytes()
+        except OverflowError as exc:
+            got = str(exc)
+        out.append((got, len(blocks)))
+    return out
+
+
+def _guard_cases():
+    group = kernels.GROUP * kernels.BLOCK
+    many = np.random.default_rng(33).standard_normal((3 * group + 5, 1, 2))
+    far, hot = many.copy(), many.copy()
+    far[2 * group + 70] = 1000.0  # third group: exponent about -4e6
+    hot[2 * group + 70, 0, 0] = 1000.0  # third group: 0.45 * 1000 * 2.6 > 700
+    Y = np.random.default_rng(34).standard_normal((50, 1, 2))
+    return [
+        # the log tail case above: e^838 in the third column
+        ("raise", 0.5, 0.45, np.array([[[80.0]]]),
+         np.array([[[1.0, 92.0]], [[-3.0, 90.5]], [[40.0, 88.0]]]), 1),
+        # the maxima in different columns: no entry passes
+        ("finite", 0.5, 0.45, np.array([[[80.0]]]),
+         np.array([[[40.0, 0.0]], [[1.0, 92.0]]]), 1),
+        # small alpha: a positive log tail of about 694 at y_2 = 84; far
+        # from y_1 = -5 the exponent is negative, at x = 3 next to y_1 = 5 it
+        # pushes the sum past the guard
+        ("finite", 0.01, 0.45, np.array([[[20.0]], [[1.0]]]),
+         np.array([[[-5.0, 84.0]], [[-2.0, 60.0]]]), 1),
+        ("raise", 0.01, 0.45, np.array([[[1.0]], [[3.0]]]),
+         np.array([[[5.0, 84.0]], [[-2.0, 60.0]]]), 1),
+        # one far row in the third group of blocks
+        ("finite", 4.0, 0.3, far, Y, 2),
+        ("raise", 0.0, 0.45, hot, np.abs(Y), 1),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_where_the_bound_fails_the_exact_check_decides(case, monkeypatch):
+    # the exact per-block check everywhere (a bound that never passes) is the
+    # oracle: the same values bit for bit, or the same OverflowError after
+    # the same number of blocks
+    want, alpha, beta, pre, Y, t = _guard_cases()[case]
+    spec = GaussExpKernel(alpha=alpha, beta=beta, d=1, T=2)
+    c = 2.0 * alpha + beta
+    nx = kernels._gauss_exp_rows(alpha, c, pre, t)[1]
+    ny = kernels._gauss_exp_columns(alpha, Y, t)[1]
+    tail = kernels._log_tail(spec, Y, t)
+    assert kernels._exponent_bound(alpha, c, t, nx, ny, tail) >= EXP_GUARD
+    coef = np.random.default_rng(35).standard_normal(len(Y))
+    got = _guarded_outcomes(spec, pre, Y, t, coef, monkeypatch)
+    monkeypatch.setattr(kernels, "_exponent_bound", lambda *args: math.inf)
+    assert got == _guarded_outcomes(spec, pre, Y, t, coef, monkeypatch)
+    for outcome, _ in got:
+        assert isinstance(outcome, str) == (want == "raise"), outcome
+
+
 def test_gauss_poly_expansion_reproduces_kernel():
     spec = GaussPolyKernel(alpha=0.7, beta=3, d=1, T=2)
     feats = gauss_poly_features(spec)

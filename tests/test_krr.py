@@ -12,8 +12,8 @@ from kernelval.cli import load_config
 from kernelval.errors import CapabilityError, DataError, InputError, SolverError
 from kernelval.kernels import (BLOCK, FeatureMapKernel, GaussExpKernel,
                                GaussPolyKernel, conditional_gram_dot,
-                               feature_matrix, gram, monomial_features,
-                               tilted_gram)
+                               feature_matrix, gauss_poly_features, gram,
+                               monomial_features, tilted_gram)
 from kernelval.krr import (MAX_DUAL_SIZE, Estimator, estimator_from_json,
                            estimator_to_json, fit, fit_path, load_estimator,
                            predict, regularization_path)
@@ -430,6 +430,23 @@ def test_serialization_roundtrip(tmp_path):
     loaded = load_estimator(p, ts)
     assert loaded.training_hash == est.training_hash
     assert loaded.residual == est.residual
+
+
+def test_primal_serialization_roundtrip_rebuilds_the_features():
+    # a feature map whose features carry non-unit coefficients (the
+    # Gaussian-polynomial expansion) through estimator_to_json and back
+    ts = _ts(30)
+    spec = FeatureMapKernel(
+        features=gauss_poly_features(GaussPolyKernel(alpha=0.5, beta=2, d=1, T=2)),
+        d=1, T=2, gamma=0.45)
+    assert any(f.coef != 1.0 for f in spec.features)
+    est = fit(ts, spec, 1e-4, mode="primal")
+    back = estimator_from_json(estimator_to_json(est), ts)
+    assert back.kernel == est.kernel
+    assert back.primal_coef.tobytes() == est.primal_coef.tobytes()
+    assert estimator_to_json(back) == estimator_to_json(est)
+    x = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=19), 7)
+    assert np.array_equal(predict(back, x), predict(est, x))
 
 
 def test_serialization_rejects_foreign_training_set():
