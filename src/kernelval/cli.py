@@ -31,7 +31,7 @@ from .kernels import FeatureMapKernel, GaussExpKernel, monomial_features
 from .market import (BSConfig, PAYOFF_IDS, GroundTruth, nested_mc_estimate,
                      payoff_function)
 from .sampling import (MeasureSpec, MixtureSampler, build_training_set,
-                       draw_paths, training_set_to_csv)
+                       csv_text, draw_paths, training_set_to_csv)
 from .valuation import ErrorReport, repeat_experiment
 
 __all__ = [
@@ -294,7 +294,7 @@ class GridResult:
         return [(l, e) for a, b, l, e in self.surface if a == alpha and b == beta]
 
     def surface_csv(self):
-        return _csv(("alpha", "beta", "lambda", "rel_l2_error"), self.surface)
+        return csv_text(("alpha", "beta", "lambda", "rel_l2_error"), self.surface)
 
 
 def _training_set(config, f, stage):
@@ -476,9 +476,9 @@ def _figures_stage(config, f, grid, gt, test_paths):
     errs = [e for _, e in sweep]
     _, est = _star_estimator(grid)
     return {
-        "fig1": _csv(("alpha", "beta", "rel_l2_error"),
-                     [(a, b, e) for a, b, l, e in grid.surface if l == grid.lam]),
-        "fig2": _csv(("lambda", "rel_l2_error"), sweep),
+        "fig1": csv_text(("alpha", "beta", "rel_l2_error"),
+                         [(a, b, e) for a, b, l, e in grid.surface if l == grid.lam]),
+        "fig2": csv_text(("lambda", "rel_l2_error"), sweep),
         "fig3": _trajectory_csv(est, gt, test_paths),
         "lambda_interior": 0 < int(np.argmin(errs)) < len(errs) - 1,
     }
@@ -552,22 +552,15 @@ def _bound_suite(config):
 # ---------------------------------------------------------------------------
 
 
-def _csv(header, rows):
-    """CSV text: the ``header`` line, then one line per row.  Cells are
-    written with ``str``, which gives a float's ``repr``; no cell here holds
-    a comma, quote or newline, so none is quoted."""
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
-
-
 def _series_csv(header, series):
     """``header``, then a row ``i, t, series[i, t]`` per path i and time t."""
-    return _csv(header, [(i, t, v) for i, row in enumerate(series.tolist())
-                         for t, v in enumerate(row)])
+    return csv_text(header, [(i, t, v) for i, row in enumerate(series.tolist())
+                             for t, v in enumerate(row)])
 
 
 def _error_reports_csv(reports):
     """Rows `payoff, estimator, t, mean_pct, std_pct`, one per (report, t)."""
-    return _csv(("payoff", "estimator", "t", "mean_pct", "std_pct"), [
+    return csv_text(("payoff", "estimator", "t", "mean_pct", "std_pct"), [
         (rep.payoff_id, rep.estimator, *row) for rep in reports
         for row in zip(rep.times, rep.mean_pct.tolist(), rep.std_pct.tolist())])
 

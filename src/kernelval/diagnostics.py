@@ -31,8 +31,7 @@ import numpy as np
 from . import kernels, pool
 from .errors import InputError
 from .kernels import FeatureMapKernel, GaussExpKernel
-from .krr import (Estimator, _check_fit_inputs, _primal_system, _solve_spd,
-                  _unsorted_system, fit, predict)
+from .krr import Estimator, fit, predict, solve
 from .market import _normal_rule
 from .sampling import MixtureSampler, build_training_set, draw_paths
 
@@ -496,18 +495,6 @@ class NormalityReport:
         return json.dumps(_finite_or_none(doc), indent=2, sort_keys=True)
 
 
-def _primal_coef(ts, spec, lam):
-    """``fit(ts, spec, lam, mode="primal").primal_coef``, bit for bit.
-
-    The same checks, system and solve, without the estimator and its
-    training-set hash, which renders the whole sample as CSV.
-    """
-    _check_fit_inputs(ts, spec, [lam])
-    M, rhs, _, _ = _primal_system(ts, spec)
-    M[np.diag_indices_from(M)] += lam
-    return _solve_spd(M, rhs, lam, "primal fit")[0]
-
-
 # Anderson-Darling critical values of the normal law with estimated mean and
 # variance, and their significance levels in percent, as in SciPy's `anderson`
 _AD_NORM_CRITICAL = np.array([0.561, 0.631, 0.752, 0.873, 1.035])
@@ -558,7 +545,7 @@ def clt_experiment(spec, f, lam, n, n_repeats, sampler, probe_z, seed=0):
     for r in range(n_repeats):
         ts = build_training_set(sampler, f, n, f.payoff_id,
                                 stream=("clt", "repeat", r), seed=seed)
-        stats[r] = math.sqrt(n) * (float(phi_z @ _primal_coef(ts, spec, lam))
+        stats[r] = math.sqrt(n) * (float(phi_z @ solve(ts, spec, lam, "primal"))
                                    / math.sqrt(wz) - f_pop_z)
     mean = float(np.mean(stats))
     se = float(np.std(stats, ddof=1)) / math.sqrt(n_repeats) if n_repeats > 1 else 0.0
@@ -619,9 +606,7 @@ def robustness_check(spec, lam, n, n_repeats, sampler, eps, seed=0):
     for r in range(n_repeats):
         ts = build_training_set(sampler, lambda paths: np.full(len(paths), eps),
                                 n, stream=("robust", "repeat", r), seed=seed)
-        M, rhs, _, _ = _unsorted_system(ts, spec)
-        M[np.diag_indices_from(M)] += lam
-        a, _ = _solve_spd(M, rhs, lam, "dual fit")
+        a = solve(ts, spec, lam)
         drifts[r] = math.sqrt(max(_quad_form(spec, ts.paths, ts.weights, a), 0.0)) / n
     mean_bound = abs(eps) * kap2 / lam
     mean_drift = float(np.mean(drifts))

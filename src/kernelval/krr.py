@@ -44,6 +44,7 @@ __all__ = [
     "Estimator",
     "fit",
     "fit_path",
+    "solve",
     "predict",
     "regularization_path",
     "estimator_to_json",
@@ -55,6 +56,10 @@ __all__ = [
 
 MAX_DUAL_SIZE = 20_000
 RCOND_FLOOR = 1e-12
+
+# The estimator's optional arrays, and the type of their JSON elements.
+_ARRAYS = {"eval_coef": float, "dual_coef": float, "weights": float,
+           "multiplicity": int, "support_index": int, "primal_coef": float}
 
 
 @dataclass(frozen=True)
@@ -82,13 +87,18 @@ class Estimator:
     residual: float = field(default=float("nan"), compare=False)
 
     def __post_init__(self):
-        for arr in (self.paths, self.eval_coef, self.dual_coef, self.weights,
-                    self.multiplicity, self.support_index, self.primal_coef):
+        for name in ("paths", *_ARRAYS):
+            arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
 
 
-def _check_fit_inputs(ts, spec, lambdas):
+def _check_fit_inputs(ts, spec, lambdas, mode):
+    """Validate a fit's inputs; return its mode's system builder and label."""
+    if mode not in _SYSTEMS:
+        raise InputError(f"unknown fit mode {mode!r}; known: {sorted(_SYSTEMS)}")
+    if mode == "primal" and not isinstance(spec, FeatureMapKernel):
+        raise InputError("primal fitting requires a FeatureMapKernel")
     for lam in lambdas:
         if not 0 <= lam < math.inf:
             raise InputError(f"lambda must be finite and nonnegative, got {lam}")
@@ -98,6 +108,7 @@ def _check_fit_inputs(ts, spec, lambdas):
         )
     if np.any(ts.weights <= 0) or not np.all(np.isfinite(ts.weights)):
         raise InputError("sampling weights must be positive and finite")
+    return _SYSTEMS[mode]
 
 
 def _extreme_eigenvalues(M):
@@ -279,13 +290,8 @@ def fit_path(ts, spec, lambdas, mode="dual-unsorted", payoff_id=None):
     ``OverflowError`` that fit failed with.  Bad inputs raise
     :class:`InputError` and oversized dual systems :class:`CapabilityError`.
     """
-    if mode not in _SYSTEMS:
-        raise InputError(f"unknown fit mode {mode!r}; known: {sorted(_SYSTEMS)}")
-    if mode == "primal" and not isinstance(spec, FeatureMapKernel):
-        raise InputError("primal fitting requires a FeatureMapKernel")
     lambdas = list(lambdas)
-    _check_fit_inputs(ts, spec, lambdas)
-    build, what = _SYSTEMS[mode]
+    build, what = _check_fit_inputs(ts, spec, lambdas, mode)
     try:
         M, rhs, fields, coef_fields = build(ts, spec)
     except OverflowError as exc:
@@ -318,6 +324,20 @@ def fit(ts, spec, lam, mode="dual-unsorted", payoff_id=None):
     results = fit_path(ts, spec, [lam], mode, payoff_id)
     _raise_failure(results)
     return results[0]
+
+
+def solve(ts, spec, lam, mode="dual-unsorted"):
+    """The coefficients a :func:`fit` of ``mode`` stores, bit for bit:
+    ``dual_coef``, or ``primal_coef`` for ``"primal"``.
+
+    The same checks, system and solve, without the :class:`Estimator` and its
+    training-set hash, which renders the whole sample as CSV.  Raises what
+    :func:`fit` raises.
+    """
+    build, what = _check_fit_inputs(ts, spec, [lam], mode)
+    M, rhs, _, _ = build(ts, spec)
+    M[np.diag_indices_from(M)] += lam
+    return _solve_spd(M, rhs, lam, what)[0]
 
 
 def predict(est, x):
@@ -400,10 +420,6 @@ def _kernel_from_doc(doc):
     return cls(alpha=doc["alpha"], beta=doc["beta"], **common)
 
 
-def _arr(a):
-    return None if a is None else [float(v) for v in np.asarray(a).reshape(-1)]
-
-
 def estimator_to_json(est):
     """Binary-free JSON document; training paths travel via the CSV hash."""
     doc = {
@@ -414,14 +430,9 @@ def estimator_to_json(est):
         "kernel": _kernel_to_doc(est.kernel),
         "training_hash": est.training_hash,
         "coefficients": {
-            "eval_coef": _arr(est.eval_coef),
-            "dual_coef": _arr(est.dual_coef),
-            "weights": _arr(est.weights),
-            "multiplicity": None if est.multiplicity is None
-            else [int(v) for v in est.multiplicity],
-            "support_index": None if est.support_index is None
-            else [int(v) for v in est.support_index],
-            "primal_coef": _arr(est.primal_coef),
+            name: None if getattr(est, name) is None
+            else [kind(v) for v in getattr(est, name).reshape(-1)]
+            for name, kind in _ARRAYS.items()
         },
         "residual": est.residual,
     }
@@ -441,28 +452,19 @@ def estimator_from_json(text, ts):
             "training-set hash mismatch: document was fitted on different data"
         )
     co = doc["coefficients"]
-    sup = co["support_index"]
-    paths = ts.paths if sup is None else ts.paths[np.asarray(sup, dtype=int)]
-
-    def arr(v):
-        return None if v is None else np.asarray(v, dtype=float)
-
+    arrays = {name: None if co[name] is None else np.asarray(co[name], dtype=kind)
+              for name, kind in _ARRAYS.items()}
+    sup = arrays["support_index"]
     return Estimator(
         mode=doc["mode"],
         kernel=_kernel_from_doc(doc["kernel"]),
         lam=float(doc["lambda"]),
         n_train=int(doc["n_train"]),
-        paths=np.array(paths),
-        eval_coef=arr(co["eval_coef"]),
-        dual_coef=arr(co["dual_coef"]),
-        weights=arr(co["weights"]),
-        multiplicity=None if co["multiplicity"] is None
-        else np.asarray(co["multiplicity"], dtype=np.int64),
-        support_index=None if sup is None else np.asarray(sup, dtype=np.int64),
-        primal_coef=arr(co["primal_coef"]),
+        paths=np.array(ts.paths if sup is None else ts.paths[sup]),
         payoff_id=doc["payoff_id"],
         training_hash=doc["training_hash"],
         residual=float(doc.get("residual", float("nan"))),
+        **arrays,
     )
 
 

@@ -22,15 +22,14 @@ Both are cross-checked against each other in the test suite.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .sampling import derive_rng
+from .kernels import as_paths
+from .sampling import csv_text, derive_rng
 
 __all__ = [
     "BSConfig",
@@ -81,20 +80,6 @@ class BSConfig:
             raise InputError("need at least one time step")
 
 
-def _increments(x, T):
-    """Coerce noise input to shape (N, T)."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    elif a.ndim == 3:
-        if a.shape[1] != 1:
-            raise InputError("market paths are one-dimensional (d == 1)")
-        a = a[:, 0, :]
-    if a.ndim != 2 or a.shape[1] != T:
-        raise InputError(f"expected noise of shape (N, {T}), got {np.asarray(x).shape}")
-    return a
-
-
 def stock_path(cfg, x):
     """Discounted stock path ``(S_0, ..., S_T)`` from noise increments.
 
@@ -102,7 +87,7 @@ def stock_path(cfg, x):
     ``(N, T+1)`` accordingly.
     """
     single = np.asarray(x).ndim == 1
-    a = _increments(x, cfg.T)
+    a = as_paths(x, 1, cfg.T)[:, 0, :]
     log_steps = cfg.sigma * a - 0.5 * cfg.sigma**2
     logs = np.concatenate([np.zeros((a.shape[0], 1)), np.cumsum(log_steps, axis=1)], axis=1)
     S = cfg.s0 * np.exp(logs)
@@ -144,7 +129,7 @@ def payoff_from_stocks(cfg, payoff_id, S):
 def payoff(cfg, payoff_id, x):
     """Payoff of one or many noise paths; scalar in, scalar out."""
     single = np.asarray(x).ndim == 1
-    vals = payoff_from_stocks(cfg, payoff_id, stock_path(cfg, _increments(x, cfg.T)))
+    vals = payoff_from_stocks(cfg, payoff_id, stock_path(cfg, as_paths(x, 1, cfg.T)))
     return float(vals[0]) if single else vals
 
 
@@ -326,7 +311,7 @@ class GroundTruth:
         Column 0 is the unconditional value, the last column the payoff.
         Intermediate columns require T == 2 (the experiment setting).
         """
-        a = _increments(paths, self.cfg.T)
+        a = as_paths(paths, 1, self.cfg.T)[:, 0, :]
         n = a.shape[0]
         out = np.empty((n, self.cfg.T + 1))
         out[:, 0] = self.v0()
@@ -342,15 +327,10 @@ class GroundTruth:
 
         ``n_inner`` is 0 for quadrature, which has no inner budget.
         """
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "x1", "value", "n_inner", "seed"])
-        tag = [str(self.n_inner if self.method == "mc" else 0), str(self.seed)]
-        if self._v0 is not None:
-            w.writerow(["0", "", repr(float(self._v0))] + tag)
-        for x1 in sorted(self._v1_cache):
-            w.writerow(["1", repr(x1), repr(self._v1_cache[x1])] + tag)
-        return buf.getvalue()
+        tag = (self.n_inner if self.method == "mc" else 0, self.seed)
+        rows = [] if self._v0 is None else [(0, "", float(self._v0), *tag)]
+        rows += [(1, x1, v, *tag) for x1, v in sorted(self._v1_cache.items())]
+        return csv_text(("t", "x1", "value", "n_inner", "seed"), rows)
 
 
 # ---------------------------------------------------------------------------

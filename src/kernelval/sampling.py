@@ -26,7 +26,7 @@ Re-deriving a stream with the same seed and tags replays it exactly.
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +46,7 @@ __all__ = [
     "rn_weight",
     "log_rn_weight",
     "build_training_set",
+    "csv_text",
     "training_set_to_csv",
     "content_hash",
 ]
@@ -273,6 +274,15 @@ def build_training_set(sampler, payoff_fn, n, payoff_id="", stream=("train",), s
 # ---------------------------------------------------------------------------
 
 
+def csv_text(header, rows):
+    """CSV text: the ``header`` line, then one line per row, taken one at a
+    time from the iterable ``rows``.  Cells are written with ``str``, which
+    gives a float's ``repr``; no cell kernelval writes holds a comma, quote
+    or newline, so none is quoted."""
+    return "".join(",".join(map(str, row)) + "\n"
+                   for row in itertools.chain((header,), rows))
+
+
 def training_set_to_csv(ts):
     """Render a TrainingSet as CSV text: path_id, x_1_1..x_d_T, payoff, weight.
 
@@ -286,13 +296,9 @@ def training_set_to_csv(ts):
     header += ["payoff", "weight"]
     cols = np.column_stack([ts.paths.transpose(0, 2, 1).reshape(ts.n, -1),
                             ts.payoff_values, ts.weights])
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
     # row by row: one tolist() of the whole table holds n lists of Python
     # floats at once, which left the diagnostics suite's peak RSS ~1 MB higher
-    for i in range(ts.n):
-        buf.write(f"{i},{','.join(map(repr, cols[i].tolist()))}\n")
-    return buf.getvalue()
+    return csv_text(header, ([i, *cols[i].tolist()] for i in range(ts.n)))
 
 
 def content_hash(ts):

@@ -437,6 +437,23 @@ def peak_bytes(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def csv_writer_ground_truth(gt):
+    """Ground-truth CSV rendered through ``csv.writer``.
+
+    The original body of ``market.GroundTruth.to_csv``: rows ``t, x1, value,
+    n_inner, seed``, the ``t = 1`` rows in ``x1`` order.
+    """
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t", "x1", "value", "n_inner", "seed"])
+    tag = [str(gt.n_inner if gt.method == "mc" else 0), str(gt.seed)]
+    if gt._v0 is not None:
+        w.writerow(["0", "", repr(float(gt._v0))] + tag)
+    for x1 in sorted(gt._v1_cache):
+        w.writerow(["1", repr(x1), repr(gt._v1_cache[x1])] + tag)
+    return buf.getvalue()
+
+
 def csv_writer_training_set(ts):
     """Training-set CSV rendered cell by cell through ``csv.writer``.
 

@@ -437,13 +437,6 @@ def test_figures_row_counts(tiny_cfg, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_csv_writes_cells_with_str_and_floats_as_repr():
-    text = cli._csv(("name", "t", "value"),
-                    [("kernel", 0, 0.1), ("nested-mc", 1, float("inf")),
-                     ("kernel", 2, 1e-05)])
-    assert text == "name,t,value\nkernel,0,0.1\nnested-mc,1,inf\nkernel,2,1e-05\n"
-
-
 def test_error_report_csv():
     rep = ErrorReport(
         payoff_id="european_put",

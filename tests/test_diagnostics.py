@@ -492,7 +492,12 @@ class TestCltExperiment:
                   probe_z=(0.3, -0.5), seed=12)
         rep = clt_experiment(spec, _put(), **kw)
         assert hashes == []
-        monkeypatch.setattr(diagnostics, "_primal_coef", primal_fit_coef)
+
+        def full_fit(ts, spec, lam, mode):
+            assert mode == "primal"
+            return primal_fit_coef(ts, spec, lam)
+
+        monkeypatch.setattr(diagnostics, "solve", full_fit)
         oracle = clt_experiment(spec, _put(), **kw)
         assert hashes == [150] * 9
         assert rep.statistics.tobytes() == oracle.statistics.tobytes()

@@ -48,10 +48,6 @@ def test_traced_names_resolve(span):
 # name).  Entries may only go: a use that is no longer there is deleted here,
 # and a new one is a reason to make the name public or to move the code.
 CROSS_MODULE_PRIVATE = {
-    ("diagnostics", "krr", "_check_fit_inputs"),
-    ("diagnostics", "krr", "_primal_system"),
-    ("diagnostics", "krr", "_solve_spd"),
-    ("diagnostics", "krr", "_unsorted_system"),
     ("diagnostics", "market", "_normal_rule"),
     ("sampling", "kernels", "_check_spec"),
     ("valuation", "kernels", "_by_row_blocks"),

@@ -281,6 +281,43 @@ def test_failed_lambda_mid_path_restores_the_matrix(alpha, beta, n, failure):
         assert path[i].dual_coef.tobytes() == oracle[i].tobytes()
 
 
+@pytest.mark.parametrize("mode", ["dual-unsorted", "dual-sorted", "primal"])
+def test_solve_returns_the_fit_coefficients_without_hashing(mode, monkeypatch):
+    if mode == "primal":
+        ts, spec = _ts(40), FeatureMapKernel(features=monomial_features(1, 2, 3), d=1, T=2)
+    else:
+        ts, spec = _repeated_ts(15, 3), SPEC
+    est = fit(ts, spec, 1e-5, mode=mode)
+    hashed = []
+    monkeypatch.setattr(krr, "content_hash", hashed.append)
+    coef = krr.solve(ts, spec, 1e-5, mode)
+    assert hashed == []
+    want = est.primal_coef if mode == "primal" else est.dual_coef
+    assert coef.tobytes() == want.tobytes()
+
+
+def test_solve_raises_what_fit_raises():
+    ts = _ts(5)
+    flat = GaussExpKernel(alpha=0.0, beta=0.05, d=1, T=2, gamma=0.45)
+    smooth = GaussExpKernel(alpha=1.0, beta=0.0, d=1, T=2, gamma=0.45)
+    cases = [
+        (InputError, ts, SPEC, -1e-3, "dual-unsorted"),
+        (InputError, ts, SPEC, math.nan, "dual-unsorted"),
+        (InputError, ts, SPEC, 1e-3, "banana"),
+        (InputError, ts, SPEC, 1e-3, "primal"),  # no finite feature basis
+        (SolverError, _ts(200), flat, 0.0, "dual-unsorted"),  # not positive definite
+        (SolverError, _ts(100), smooth, 0.0, "dual-unsorted"),  # lambda = 0 refused
+    ]
+    for error, *args in cases:
+        with pytest.raises(error) as want:
+            fit(*args)
+        with pytest.raises(error) as got:
+            krr.solve(*args)
+        assert str(got.value) == str(want.value), args
+        if error is SolverError:
+            assert got.value.condition_number == want.value.condition_number
+
+
 def test_fit_memory_is_one_gram():
     # the Gram is factored in place: no second n x n array, on any lambda
     n = 2000
@@ -422,6 +459,7 @@ def test_serialization_roundtrip(tmp_path):
         doc = estimator_to_json(est)
         back = estimator_from_json(doc, ts)
         assert back.mode == est.mode and back.lam == est.lam
+        assert estimator_to_json(back) == doc
         x = np.linspace(-1, 1, 5).reshape(-1, 1, 1) * np.ones((5, 1, 2))
         assert np.array_equal(predict(back, x), predict(est, x))
     p = tmp_path / "est.json"
@@ -447,6 +485,14 @@ def test_primal_serialization_roundtrip_rebuilds_the_features():
     assert estimator_to_json(back) == estimator_to_json(est)
     x = draw_paths(MeasureSpec(gamma=0.0, d=1, T=2, seed=19), 7)
     assert np.array_equal(predict(back, x), predict(est, x))
+
+
+def test_array_table_lists_every_estimator_array_but_paths():
+    arrays = {f.name for f in dataclasses.fields(Estimator)
+              if f.type == "np.ndarray | None"}
+    assert set(krr._ARRAYS) == arrays
+    assert {f.name for f in dataclasses.fields(Estimator)
+            if f.type == "np.ndarray"} == {"paths"}
 
 
 def test_serialization_rejects_foreign_training_set():

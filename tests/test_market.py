@@ -13,8 +13,8 @@ from kernelval.market import (GT_HALF_WIDTH, GT_NODES, BSConfig, GroundTruth,
                               ground_truth_value, nested_mc_estimate, payoff,
                               payoff_from_stocks, payoff_function, stock_path,
                               value_quadrature)
-from support import (ATM_CALL_2STEP, bs_call, bs_put, peak_bytes,
-                     quad_one_step_512)
+from support import (ATM_CALL_2STEP, bs_call, bs_put, csv_writer_ground_truth,
+                     peak_bytes, quad_one_step_512)
 
 CFG = BSConfig()  # s0=1, sigma=0.2, r=0, T=2, strike=1, barrier=2.24
 
@@ -33,6 +33,26 @@ def test_zero_noise_stock_path():
     assert np.allclose(S, [1.0, math.exp(-0.02), math.exp(-0.04)], rtol=1e-14)
     batch = stock_path(CFG, np.zeros((3, 2)))
     assert batch.shape == (3, 2 + 1)
+
+
+def test_noise_in_every_accepted_shape_gives_the_same_values():
+    x = np.random.default_rng(5).standard_normal((4, 2))
+    steps = CFG.sigma * x - 0.5 * CFG.sigma**2
+    S = CFG.s0 * np.exp(np.concatenate([np.zeros((4, 1)), np.cumsum(steps, axis=1)],
+                                       axis=1))
+    put = payoff_from_stocks(CFG, "european_put", S)
+    for shaped, rows in ((x, 4), (x[:, None, :], 4), (x[:1], 1)):
+        assert stock_path(CFG, shaped).tobytes() == S[:rows].tobytes()
+        assert payoff(CFG, "european_put", shaped).tobytes() == put[:rows].tobytes()
+    assert stock_path(CFG, x[0]).tobytes() == S[0].tobytes()
+    assert payoff(CFG, "european_put", x[0]) == put[0]
+    gt = GroundTruth(CFG, "european_put", method="mc", n_inner=50)
+    for bad in (np.zeros((4, 2, 2)), np.zeros((4, 3)), np.zeros(3),
+                np.zeros((4, 1, 3))):
+        for fn in (lambda a: stock_path(CFG, a),
+                   lambda a: payoff(CFG, "european_put", a), gt.v_series):
+            with pytest.raises(InputError):
+                fn(bad)
 
 
 def test_stock_path_is_martingale():
@@ -215,6 +235,18 @@ def test_ground_truth_csv_tags_budget_and_seed():
     # quadrature has no inner budget: its rows carry n_inner 0
     assert tags(GroundTruth(CFG, "european_call", n_inner=2000, seed=9)) \
         == {("0", "9")}
+
+
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+@pytest.mark.parametrize("v0, x1", [(True, ()), (False, (0.3, -1.2)),
+                                    (True, (0.3, -1.2)), (False, (-0.0, 0.7))])
+def test_ground_truth_csv_equals_the_csv_writer_rendering(method, v0, x1):
+    gt = GroundTruth(CFG, "european_put", method=method, n_inner=200, seed=4)
+    if v0:
+        gt.v0()
+    if x1:
+        gt.v1(np.array(x1))
+    assert gt.to_csv() == csv_writer_ground_truth(gt)
 
 
 def test_mc_ground_truth_does_not_depend_on_batch_position():

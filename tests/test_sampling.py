@@ -13,9 +13,9 @@ from kernelval.errors import DataError, InputError
 from kernelval.kernels import (FeatureMapKernel, GaussExpKernel,
                                monomial_features)
 from kernelval.sampling import (MeasureSpec, MixtureSampler, TrainingSet,
-                                build_training_set, content_hash, derive_rng,
-                                derive_seed, draw_paths, log_rn_weight,
-                                rn_weight, training_set_to_csv)
+                                build_training_set, content_hash, csv_text,
+                                derive_rng, derive_seed, draw_paths,
+                                log_rn_weight, rn_weight, training_set_to_csv)
 from support import csv_writer_training_set
 
 
@@ -150,6 +150,13 @@ def test_non_finite_payoff_rejected_with_rows():
     with pytest.raises(DataError) as err:
         build_training_set(m, bad, 10)
     assert "3" in str(err.value)
+
+
+def test_csv_writes_cells_with_str_and_floats_as_repr():
+    text = csv_text(("name", "t", "value"),
+                    [("kernel", 0, 0.1), ("nested-mc", 1, float("inf")),
+                     ("kernel", 2, 1e-05)])
+    assert text == "name,t,value\nkernel,0,0.1\nnested-mc,1,inf\nkernel,2,1e-05\n"
 
 
 def test_csv_roundtrip_is_exact():

@@ -1,13 +1,16 @@
-"""SHA-256 of every file the eight kernelval commands write on one config.
+"""SHA-256 of every file the eight kernelval commands write on each config.
 
-    PYTHONPATH=src python3 tools/artifact_digests.py configs/bs2.cfg > a.txt
+    PYTHONPATH=src python3 tools/artifact_digests.py configs/bs2.cfg a.cfg > a.txt
 
-Runs each command at ``--threads`` 1 and 2 into a temporary directory
-(``value`` into a copy of ``fit``'s, whose estimators it reads) and prints
-``exit <code>  <threads>/<command>`` and ``<sha256>  <threads>/<command>/<file>``
-lines; ``manifest.json`` is hashed without its ``git_commit`` (nor that of
-the ``fit`` record a ``value`` manifest carries).  Run it in two
-checkouts and ``diff`` the outputs.  The commands' own output goes to stderr.
+For each config path given (``configs/bs2.cfg`` if none), runs each command
+at ``--threads`` 1 and 2 into a temporary directory (``value`` into a copy
+of ``fit``'s, whose estimators it reads) and prints
+``<config>  exit <code>  <threads>/<command>`` and
+``<config>  <sha256>  <threads>/<command>/<file>`` lines, where ``<config>``
+is the config's file name; ``manifest.json`` is hashed without its
+``git_commit`` (nor that of the ``fit`` record a ``value`` manifest
+carries).  Run it in two checkouts and ``diff`` the outputs.  The commands'
+own output goes to stderr.
 """
 
 import contextlib
@@ -36,6 +39,7 @@ def _digest(path):
 
 
 def run(config):
+    label = os.path.basename(config)
     with tempfile.TemporaryDirectory() as tmp:
         for threads in ("1", "2"):
             for command in COMMANDS:
@@ -45,11 +49,12 @@ def run(config):
                 with contextlib.redirect_stdout(sys.stderr):
                     code = main([command, "--config", config, "--out", out,
                                  "--threads", threads])
-                print(f"exit {code}  {threads}/{command}", flush=True)
+                print(f"{label}  exit {code}  {threads}/{command}", flush=True)
                 for name in sorted(os.listdir(out) if os.path.isdir(out) else []):
-                    print(f"{_digest(os.path.join(out, name))}  "
+                    print(f"{label}  {_digest(os.path.join(out, name))}  "
                           f"{threads}/{command}/{name}", flush=True)
 
 
 if __name__ == "__main__":
-    run(sys.argv[1] if len(sys.argv) > 1 else "configs/bs2.cfg")
+    for config in sys.argv[1:] or ["configs/bs2.cfg"]:
+        run(config)
